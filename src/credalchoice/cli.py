@@ -19,15 +19,7 @@ import argparse
 import json
 import sys
 
-from .errors import (
-    CapExceededError,
-    CCLError,
-    InfeasibleError,
-    ParseError,
-    TheoryValidationError,
-    UnboundedError,
-    UnknownAtomError,
-)
+from .errors import CCLError, ParseError, TheoryValidationError
 from .inference import (
     credal_bounds_single_space,
     credal_bounds_strong_extension,
@@ -46,20 +38,6 @@ from .rational import format_fraction, parse_fraction
 from .theory import TheoryDocument, load_ccl, parse_query, validate_theory
 from .worlds import build_world_space, class_table, world_space_json, world_table
 
-_DOMAIN_ERRORS = (
-    TheoryValidationError,
-    CapExceededError,
-    InfeasibleError,
-    UnboundedError,
-    UnknownAtomError,
-    ValueError,
-)
-
-
-def _load_document(path: str) -> TheoryDocument:
-    return load_ccl(path)
-
-
 def _pick_query(doc: TheoryDocument, text: str | None):
     if text:
         return parse_query(text)
@@ -69,14 +47,14 @@ def _pick_query(doc: TheoryDocument, text: str | None):
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    doc = _load_document(args.theory)
+    doc = load_ccl(args.theory)
     report = validate_theory(doc.theory)
     print(str(report))
     return 0 if report.ok else 1
 
 
 def cmd_infer(args: argparse.Namespace) -> int:
-    doc = _load_document(args.theory)
+    doc = load_ccl(args.theory)
     report = validate_theory(doc.theory)
     if not report.ok:
         raise TheoryValidationError(report)
@@ -104,7 +82,7 @@ def cmd_infer(args: argparse.Namespace) -> int:
 
 
 def cmd_psat_export(args: argparse.Namespace) -> int:
-    doc = _load_document(args.theory)
+    doc = load_ccl(args.theory)
     report = validate_theory(doc.theory)
     if not report.ok:
         raise TheoryValidationError(report)
@@ -115,22 +93,23 @@ def cmd_psat_export(args: argparse.Namespace) -> int:
 
 
 def cmd_worlds(args: argparse.Namespace) -> int:
-    doc = _load_document(args.theory)
+    doc = load_ccl(args.theory)
     report = validate_theory(doc.theory)
     if not report.ok:
         raise TheoryValidationError(report)
     ws = build_world_space(doc.theory)
+    weights = None
+    if all(len(sp.alternatives) == 1 for sp in doc.theory.spaces):
+        weights = [format_fraction(v) for v in icl_mass_function(doc.theory, world_space=ws).values]
     if args.format == "json":
         payload = world_space_json(ws)
-        if all(len(sp.alternatives) == 1 for sp in doc.theory.spaces):
-            weights = icl_mass_function(doc.theory, world_space=ws)
-            payload["independent_weights"] = [format_fraction(v) for v in weights.values]
+        if weights is not None:
+            payload["independent_weights"] = weights
         print(json.dumps(payload, indent=2))
     else:
         print(world_table(ws))
-        if all(len(sp.alternatives) == 1 for sp in doc.theory.spaces):
-            weights = icl_mass_function(doc.theory, world_space=ws)
-            print("mu'  " + " ".join(format_fraction(v) for v in weights.values))
+        if weights is not None:
+            print("mu'  " + " ".join(weights))
         print()
         print(class_table(ws))
     return 0
@@ -250,10 +229,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _DOMAIN_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except CCLError as exc:
+    except (CCLError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

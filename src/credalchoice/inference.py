@@ -5,15 +5,21 @@ form a polytope: non-negative weights that sum to one and whose totals
 over the classes containing each atomic choice equal that atom's mass.
 Queries are then bounded in three ways:
 
-* ``credal_bounds_single_space`` - exact bounds by linear programming,
-  for theories with a single choice space;
 * ``credal_bounds_strong_extension`` - exact bounds for any number of
-  spaces, optimizing the product objective over combinations of the
-  per-space polytope vertices (the objective is linear in each factor,
-  so the optimum is attained at such a combination);
+  spaces.  The query mass is linear in each space's class masses, so
+  its extremes are attained with every space but the last at a vertex
+  of its polytope.  Those vertices are enumerated for spaces 0..k-2;
+  each combination contracts the query into a linear objective over
+  the last space's classes, minimized and maximized by one
+  ``lp.FeasibleSystem`` that runs phase one once per call;
+* ``credal_bounds_single_space`` - the same bound for a one-space
+  theory, where no vertex is enumerated and it is a pair of LPs;
 * ``outer_bound`` - a cheap factorized relaxation: per-world products of
   classwise probability bounds, summed over the worlds satisfying the
   query (upper end clipped to one).  Always contains the exact interval.
+
+Every bound reads a world through its class profile: its class index in
+each space.
 
 When every space holds exactly one alternative the theory reads as a
 fully independent one and ``icl_probability`` returns the point value.
@@ -22,8 +28,9 @@ fully independent one and ``icl_probability`` returns the point value.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import prod
 from typing import Sequence
 
 from . import lp
@@ -100,6 +107,12 @@ class MarginalPolytope:
             for row, b in zip(self.rows, self.rhs)
         )
 
+    def feasible_system(self) -> lp.FeasibleSystem:
+        """The equality system after phase one, ready for any objective."""
+        return lp.FeasibleSystem(
+            self.n_classes, [lp.Constraint(row, "==", b) for row, b in zip(self.rows, self.rhs)]
+        )
+
 
 def marginal_polytope(ws: WorldSpace, space_index: int) -> MarginalPolytope:
     """Constraint system for the classes of one space."""
@@ -114,10 +127,6 @@ def marginal_polytope(ws: WorldSpace, space_index: int) -> MarginalPolytope:
     return MarginalPolytope(space_index, tuple(rows), tuple(rhs))
 
 
-def _eq_constraints(p: MarginalPolytope) -> list[lp.Constraint]:
-    return [(row, "==", b) for row, b in zip(p.rows, p.rhs)]
-
-
 def enumerate_vertices(p: MarginalPolytope, *, cap: int = lp.DEFAULT_BASIS_CAP) -> list[MassFunction]:
     """All extreme points of the class-mass polytope, exact and deduplicated."""
     vertices = lp.enumerate_vertices_eq(p.rows, p.rhs, cap=cap)
@@ -129,58 +138,80 @@ def _query_worlds(ws: WorldSpace, q: Query) -> list[int]:
     return [w.index for w in ws.worlds if satisfies(w, q)]
 
 
+def _class_profiles(ws: WorldSpace) -> list[tuple[int, ...]]:
+    """Every world's class index in each space, by world index."""
+    profiles: list[list[int]] = [[] for _ in ws.worlds]
+    for classes in ws.classes_by_space:
+        for j, cls in enumerate(classes):
+            for wi in cls.world_indices:
+                profiles[wi].append(j)
+    return [tuple(p) for p in profiles]
+
+
+def query_profiles(ws: WorldSpace, q: Query) -> list[tuple[int, ...]]:
+    """The class profiles of the worlds satisfying the query, in world order."""
+    profiles = _class_profiles(ws)
+    return [profiles[i] for i in _query_worlds(ws, q)]
+
+
+def _class_weights(ws: WorldSpace) -> list[list[Fraction]]:
+    """Per space, each class's product of selected masses.
+
+    An atom selected by several overlapping alternatives counts once.
+    """
+    mu = ws.theory.mu
+    return [
+        [prod((mu[a] for a in cls.partial.image), start=_ONE) for cls in classes]
+        for classes in ws.classes_by_space
+    ]
+
+
+def _profile_product(per_class: list[list[Fraction]], profile: tuple[int, ...]) -> Fraction:
+    """The product over spaces of the profile's class entries in a per-space table."""
+    return prod((per_class[i][c] for i, c in enumerate(profile)), start=_ONE)
+
+
+def _world_weights(ws: WorldSpace) -> list[Fraction]:
+    """Each world's product weight, from its class profile."""
+    weights = _class_weights(ws)
+    return [_profile_product(weights, p) for p in _class_profiles(ws)]
+
+
 def icl_probability(t: CCLTheory, q: Query, *, world_space: WorldSpace | None = None) -> Fraction:
     """Point-valued query probability under the independence reading.
 
     Requires every choice space to hold exactly one alternative; the
     probability of a world is then the product of its selected masses.
     """
-    for sp in t.spaces:
-        if len(sp.alternatives) != 1:
-            raise ValueError("icl_probability needs every choice space to be a single alternative")
+    _require_independent(t)  # before the world space is built
     ws = world_space or build_world_space(t)
-    total = _ZERO
-    for i in _query_worlds(ws, q):
-        total += _world_weight(t, ws.worlds[i])
-    return total
+    weights = icl_mass_function(t, world_space=ws).values
+    return sum((weights[i] for i in _query_worlds(ws, q)), _ZERO)
 
 
-def _world_weight(t: CCLTheory, world) -> Fraction:
-    # an atom selected by several overlapping alternatives counts once
-    weight = _ONE
-    for part in world.choice.parts:
-        for a in part.image:
-            weight *= t.mu[a]
-    return weight
+def _require_independent(t: CCLTheory) -> None:
+    if any(len(sp.alternatives) != 1 for sp in t.spaces):
+        raise ValueError("the independence reading needs every choice space to be a single alternative")
 
 
 def icl_mass_function(t: CCLTheory, *, world_space: WorldSpace | None = None) -> MassFunction:
     """The world mass function of an independence-reading theory."""
-    for sp in t.spaces:
-        if len(sp.alternatives) != 1:
-            raise ValueError("icl_mass_function needs every choice space to be a single alternative")
+    _require_independent(t)
     ws = world_space or build_world_space(t)
-    return MassFunction(tuple(_world_weight(t, w) for w in ws.worlds))
+    return MassFunction(tuple(_world_weights(ws)))
 
 
 def credal_bounds_single_space(
     t: CCLTheory, q: Query, *, world_space: WorldSpace | None = None
 ) -> IntervalResult:
-    """Exact lower/upper query probabilities for a one-space theory."""
+    """Exact lower/upper query probabilities for a one-space theory.
+
+    The strong extension with one space: a pair of LPs over the class
+    masses, with no vertex enumeration.
+    """
     if len(t.spaces) != 1:
         raise ValueError("credal_bounds_single_space needs exactly one choice space")
-    ws = world_space or build_world_space(t)
-    polytope = marginal_polytope(ws, 0)
-    classes = ws.classes_by_space[0]
-    sat = set(_query_worlds(ws, q))
-    # with one space each class holds exactly one world
-    objective = [
-        _ONE if cls.world_indices[0] in sat else _ZERO for cls in classes
-    ]
-    constraints = _eq_constraints(polytope)
-    lo = lp.solve_lp(objective, constraints).value
-    hi = lp.solve_lp(objective, constraints, maximize=True).value
-    return IntervalResult(lo, hi, "lp")
+    return replace(credal_bounds_strong_extension(t, q, world_space=world_space), method="lp")
 
 
 def credal_bounds_strong_extension(
@@ -191,92 +222,71 @@ def credal_bounds_strong_extension(
     vertex_cap: int = lp.DEFAULT_BASIS_CAP,
     combo_cap: int = DEFAULT_COMBO_CAP,
 ) -> IntervalResult:
-    """Exact bounds over products of per-space admissible masses."""
+    """Exact bounds over products of per-space admissible masses.
+
+    Walks every combination of vertices of spaces 0..k-2 (``vertex_cap``
+    bounds each enumeration, ``combo_cap`` the combinations) and solves
+    the last space by LP at each one.
+    """
     ws = world_space or build_world_space(t)
-    sat = _query_worlds(ws, q)
+    profiles = query_profiles(ws, q)
     k = len(t.spaces)
     if k == 0:
-        value = _ONE if sat else _ZERO
+        value = _ONE if profiles else _ZERO
         return IntervalResult(value, value, "vertex_product")
 
     vertex_sets = [
         [mf.values for mf in enumerate_vertices(marginal_polytope(ws, i), cap=vertex_cap)]
-        for i in range(k)
+        for i in range(k - 1)
     ]
-    combos = 1
-    for vs in vertex_sets:
-        combos *= len(vs)
+    combos = prod(len(vs) for vs in vertex_sets)
     if combos > combo_cap:
         raise CapExceededError(f"{combos} vertex combinations, more than the cap of {combo_cap}")
-
-    # class index per space for every satisfying world
-    sat_profile = [
-        tuple(ws.class_index_of(i, ws.worlds[wi]) for i in range(k)) for wi in sat
-    ]
+    last = marginal_polytope(ws, k - 1).feasible_system()
 
     lo = hi = None
-    stack = [(0, [])]
-    chosen: list[tuple[Fraction, ...]] = []
 
-    def evaluate(parts: list[tuple[Fraction, ...]]) -> Fraction:
-        total = _ZERO
-        for profile in sat_profile:
-            term = _ONE
-            for i, ci in enumerate(profile):
-                term *= parts[i][ci]
-            total += term
-        return total
-
-    def walk(i: int) -> None:
+    def walk(i: int, weighted: list[tuple[tuple[int, ...], Fraction]]) -> None:
+        # weighted: the satisfying profiles whose chosen masses over spaces
+        # before i multiply to a non-zero weight, with that weight
         nonlocal lo, hi
-        if i == k:
-            v = evaluate(chosen)
-            lo = v if lo is None or v < lo else lo
-            hi = v if hi is None or v > hi else hi
+        if i == k - 1:
+            objective = [_ZERO] * last.n
+            for p, w in weighted:
+                objective[p[i]] += w
+            low = last.solve(objective).value
+            high = last.solve(objective, maximize=True).value
+            lo = low if lo is None else min(lo, low)
+            hi = high if hi is None else max(hi, high)
             return
-        for vs in vertex_sets[i]:
-            chosen.append(vs)
-            walk(i + 1)
-            chosen.pop()
+        for v in vertex_sets[i]:
+            walk(i + 1, [(p, w * v[p[i]]) for p, w in weighted if v[p[i]]])
 
-    walk(0)
+    walk(0, [(p, _ONE) for p in profiles])
     return IntervalResult(lo, hi, "vertex_product")
 
 
 def outer_bound(t: CCLTheory, q: Query, *, world_space: WorldSpace | None = None) -> IntervalResult:
     """Factorized relaxation: products of classwise bounds, summed."""
     ws = world_space or build_world_space(t)
-    sat = _query_worlds(ws, q)
+    profiles = query_profiles(ws, q)
     k = len(t.spaces)
     if k == 0:
-        value = _ONE if sat else _ZERO
+        value = _ONE if profiles else _ZERO
         return IntervalResult(value, value, "outer_bound")
 
     class_lo: list[list[Fraction]] = []
     class_hi: list[list[Fraction]] = []
     for i in range(k):
-        polytope = marginal_polytope(ws, i)
-        constraints = _eq_constraints(polytope)
-        n = polytope.n_classes
-        lows, highs = [], []
-        for j in range(n):
-            objective = [_ONE if jj == j else _ZERO for jj in range(n)]
-            lows.append(lp.solve_lp(objective, constraints).value)
-            highs.append(lp.solve_lp(objective, constraints, maximize=True).value)
-        class_lo.append(lows)
-        class_hi.append(highs)
+        system = marginal_polytope(ws, i).feasible_system()
+        units = [[_ONE if jj == j else _ZERO for jj in range(system.n)] for j in range(system.n)]
+        class_lo.append([system.solve(u).value for u in units])
+        class_hi.append([system.solve(u, maximize=True).value for u in units])
 
-    lo_total = _ZERO
-    hi_total = _ZERO
-    for wi in sat:
-        w = ws.worlds[wi]
-        lo_term = hi_term = _ONE
-        for i in range(k):
-            ci = ws.class_index_of(i, w)
-            lo_term *= class_lo[i][ci]
-            hi_term *= class_hi[i][ci]
-        lo_total += lo_term
-        hi_total += hi_term
+    lo_total = hi_total = _ZERO
+    for p in profiles:
+        lo_total += _profile_product(class_lo, p)
+        hi_total += _profile_product(class_hi, p)
     return IntervalResult(lo_total, min(hi_total, _ONE), "outer_bound")
 
 
@@ -293,7 +303,7 @@ def proxy_mass_function(t: CCLTheory, *, world_space: WorldSpace | None = None) 
     point (use :func:`proxy_in_credal_set` to check membership).
     """
     ws = world_space or build_world_space(t)
-    raw = [_world_weight(t, w) for w in ws.worlds]
+    raw = _world_weights(ws)
     total = sum(raw, _ZERO)
     if total == 0:
         raise ValueError("every world has zero product weight; proxy undefined")
@@ -315,18 +325,8 @@ def proxy_in_credal_set(t: CCLTheory, *, world_space: WorldSpace | None = None) 
     each factor satisfying its own marginal constraints.
     """
     ws = world_space or build_world_space(t)
-    for i in range(len(t.spaces)):
-        polytope = marginal_polytope(ws, i)
-        classes = ws.classes_by_space[i]
-        raw = []
-        for cls in classes:
-            weight = _ONE
-            for a in cls.partial.image:
-                weight *= t.mu[a]
-            raw.append(weight)
+    for i, raw in enumerate(_class_weights(ws)):
         total = sum(raw, _ZERO)
-        if total == 0:
-            return False
-        if not polytope.contains([v / total for v in raw]):
+        if total == 0 or not marginal_polytope(ws, i).contains([v / total for v in raw]):
             return False
     return True

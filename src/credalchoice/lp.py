@@ -6,6 +6,11 @@ rhs)`` triples with relation one of ``<=``, ``==``, ``>=``.  Bland's
 rule picks the pivots, so the method terminates even on degenerate
 problems, and every reported optimum and witness point is exact.
 
+``FeasibleSystem`` is the core: it runs phase one once per constraint
+system and keeps the feasible basis, so every objective optimized over
+the same polytope pays only for its own phase two.  ``solve_lp`` and
+``feasible_point`` are one-shot calls into it.
+
 The same machinery enumerates the vertices of a bounded polyhedron in
 equality form ``{x >= 0 : Ax = b}`` by breadth-first search over
 feasible bases, starting from a phase-one basis.  Degenerate vertices
@@ -140,6 +145,56 @@ def _standardize(n: int, constraints: Iterable[Constraint]) -> tuple[list[Row], 
     return rows, n + nslack
 
 
+def _basic_point(rows: list[Row], basis: Sequence[int], n: int) -> tuple[Fraction, ...]:
+    """The basic solution of a tableau, restricted to the first ``n`` columns."""
+    point = [_ZERO] * n
+    for r, b in enumerate(basis):
+        if b < n:
+            point[b] = rows[r][-1]
+    return tuple(point)
+
+
+class FeasibleSystem:
+    """A constraint system over ``x >= 0`` brought to a feasible basis once.
+
+    The constructor standardizes the constraints and runs phase one,
+    raising :class:`InfeasibleError` when there is no feasible point;
+    ``point`` is the phase-one basic solution.  :meth:`solve` runs phase
+    two on a copy of the kept tableau, so one system answers any number
+    of objectives, minimized or maximized, in any order.
+    """
+
+    def __init__(self, n: int, constraints: Iterable[Constraint]):
+        self.n = n
+        self._rows, self._ncols = _standardize(n, constraints)
+        self._basis = _phase_one(self._rows, self._ncols)
+        self.point = _basic_point(self._rows, self._basis, n)
+
+    def solve(self, objective: Sequence[Fraction], *, maximize: bool = False) -> LPSolution:
+        """Optimize ``objective . x``: the exact optimum and a witness point.
+
+        Raises :class:`UnboundedError` when the objective has no optimum.
+        """
+        n = self.n
+        if len(objective) != n:
+            raise ValueError(f"objective has {len(objective)} coefficients, expected {n}")
+        # pivots replace rows rather than editing them, so a shallow copy is enough
+        rows = list(self._rows)
+        basis = list(self._basis)
+        costs = [Fraction(c) for c in objective] + [_ZERO] * (self._ncols - n)
+        if maximize:
+            costs = [-c for c in costs]
+        obj: Row = costs + [_ZERO]
+        for r, b in enumerate(basis):
+            if obj[b] != 0:
+                f = obj[b]
+                for j, v in enumerate(rows[r]):
+                    obj[j] -= f * v
+        _bland_minimize(rows, obj, basis)
+        value = -obj[-1]
+        return LPSolution(-value if maximize else value, _basic_point(rows, basis, n))
+
+
 def solve_lp(
     objective: Sequence[Fraction],
     constraints: Iterable[Constraint],
@@ -151,40 +206,12 @@ def solve_lp(
     Returns the exact optimum and a witness point.  Raises
     :class:`InfeasibleError` or :class:`UnboundedError` accordingly.
     """
-    n = len(objective)
-    rows, ncols = _standardize(n, constraints)
-    basis = _phase_one(rows, ncols)
-
-    costs = [Fraction(c) for c in objective] + [_ZERO] * (ncols - n)
-    if maximize:
-        costs = [-c for c in costs]
-    obj: Row = costs + [_ZERO]
-    for r, b in enumerate(basis):
-        if obj[b] != 0:
-            f = obj[b]
-            for j, v in enumerate(rows[r]):
-                obj[j] -= f * v
-    _bland_minimize(rows, obj, basis)
-
-    point = [_ZERO] * n
-    for r, b in enumerate(basis):
-        if b < n:
-            point[b] = rows[r][-1]
-    value = -obj[-1]
-    if maximize:
-        value = -value
-    return LPSolution(value, tuple(point))
+    return FeasibleSystem(len(objective), constraints).solve(objective, maximize=maximize)
 
 
 def feasible_point(n: int, constraints: Iterable[Constraint]) -> tuple[Fraction, ...]:
     """Any feasible point (a phase-one basic solution), exact."""
-    rows, ncols = _standardize(n, constraints)
-    basis = _phase_one(rows, ncols)
-    point = [_ZERO] * n
-    for r, b in enumerate(basis):
-        if b < n:
-            point[b] = rows[r][-1]
-    return tuple(point)
+    return FeasibleSystem(n, constraints).point
 
 
 # ---------------------------------------------------------------------------
@@ -273,10 +300,7 @@ def enumerate_vertices_eq(
         tab = _tableau_for_basis(reduced, basis)
         if tab is None:
             continue
-        point = [_ZERO] * n
-        for k, col in enumerate(basis):
-            point[col] = tab[k][-1]
-        points.setdefault(tuple(point))
+        points.setdefault(_basic_point(tab, basis, n))
 
         basic = set(basis)
         for j in range(n):

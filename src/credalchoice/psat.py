@@ -26,7 +26,7 @@ from typing import Iterable, Mapping, Sequence
 
 from . import lp
 from .errors import CapExceededError, InfeasibleError
-from .inference import IntervalResult, marginal_polytope, _eq_constraints, _query_worlds
+from .inference import IntervalResult, marginal_polytope, query_profiles
 from .logic import Atom, GroundProgram, Literal, check_acyclic
 from .rational import format_fraction
 from .theory import CCLTheory, Query
@@ -406,13 +406,8 @@ def inner_point(t: CCLTheory, q: Query, *, world_space: WorldSpace | None = None
     if len(t.spaces) != 1:
         raise ValueError("inner_point needs exactly one choice space")
     ws = world_space or build_world_space(t)
-    polytope = marginal_polytope(ws, 0)
-    point = lp.feasible_point(polytope.n_classes, _eq_constraints(polytope))
-    sat = set(_query_worlds(ws, q))
-    classes = ws.classes_by_space[0]
-    return sum(
-        (v for cls, v in zip(classes, point) if cls.world_indices[0] in sat), _ZERO
-    )
+    point = marginal_polytope(ws, 0).feasible_system().point
+    return sum((point[c] for (c,) in query_profiles(ws, q)), _ZERO)
 
 
 def bisect_bounds(

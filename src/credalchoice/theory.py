@@ -37,6 +37,7 @@ from .logic import (
     Program,
     Term,
     TokenStream,
+    _check_arities,
     check_acyclic,
     ground,
     parse_atom_from,
@@ -412,8 +413,6 @@ def parse_ccl(text: str) -> TheoryDocument:
             head = clauses[-1].head
             if head.relation in _RESERVED:
                 raise ParseError(f"{head.relation!r} is reserved in theory files")
-    from .logic import _check_arities
-
     _check_arities(positions)
     theory = CCLTheory(Program(tuple(clauses)), tuple(spaces), mu)
     return TheoryDocument(theory, tuple(queries))

@@ -78,20 +78,6 @@ class WorldSpace:
     worlds: tuple[World, ...]
     classes_by_space: tuple[tuple[WorldClass, ...], ...]
 
-    def class_index_of(self, space_index: int, world: World) -> int:
-        return self._class_lookup[space_index][world.choice.parts[space_index].selected]
-
-    @property
-    def _class_lookup(self):
-        lookup = getattr(self, "_lookup_cache", None)
-        if lookup is None:
-            lookup = tuple(
-                {cls.partial.selected: j for j, cls in enumerate(classes)}
-                for classes in self.classes_by_space
-            )
-            object.__setattr__(self, "_lookup_cache", lookup)
-        return lookup
-
 
 def _coherent(selected: Sequence[Atom], alternatives: Sequence, candidate: Atom, upto: int) -> bool:
     cand_alt = alternatives[upto]

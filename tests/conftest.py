@@ -267,6 +267,42 @@ def grid_strong_bounds(t, q, ws, mu, steps):
     return float(values.min()), float(values.max())
 
 
+def vertex_product_bounds(t, q, ws):
+    """Exact strong-extension bounds by brute force over every space's vertices.
+
+    Evaluates the query mass at each combination of per-space polytope
+    vertices (the objective is linear in each factor, so its extremes are
+    attained at such a combination) and returns the exact (min, max).
+    """
+    import itertools
+
+    from credalchoice.inference import enumerate_vertices, marginal_polytope
+    from credalchoice.worlds import satisfies
+
+    vertex_sets = [
+        [v.values for v in enumerate_vertices(marginal_polytope(ws, i))]
+        for i in range(len(ws.classes_by_space))
+    ]
+    profiles = [
+        tuple(
+            next(j for j, c in enumerate(classes) if w.index in c.world_indices)
+            for classes in ws.classes_by_space
+        )
+        for w in ws.worlds
+        if satisfies(w, q)
+    ]
+    values = []
+    for parts in itertools.product(*vertex_sets):
+        total = Fraction(0)
+        for profile in profiles:
+            term = Fraction(1)
+            for part, c in zip(parts, profile):
+                term *= part[c]
+            total += term
+        values.append(total)
+    return min(values), max(values)
+
+
 def random_query(rng: random.Random, t: CCLTheory, max_literals: int = 3) -> Query:
     pool = sorted({a for sp in t.spaces for a in sp.atom_set})
     k = rng.randrange(1, min(max_literals, len(pool)) + 1)

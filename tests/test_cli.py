@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -357,6 +358,46 @@ def test_psat_export_needs_single_space(data_dir, capsys):
 
 # ---------------------------------------------------------------------------
 # determinism across processes
+
+
+# ---------------------------------------------------------------------------
+# golden bytes
+
+
+GOLDEN_DIR = Path(__file__).with_name("golden")
+
+# (golden file stem, command line with the data file named relative to the
+# bundled data directory).  Each golden file holds the exact stdout of the
+# command; the files were captured before the exact bounds moved onto the
+# shared LP core, and pin the promise that output is byte-identical.
+_CCL = ["urn", "urn-merged", "friends", "friends-merged", "friends-icl"]
+_ONE_SPACE = ["urn-merged", "friends-merged"]
+GOLDEN_CASES = (
+    [(f"infer-{n}-{m}", ["infer", f"{n}.ccl", "--method", m]) for n in _CCL for m in ("vertex", "outer")]
+    + [(f"infer-{n}-{m}", ["infer", f"{n}.ccl", "--method", m]) for n in _ONE_SPACE for m in ("lp", "psat")]
+    + [
+        ("infer-friends-vertex-table", ["infer", "friends.ccl", "--format", "table"]),
+        ("infer-urn-merged-lp-query", ["infer", "urn-merged.ccl", "--method", "lp", "--query", "a1r"]),
+    ]
+    + [(f"worlds-{n}-{f}", ["worlds", f"{n}.ccl", "--format", f]) for n in ("friends", "friends-icl") for f in ("table", "json")]
+    + [
+        (f"rank-{stem}-{f}", ["rank", data, "--format", f])
+        for stem, data in (("rankings", "abc.rankings"), ("counts", "abc-counts.csv"))
+        for f in ("json", "table")
+    ]
+    + [(f"psat-export-{n}", ["psat-export", f"{n}.ccl", "--alpha", "14/25"]) for n in _ONE_SPACE]
+)
+
+
+def _golden_argv(data_dir, args):
+    return [args[0], str(data_dir / args[1]), *args[2:]]
+
+
+@pytest.mark.parametrize("stem, args", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
+def test_output_matches_golden_bytes(stem, args, data_dir, capsys):
+    code, out, err = run(_golden_argv(data_dir, args), capsys)
+    assert (code, err) == (0, "")
+    assert out.encode() == (GOLDEN_DIR / f"{stem}.txt").read_bytes()
 
 
 def _module_cli(args):

@@ -6,9 +6,11 @@ from fractions import Fraction
 import pytest
 from conftest import (
     grid_strong_bounds,
+    random_low_dim_space,
     random_query,
     random_single_space_theory,
     random_two_space_theory,
+    vertex_product_bounds,
     with_derived_atom,
 )
 
@@ -28,6 +30,13 @@ from credalchoice.inference import (
     proxy_query_value,
 )
 from credalchoice.logic import Program, atom
+from credalchoice.ranking import (
+    build_ranking_theory,
+    counts_from_rankings,
+    pairwise_query,
+    parse_rankings,
+    smooth_marginals,
+)
 from credalchoice.theory import (
     Alternative,
     CCLTheory,
@@ -241,11 +250,58 @@ def test_friends_strong_extension_bounds(data_dir):
     assert iv.method == "vertex_product"
 
 
-def test_strong_extension_equals_single_space_when_k_is_one(data_dir):
-    doc = load_ccl(data_dir / "urn-merged.ccl")
-    a = credal_bounds_single_space(doc.theory, doc.queries[0])
-    b = credal_bounds_strong_extension(doc.theory, doc.queries[0])
+# Four ranked objects: the one-space pair theory's class-mass polytope is
+# degenerate enough that enumerating its vertices passes 1000 bases.
+RANKINGS_N4 = """\
+a,b,c,d x5
+b,a,d,c x3
+a,c,b,d x2
+d,c,b,a x1
+c,a,d,b x2
+"""
+
+
+def _one_space_case(name, data_dir):
+    if name == "ranking-n4-pair":
+        m = smooth_marginals(counts_from_rankings(parse_rankings(RANKINGS_N4)))
+        return pairwise_query(build_ranking_theory(m), m, 0, 1)
+    doc = load_ccl(data_dir / f"{name}.ccl")
+    return doc.theory, doc.queries[0]
+
+
+@pytest.mark.parametrize("name", ["urn-merged", "ranking-n4-pair"])
+def test_strong_extension_equals_single_space_when_k_is_one(name, data_dir):
+    t, q = _one_space_case(name, data_dir)
+    a = credal_bounds_single_space(t, q)
+    # with one space no vertex is enumerated, so no cap can be reached
+    b = credal_bounds_strong_extension(t, q, vertex_cap=1000)
     assert (a.lower, a.upper) == (b.lower, b.upper)
+
+
+def _random_product_theory(rng, shape):
+    if shape == "two-low-dim":
+        return random_two_space_theory(rng)
+    if shape == "three-low-dim":
+        drawn = [random_low_dim_space(rng, prefix) for prefix in "xyz"]
+        mu = {a: p for _, m in drawn for a, p in m.items()}
+        return CCLTheory(Program(), tuple(sp for sp, _ in drawn), mu)
+    # two spaces with polytopes of any dimension
+    spaces = [random_single_space_theory(rng, 3, 3, prefix, class_cap=8) for prefix in "xy"]
+    return CCLTheory(Program(), tuple(s.spaces[0] for s in spaces), {**spaces[0].mu, **spaces[1].mu})
+
+
+@pytest.mark.parametrize("shape", ["two-low-dim", "three-low-dim", "two-general"])
+def test_strong_extension_equals_vertex_product_oracle(shape):
+    rng = random.Random(71)
+    for trial in range(12):
+        t = _random_product_theory(rng, shape)
+        if rng.random() < 0.5:
+            t, q = with_derived_atom(rng, t)
+        else:
+            q = random_query(rng, t)
+        ws = build_world_space(t)
+        iv = credal_bounds_strong_extension(t, q, world_space=ws)
+        assert (iv.lower, iv.upper) == vertex_product_bounds(t, q, ws), f"trial {trial}"
 
 
 def test_icl_theories_have_point_strong_extension():

@@ -8,6 +8,7 @@ import pytest
 from credalchoice.errors import CapExceededError, InfeasibleError, UnboundedError
 from credalchoice.lp import (
     Constraint,
+    FeasibleSystem,
     enumerate_vertices_eq,
     feasible_point,
     solve_lp,
@@ -195,14 +196,28 @@ def test_lp_matches_vertex_brute_force_on_random_transportation():
         m = rng.randrange(2, 4)
         n = rng.randrange(2, 4)
         rows, rhs = random_transportation(rng, m, n)
-        objective = tuple(F(rng.randrange(-5, 6)) for _ in range(m * n))
         cons = [Constraint(r, "==", b) for r, b in zip(rows, rhs)]
-        lo = solve_lp(objective, cons, maximize=False).value
-        hi = solve_lp(objective, cons, maximize=True).value
         verts = enumerate_vertices_eq(rows, rhs)
-        values = [sum(c * x for c, x in zip(objective, v)) for v in verts]
-        assert min(values) == lo, f"trial {trial}"
-        assert max(values) == hi, f"trial {trial}"
+        # one phase one serves every objective, minimized and maximized in turn
+        system = FeasibleSystem(m * n, cons)
+        for _ in range(3):
+            objective = tuple(F(rng.randrange(-5, 6)) for _ in range(m * n))
+            values = [sum(c * x for c, x in zip(objective, v)) for v in verts]
+            senses = [(False, min(values)), (True, max(values))]
+            if rng.random() < 0.5:
+                senses.reverse()
+            for maximize, best in senses:
+                sol = system.solve(objective, maximize=maximize)
+                assert sol == solve_lp(objective, cons, maximize=maximize), f"trial {trial}"
+                assert sol.value == best, f"trial {trial}"
+
+
+def test_feasible_system_point_and_objective_length():
+    cons = [Constraint((F(1), F(1), F(1)), "==", F(1))]
+    system = FeasibleSystem(3, cons)
+    assert system.point == feasible_point(3, cons)
+    with pytest.raises(ValueError):
+        system.solve((F(1), F(1)))
 
 
 def test_vertices_satisfy_their_system():
