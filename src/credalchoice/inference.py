@@ -138,20 +138,9 @@ def _query_worlds(ws: WorldSpace, q: Query) -> list[int]:
     return [w.index for w in ws.worlds if satisfies(w, q)]
 
 
-def _class_profiles(ws: WorldSpace) -> list[tuple[int, ...]]:
-    """Every world's class index in each space, by world index."""
-    profiles: list[list[int]] = [[] for _ in ws.worlds]
-    for classes in ws.classes_by_space:
-        for j, cls in enumerate(classes):
-            for wi in cls.world_indices:
-                profiles[wi].append(j)
-    return [tuple(p) for p in profiles]
-
-
 def query_profiles(ws: WorldSpace, q: Query) -> list[tuple[int, ...]]:
     """The class profiles of the worlds satisfying the query, in world order."""
-    profiles = _class_profiles(ws)
-    return [profiles[i] for i in _query_worlds(ws, q)]
+    return [ws.profiles[i] for i in _query_worlds(ws, q)]
 
 
 def _class_weights(ws: WorldSpace) -> list[list[Fraction]]:
@@ -174,7 +163,7 @@ def _profile_product(per_class: list[list[Fraction]], profile: tuple[int, ...]) 
 def _world_weights(ws: WorldSpace) -> list[Fraction]:
     """Each world's product weight, from its class profile."""
     weights = _class_weights(ws)
-    return [_profile_product(weights, p) for p in _class_profiles(ws)]
+    return [_profile_product(weights, p) for p in ws.profiles]
 
 
 def icl_probability(t: CCLTheory, q: Query, *, world_space: WorldSpace | None = None) -> Fraction:

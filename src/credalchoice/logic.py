@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ArityConflictError, CyclicityError, ParseError, UnknownAtomError
@@ -359,11 +360,21 @@ class GroundProgram:
                 if lit.atom not in self.herbrand_base:
                     raise ValueError(f"body atom outside the Herbrand base: {lit.atom}")
 
-    def rules_by_head(self) -> dict[Atom, list[Clause]]:
-        out: dict[Atom, list[Clause]] = {}
+    @cached_property
+    def evaluation_order(self) -> tuple[tuple[Atom, tuple[tuple[Literal, ...], ...]], ...]:
+        """Each clause head with its bodies (in clause order), heads in level order.
+
+        This is the one acyclicity check per ground program: the first use
+        runs :func:`check_acyclic` and keeps the result.  A cyclic program
+        raises :class:`CyclicityError` on every use, since nothing is kept.
+        """
+        levels = check_acyclic(self).levels
+        bodies: dict[Atom, list[tuple[Literal, ...]]] = {}
         for cl in self.clauses:
-            out.setdefault(cl.head, []).append(cl)
-        return out
+            bodies.setdefault(cl.head, []).append(cl.body)
+        return tuple(
+            (head, tuple(bodies[head])) for head in sorted(bodies, key=lambda a: (levels[a], a))
+        )
 
     def heads(self) -> frozenset[Atom]:
         return frozenset(cl.head for cl in self.clauses)
@@ -491,24 +502,17 @@ class Interpretation:
 def stable_model(gp: GroundProgram, facts: Iterable[Atom] = ()) -> Interpretation:
     """The unique stable model of ``gp`` plus the given facts.
 
-    Requires ``gp`` to be acyclic.  Atoms are evaluated in level order:
-    an atom is true iff it is a fact or some rule for it fires.
+    Requires ``gp`` to be acyclic.  Starting from the facts, heads are
+    visited in level order and each is true iff some body of it fires.
     """
     fact_set = frozenset(facts)
     for a in fact_set:
         if not a.is_ground:
             raise ValueError(f"fact is not ground: {a}")
-    levels = check_acyclic(gp).levels
-    domain = gp.herbrand_base | fact_set
-    rules = gp.rules_by_head()
-
-    true: set[Atom] = set()
-    for a in sorted(domain, key=lambda x: (levels.get(x, 1), x)):
-        if a in fact_set:
-            true.add(a)
-            continue
-        for cl in rules.get(a, ()):
-            if all((l.atom in true) == l.positive for l in cl.body):
-                true.add(a)
-                break
-    return Interpretation(frozenset(domain), frozenset(true))
+    true = set(fact_set)
+    for head, bodies in gp.evaluation_order:
+        if head not in true and any(
+            all((l.atom in true) == l.positive for l in body) for body in bodies
+        ):
+            true.add(head)
+    return Interpretation(gp.herbrand_base | fact_set, frozenset(true))

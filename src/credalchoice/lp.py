@@ -218,28 +218,6 @@ def feasible_point(n: int, constraints: Iterable[Constraint]) -> tuple[Fraction,
 # Vertex enumeration for {x >= 0 : Ax = b}.
 
 
-def _independent_rows(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> list[Row]:
-    """Gaussian elimination keeping one row per pivot; detects inconsistency."""
-    aug = [[Fraction(v) for v in row] + [Fraction(rhs)] for row, rhs in zip(a, b)]
-    n = len(aug[0]) - 1 if aug else 0
-    kept: list[Row] = []
-    for col in range(n):
-        src = next((r for r in range(len(aug)) if aug[r][col] != 0), None)
-        if src is None:
-            continue
-        row = aug.pop(src)
-        row = [v / row[col] for v in row]
-        kept.append(row)
-        for r in range(len(aug)):
-            if aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [v - f * p for v, p in zip(aug[r], row)]
-    for row in aug:
-        if row[-1] != 0:
-            raise InfeasibleError("inconsistent equality system")
-    return kept
-
-
 def _tableau_for_basis(rows: list[Row], basis: Sequence[int]) -> list[Row] | None:
     """Rewrite independent equality rows in terms of the given basis.
 
@@ -275,18 +253,11 @@ def enumerate_vertices_eq(
     :class:`InfeasibleError` when the polyhedron is empty and
     :class:`CapExceededError` when more than ``cap`` bases are visited.
     """
-    a = [list(row) for row in a]
     if not a:
         return [()]
     n = len(a[0])
-    reduced = _independent_rows(a, b)
-    if not reduced:
-        return [tuple([_ZERO] * n)]
-
-    rows = [row[:] for row in reduced]
-    for r, row in enumerate(rows):
-        if row[-1] < 0:
-            rows[r] = [-v for v in row]
+    # phase one drops redundant rows, so ``rows`` ends up independent
+    rows, _ = _standardize(n, (Constraint(row, "==", rhs) for row, rhs in zip(a, b)))
     start = _phase_one(rows, n)
 
     m = len(start)
@@ -297,7 +268,7 @@ def enumerate_vertices_eq(
 
     while queue:
         basis = queue.popleft()
-        tab = _tableau_for_basis(reduced, basis)
+        tab = _tableau_for_basis(rows, basis)
         if tab is None:
             continue
         points.setdefault(_basic_point(tab, basis, n))

@@ -27,7 +27,7 @@ from typing import Iterable, Mapping, Sequence
 from . import lp
 from .errors import CapExceededError, InfeasibleError
 from .inference import IntervalResult, marginal_polytope, query_profiles
-from .logic import Atom, GroundProgram, Literal, check_acyclic
+from .logic import Atom, GroundProgram, Literal
 from .rational import format_fraction
 from .theory import CCLTheory, Query
 from .worlds import WorldSpace, build_world_space
@@ -288,18 +288,12 @@ def completion_formula(gp: GroundProgram, open_atoms: Iterable[Atom] = ()) -> Fo
     left unconstrained.  For acyclic programs the models, restricted to
     assignments of the open atoms, are exactly the stable models.
     """
-    check_acyclic(gp)
-    rules = gp.rules_by_head()
+    rules = dict(gp.evaluation_order)
     opened = frozenset(open_atoms)
     conjuncts: list[Formula] = []
     for a in sorted(gp.herbrand_base):
         if a in rules:
-            bodies = or_(
-                *(
-                    and_(*(_lit_formula(l) for l in cl.body))
-                    for cl in rules[a]
-                )
-            )
+            bodies = or_(*(and_(*(_lit_formula(l) for l in body)) for body in rules[a]))
             head = var_(a)
             conjuncts.append(and_(or_(not_(head), bodies), or_(head, not_(bodies))))
         elif a not in opened:

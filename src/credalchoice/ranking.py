@@ -34,7 +34,7 @@ from .inference import (
     credal_bounds_single_space,
     proxy_query_value,
 )
-from .logic import Atom, Clause, Literal, Program, atom
+from .logic import Atom, Clause, Literal, Program, Term, atom
 from .psat import bisect_bounds
 from .rational import format_fraction
 from .theory import Alternative, CCLTheory, ChoiceSpace, Query, validate_theory
@@ -42,6 +42,15 @@ from .worlds import build_world_space
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def _check_object_names(objects: Sequence[str]) -> None:
+    """Object names must be distinct constants: they become atom arguments."""
+    if len(set(objects)) != len(objects):
+        raise ValueError("object names must be distinct")
+    for name in objects:
+        if Term(name).is_variable:  # Term raises on a name that is no term at all
+            raise ValueError(f"object name {name!r} is not a constant (lowercase letter first)")
 
 
 @dataclass(frozen=True)
@@ -52,9 +61,8 @@ class RankingDataset:
     rankings: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        _check_object_names(self.objects)
         n = len(self.objects)
-        if len(set(self.objects)) != n:
-            raise ValueError("object names must be distinct")
         expected = frozenset(range(n))
         for r in self.rankings:
             if frozenset(r) != expected or len(r) != n:
@@ -79,6 +87,7 @@ class CountMatrix:
     total: int
 
     def __post_init__(self):
+        _check_object_names(self.objects)
         n = len(self.objects)
         if len(self.counts) != n or any(len(row) != n for row in self.counts):
             raise ValueError("counts must be a square matrix over the objects")

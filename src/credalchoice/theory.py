@@ -38,7 +38,6 @@ from .logic import (
     Term,
     TokenStream,
     _check_arities,
-    check_acyclic,
     ground,
     parse_atom_from,
     parse_clause_from,
@@ -172,9 +171,7 @@ def validate_theory(t: CCLTheory) -> ValidationReport:
 
     heads: frozenset[Atom] = frozenset()
     try:
-        gp = t.ground_program
-        check_acyclic(gp)
-        heads = gp.heads()
+        heads = frozenset(head for head, _ in t.ground_program.evaluation_order)
     except CyclicityError as exc:
         names = " -> ".join(str(a) for a in exc.cycle)
         out.append(Violation("cyclic-program", f"dependency cycle: {names}"))
@@ -293,17 +290,19 @@ def query(*literals: Literal | Atom | str) -> Query:
 def parse_query(text: str) -> Query:
     """Parse ``lit, lit, ...`` where a literal is ``atom`` or ``\\+ atom``."""
     ts = TokenStream(tokenize(text))
-    lits: list[Literal] = []
-    while True:
-        lit, _ = parse_literal_from(ts)
-        lits.append(lit)
-        if ts.at(","):
-            ts.advance()
-            continue
-        break
+    q = _parse_query_from(ts)
     tok = ts.current
     if tok.kind != "eof" and not ts.at("."):
         raise ParseError(f"unexpected {tok.text!r} after query", tok.line, tok.column)
+    return q
+
+
+def _parse_query_from(ts: TokenStream) -> Query:
+    """One or more literals separated by commas."""
+    lits = [parse_literal_from(ts)[0]]
+    while ts.at(","):
+        ts.advance()
+        lits.append(parse_literal_from(ts)[0])
     return Query(frozenset(lits))
 
 
@@ -395,16 +394,8 @@ def parse_ccl(text: str) -> TheoryDocument:
             spaces.append(ChoiceSpace(tuple(alts)))
         elif ts.at("query"):
             ts.advance()
-            lits = []
-            while True:
-                lit, _ = parse_literal_from(ts)
-                lits.append(lit)
-                if ts.at(","):
-                    ts.advance()
-                    continue
-                break
+            queries.append(_parse_query_from(ts))
             ts.expect(".")
-            queries.append(Query(frozenset(lits)))
         else:
             tok = ts.current
             if tok.kind == "name" and tok.text in _RESERVED:

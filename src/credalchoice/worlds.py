@@ -11,13 +11,19 @@ Worlds are enumerated in a canonical order: alternatives in declaration
 order, atoms inside an alternative in declaration order, spaces in
 declaration order.  Re-running the enumeration therefore reproduces
 identical indices, which the textual world tables rely on.
+
+The worlds are the product of the spaces' coherent selections, last
+space fastest.  A world's class profile is its digit tuple in that
+product: its selection's index in each space, which is also the index
+of its class there.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from functools import reduce
-from typing import Iterable, Sequence
+from math import prod
+from typing import Sequence
 
 from .errors import CapExceededError
 from .logic import Atom, Interpretation, stable_model
@@ -72,11 +78,16 @@ class WorldClass:
 
 @dataclass(frozen=True)
 class WorldSpace:
-    """Every world of a theory plus, per space, its partition into classes."""
+    """Every world of a theory plus, per space, its partition into classes.
+
+    ``profiles[i]`` is world ``i``'s class profile: its class index in
+    each space.
+    """
 
     theory: CCLTheory
     worlds: tuple[World, ...]
     classes_by_space: tuple[tuple[WorldClass, ...], ...]
+    profiles: tuple[tuple[int, ...], ...]
 
 
 def _coherent(selected: Sequence[Atom], alternatives: Sequence, candidate: Atom, upto: int) -> bool:
@@ -117,39 +128,38 @@ def coherent_partial_choices(
     return out
 
 
-def enumerate_total_choices(t: CCLTheory, cap: int = DEFAULT_WORLD_CAP) -> list[TotalChoice]:
-    """All total choices of a theory, in canonical order."""
+def _selections_by_space(t: CCLTheory, cap: int) -> list[list[PartialChoice]]:
+    """Each space's coherent selections, checking that their product fits the cap."""
     per_space = [coherent_partial_choices(sp, i, cap) for i, sp in enumerate(t.spaces)]
-    total = reduce(lambda acc, lst: acc * len(lst), per_space, 1)
+    total = prod(len(lst) for lst in per_space)
     if total > cap:
         raise CapExceededError(f"theory has {total} total choices, more than the cap of {cap}")
+    return per_space
 
-    combos: list[TotalChoice] = [TotalChoice(())]
-    for lst in per_space:
-        combos = [TotalChoice(tc.parts + (pc,)) for tc in combos for pc in lst]
-    return combos
+
+def enumerate_total_choices(t: CCLTheory, cap: int = DEFAULT_WORLD_CAP) -> list[TotalChoice]:
+    """All total choices of a theory, in canonical order."""
+    return [TotalChoice(parts) for parts in itertools.product(*_selections_by_space(t, cap))]
 
 
 def build_world_space(t: CCLTheory, cap: int = DEFAULT_WORLD_CAP) -> WorldSpace:
     """Materialize every world and the per-space classes."""
     gp = t.ground_program
-    choices = enumerate_total_choices(t, cap)
-    worlds = tuple(
-        World(i, tc, stable_model(gp, tc.image)) for i, tc in enumerate(choices)
+    per_space = _selections_by_space(t, cap)
+    profiles = tuple(itertools.product(*(range(len(lst)) for lst in per_space)))
+    worlds: list[World] = []
+    members: list[list[list[int]]] = [[[] for _ in lst] for lst in per_space]
+    for i, profile in enumerate(profiles):
+        tc = TotalChoice(tuple(lst[j] for lst, j in zip(per_space, profile)))
+        worlds.append(World(i, tc, stable_model(gp, tc.image)))
+        for si, j in enumerate(profile):
+            members[si][j].append(i)
+    # with no world at all (a space without coherent selections) no class is kept
+    classes = tuple(
+        tuple(WorldClass(pc, tuple(m)) for pc, m in zip(lst, ms) if m)
+        for lst, ms in zip(per_space, members)
     )
-
-    classes: list[tuple[WorldClass, ...]] = []
-    for si, sp in enumerate(t.spaces):
-        groups: dict[tuple[Atom, ...], list[int]] = {}
-        order: list[PartialChoice] = []
-        for w in worlds:
-            pc = w.choice.parts[si]
-            if pc.selected not in groups:
-                groups[pc.selected] = []
-                order.append(pc)
-            groups[pc.selected].append(w.index)
-        classes.append(tuple(WorldClass(pc, tuple(groups[pc.selected])) for pc in order))
-    return WorldSpace(t, worlds, tuple(classes))
+    return WorldSpace(t, tuple(worlds), classes, profiles)
 
 
 def satisfies(world: World, q: Query) -> bool:

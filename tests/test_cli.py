@@ -287,9 +287,19 @@ def test_rank_bad_threshold_exits_2(data_dir, capsys):
     assert code == 2
 
 
-def test_rank_malformed_rankings_exits_2(tmp_path, capsys):
-    p = tmp_path / "bad.rankings"
-    p.write_text("a,b\na,b,c\n")
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("bad.rankings", "a,b\na,b,c\n"),
+        ("bad.rankings", "Alice,bob\n"),
+        ("bad.csv", "a,a\n1,0\n0,1\nN=1\n"),
+        ("bad.csv", "a,,b\n1,0,0\n0,1,0\n0,0,1\nN=1\n"),
+    ],
+    ids=["ragged-rankings", "uppercase-name", "repeated-header", "empty-header-name"],
+)
+def test_rank_malformed_rankings_exits_2(tmp_path, capsys, name, text):
+    p = tmp_path / name
+    p.write_text(text)
     code, _, err = run(["rank", str(p)], capsys)
     assert code == 2
     assert "error" in err

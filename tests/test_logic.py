@@ -279,6 +279,15 @@ def test_stable_model_matches_naive_oracle():
         checked += 1
     assert checked >= 200
 
+    # a fact outside the Herbrand base is true and joins the domain
+    gp = random_acyclic_program(rng, 5)
+    outside = atom("outside")
+    assert outside not in gp.herbrand_base
+    got = stable_model(gp, frozenset({outside}))
+    assert got.true_atoms == naive_stable_model(gp, frozenset({outside}))
+    assert got.is_true(outside)
+    assert got.domain == gp.herbrand_base | {outside}
+
 
 def test_stable_model_supportedness():
     rng = random.Random(99)

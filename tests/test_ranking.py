@@ -453,6 +453,8 @@ def test_parse_rankings_errors():
         parse_rankings("a,b\na,b,c\n")
     with pytest.raises(ParseError):
         parse_rankings("a,b x0\n")
+    with pytest.raises(ParseError, match="not a constant"):
+        parse_rankings("Alice,bob\nbob,Alice\n")
 
 
 def test_parse_counts_csv_golden(data_dir):
@@ -469,6 +471,10 @@ def test_parse_counts_csv_errors():
         parse_counts_csv("a,b\n1,x\n0,1\nN=1\n")
     with pytest.raises(ParseError):
         parse_counts_csv("a,b\n1,0\n1,0\nN=1\n")  # bad column sums
+    with pytest.raises(ParseError, match="distinct"):
+        parse_counts_csv("a,a\n1,0\n0,1\nN=1\n")
+    with pytest.raises(ParseError):
+        parse_counts_csv("a,,b\n1,0,0\n0,1,0\n0,0,1\nN=1\n")  # empty name
 
 
 def test_rankings_and_counts_ingestion_agree(data_dir):

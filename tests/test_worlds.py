@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from credalchoice import logic
 from credalchoice.errors import CapExceededError
 from credalchoice.logic import Program, atom
 from credalchoice.theory import (
@@ -124,6 +125,34 @@ def test_classes_partition_worlds(data_dir):
         assert seen == list(range(len(ws.worlds)))
 
 
+def test_profiles_index_the_classes(data_dir):
+    doc = load_ccl(data_dir / "friends.ccl")
+    ws = build_world_space(doc.theory)
+    assert len(ws.profiles) == len(ws.worlds)
+    for w, profile in zip(ws.worlds, ws.profiles):
+        assert len(profile) == len(ws.classes_by_space)
+        for classes, part, j in zip(ws.classes_by_space, w.choice.parts, profile):
+            assert classes[j].partial == part
+            assert w.index in classes[j].world_indices
+
+
+def test_world_space_checks_acyclicity_once(data_dir, monkeypatch):
+    calls = []
+    real = logic.check_acyclic
+
+    def counting(gp):
+        calls.append(gp)
+        return real(gp)
+
+    monkeypatch.setattr(logic, "check_acyclic", counting)
+    t = load_ccl(data_dir / "friends.ccl").theory
+    first = build_world_space(t)
+    second = build_world_space(t)
+    assert len(first.worlds) == 8
+    assert first == second
+    assert len(calls) == 1
+
+
 def test_class_intersection_identifies_world(data_dir):
     doc = load_ccl(data_dir / "friends.ccl")
     ws = build_world_space(doc.theory)
@@ -161,6 +190,20 @@ def test_world_count_is_product_of_class_counts():
     for sp in t.spaces:
         expected *= len(coherent_partial_choices(sp))
     assert len(ws.worlds) == expected
+
+
+def test_space_without_coherent_selection_leaves_no_world():
+    t = CCLTheory(
+        Program(),
+        (
+            ChoiceSpace((alternative("x", "y"),)),
+            ChoiceSpace((alternative("a", "b"), alternative("a", "c"), alternative("b", "c"))),
+        ),
+        {a: F(1, 2) for a in map(atom, "xyabc")},
+    )
+    ws = build_world_space(t)
+    assert ws.worlds == () and ws.profiles == ()
+    assert ws.classes_by_space == ((), ())
 
 
 def test_satisfies_counts_urn_query(data_dir):
