@@ -44,10 +44,6 @@ class Term:
     def is_variable(self) -> bool:
         return self.name[0].isupper()
 
-    @property
-    def kind(self) -> str:
-        return "variable" if self.is_variable else "constant"
-
     def __str__(self) -> str:
         return self.name
 
@@ -98,9 +94,6 @@ class Literal:
     def substitute(self, binding: Mapping[Term, Term]) -> "Literal":
         return Literal(self.atom.substitute(binding), self.positive)
 
-    def negate(self) -> "Literal":
-        return Literal(self.atom, not self.positive)
-
     def __str__(self) -> str:
         return str(self.atom) if self.positive else f"\\+ {self.atom}"
 
@@ -146,12 +139,6 @@ class Program:
 
     def constants(self) -> set[Term]:
         return {t for a in self.atoms() for t in a.args if not t.is_variable}
-
-    def relations(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for a in self.atoms():
-            out.setdefault(a.relation, a.arity)
-        return out
 
     def extend(self, clauses: Iterable[Clause]) -> "Program":
         return Program(self.clauses + tuple(clauses))
@@ -237,9 +224,6 @@ class TokenStream:
 
     def at(self, text: str) -> bool:
         return self.current.kind != "eof" and self.current.text == text
-
-    def at_name(self) -> bool:
-        return self.current.kind == "name"
 
 
 def _parse_term(ts: TokenStream) -> Term:
@@ -428,14 +412,6 @@ class LevelMapping:
     """Assigns each atom a positive level; rule heads sit above their bodies."""
 
     levels: Mapping[Atom, int]
-
-    def check(self, gp: GroundProgram) -> bool:
-        return all(
-            self.levels[cl.head] > self.levels[lit.atom]
-            for cl in gp.clauses
-            if cl.body
-            for lit in cl.body
-        )
 
 
 def check_acyclic(gp: GroundProgram) -> LevelMapping:

@@ -10,6 +10,13 @@ permutations, and the credal machinery yields interval probabilities
 for "object A is ranked better than object B" without inventing a joint
 distribution the marginals do not determine.
 
+The world space is built once per matrix: its classes are the
+permutations.  The ``lp`` backend reads each pair off that one space as
+a 0/1 objective over the permutations ("A ahead of B"), minimized and
+maximized over the one marginal polytope; the ``psat`` backend still
+poses the pair as a query atom (:func:`pairwise_query`), since its
+reduction needs one.
+
 Ranking files hold one ranking per line, best first, comma separated,
 with an optional ``xK`` multiplicity suffix::
 
@@ -29,11 +36,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import ParseError
-from .inference import (
-    IntervalResult,
-    credal_bounds_single_space,
-    proxy_query_value,
-)
+from .inference import IntervalResult, marginal_polytope, proxy_mass_function
 from .logic import Atom, Clause, Literal, Program, Term, atom
 from .psat import bisect_bounds
 from .rational import format_fraction
@@ -333,21 +336,33 @@ def report_from_marginals(
     provided; otherwise the truth fields stay empty and no accuracies
     are reported.  ``counts`` is echoed into the report untouched.
     """
+    if backend not in ("lp", "psat"):
+        raise ValueError(f"unknown backend {backend!r}")
     base_theory = build_ranking_theory(marginals)
-    outcomes: list[PairOutcome] = []
+    ws = build_world_space(base_theory)
+    # one space and no rules: world c is the permutation of class c
+    system = marginal_polytope(ws, 0).feasible_system() if backend == "lp" else None
+    proxy = proxy_mass_function(base_theory, world_space=ws).values
     n = len(marginals.objects)
+    position_of = {
+        position_atom(p + 1, name): p for name in marginals.objects for p in range(n)
+    }
+    # the first n alternatives are the per-object ones
+    positions = [
+        [position_of[a] for a in cls.partial.selected[:n]] for cls in ws.classes_by_space[0]
+    ]
+    outcomes: list[PairOutcome] = []
     for i in range(n):
         for j in range(i + 1, n):
-            extended, q = pairwise_query(base_theory, marginals, i, j)
-            ws = build_world_space(extended)
+            ahead = [_ONE if pos[i] < pos[j] else _ZERO for pos in positions]
             if backend == "lp":
-                interval = credal_bounds_single_space(extended, q, world_space=ws)
-            elif backend == "psat":
-                interval = bisect_bounds(extended, q, epsilon)
+                interval = IntervalResult(
+                    system.solve(ahead).value, system.solve(ahead, maximize=True).value, "lp"
+                )
             else:
-                raise ValueError(f"unknown backend {backend!r}")
+                interval = bisect_bounds(*pairwise_query(base_theory, marginals, i, j), epsilon)
             decision = decide_preference(interval, threshold, (i, j))
-            point = proxy_query_value(extended, q, world_space=ws)
+            point = sum((w for w, a in zip(proxy, ahead) if a), _ZERO)
             if point > threshold:
                 icl_verdict: str | None = "first"
             elif point < threshold:

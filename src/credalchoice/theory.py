@@ -131,9 +131,6 @@ class CCLTheory:
     def herbrand_base(self) -> frozenset[Atom]:
         return self.ground_program.herbrand_base
 
-    def mass(self, a: Atom) -> Fraction:
-        return self.mu[a]
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -401,9 +398,6 @@ def parse_ccl(text: str) -> TheoryDocument:
             if tok.kind == "name" and tok.text in _RESERVED:
                 raise ParseError(f"misplaced keyword {tok.text!r}", tok.line, tok.column)
             clauses.append(parse_clause_from(ts, positions))
-            head = clauses[-1].head
-            if head.relation in _RESERVED:
-                raise ParseError(f"{head.relation!r} is reserved in theory files")
     _check_arities(positions)
     theory = CCLTheory(Program(tuple(clauses)), tuple(spaces), mu)
     return TheoryDocument(theory, tuple(queries))

@@ -420,6 +420,49 @@ def test_report_json_is_serializable():
     assert parsed["determinacy_rate"] == {"value": "0/1", "dec": 0.0}
 
 
+def oracle_marginals(name: str) -> MarginalMatrix:
+    if name == "abc":
+        return smooth_marginals(counts_from_rankings(abc_dataset()))
+    n = int(name.split("-")[1])
+    rng = random.Random(n)
+    rankings = tuple(tuple(rng.sample(range(n), n)) for _ in range(25))
+    objects = tuple(f"o{i}" for i in range(n))
+    return smooth_marginals(counts_from_rankings(RankingDataset(objects, rankings)))
+
+
+@pytest.mark.parametrize("name", ["random-2", "random-3", "random-4", "abc"])
+def test_report_matches_per_pair_theory_oracle(name):
+    m = oracle_marginals(name)
+    t = build_ranking_theory(m)
+    rep = report_from_marginals(m, backend="lp")
+    pairs = list(itertools.combinations(range(len(m.objects)), 2))
+    assert [p.pair for p in rep.pairs] == [(m.objects[i], m.objects[j]) for i, j in pairs]
+    for p, (i, j) in zip(rep.pairs, pairs):
+        tq, q = pairwise_query(t, m, i, j)
+        assert p.interval == credal_bounds_single_space(tq, q)
+        assert p.icl_value == proxy_query_value(tq, q)
+
+
+def test_report_builds_one_world_space(monkeypatch):
+    import credalchoice.ranking as ranking
+
+    calls = []
+    original = ranking.build_world_space
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ranking, "build_world_space", counting)
+    report_from_marginals(oracle_marginals("random-4"), backend="lp")
+    assert len(calls) == 1
+
+
+def test_report_rejects_unknown_backend():
+    with pytest.raises(ValueError, match="unknown backend"):
+        report_from_marginals(oracle_marginals("abc"), backend="nope")
+
+
 def test_synthetic_mixture_has_partial_determinacy():
     rng = random.Random(7)
     rankings = []

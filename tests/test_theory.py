@@ -256,9 +256,19 @@ def test_parse_ccl_missing_brace():
         parse_ccl("choicespace { alternative { a: 1.0 }")
 
 
-def test_parse_ccl_reserved_word_as_atom():
+@pytest.mark.parametrize(
+    "text",
+    [
+        "choicespace { alternative { query: 1.0 } }",
+        "query :- b.",
+        "alternative :- b.",
+        "choicespace :- b.",
+    ],
+    ids=["query-in-alternative", "query-head", "alternative-head", "choicespace-head"],
+)
+def test_parse_ccl_reserved_word_as_atom(text):
     with pytest.raises(ParseError):
-        parse_ccl("choicespace { alternative { query: 1.0 } }")
+        parse_ccl(text)
 
 
 def test_load_ccl_bundled(data_dir):
