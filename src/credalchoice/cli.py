@@ -46,6 +46,14 @@ def _pick_query(doc: TheoryDocument, text: str | None):
     raise ValueError("no query given and the theory file declares none")
 
 
+def _load_valid(path: str) -> TheoryDocument:
+    doc = load_ccl(path)
+    report = validate_theory(doc.theory)
+    if not report.ok:
+        raise TheoryValidationError(report)
+    return doc
+
+
 def cmd_validate(args: argparse.Namespace) -> int:
     doc = load_ccl(args.theory)
     report = validate_theory(doc.theory)
@@ -54,10 +62,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_infer(args: argparse.Namespace) -> int:
-    doc = load_ccl(args.theory)
-    report = validate_theory(doc.theory)
-    if not report.ok:
-        raise TheoryValidationError(report)
+    doc = _load_valid(args.theory)
     t = doc.theory
     q = _pick_query(doc, args.query)
     if args.method == "lp":
@@ -66,10 +71,8 @@ def cmd_infer(args: argparse.Namespace) -> int:
         interval = credal_bounds_strong_extension(t, q)
     elif args.method == "outer":
         interval = outer_bound(t, q)
-    elif args.method == "psat":
+    else:  # argparse restricts the choices, so this is psat
         interval = bisect_bounds(t, q, parse_fraction(args.epsilon))
-    else:  # pragma: no cover - argparse restricts the choices
-        raise ValueError(f"unknown method {args.method!r}")
     if args.format == "table":
         d = interval.to_json_dict()
         print(f"lower  {d['lower']}  ({d['lower_dec']})")
@@ -82,10 +85,7 @@ def cmd_infer(args: argparse.Namespace) -> int:
 
 
 def cmd_psat_export(args: argparse.Namespace) -> int:
-    doc = load_ccl(args.theory)
-    report = validate_theory(doc.theory)
-    if not report.ok:
-        raise TheoryValidationError(report)
+    doc = _load_valid(args.theory)
     q = _pick_query(doc, args.query)
     inst = build_psat_instance(doc.theory, q, parse_fraction(args.alpha))
     sys.stdout.write(export_psat(inst))
@@ -93,10 +93,7 @@ def cmd_psat_export(args: argparse.Namespace) -> int:
 
 
 def cmd_worlds(args: argparse.Namespace) -> int:
-    doc = load_ccl(args.theory)
-    report = validate_theory(doc.theory)
-    if not report.ok:
-        raise TheoryValidationError(report)
+    doc = _load_valid(args.theory)
     ws = build_world_space(doc.theory)
     weights = None
     if all(len(sp.alternatives) == 1 for sp in doc.theory.spaces):

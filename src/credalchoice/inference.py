@@ -259,14 +259,9 @@ def outer_bound(t: CCLTheory, q: Query, *, world_space: WorldSpace | None = None
     """Factorized relaxation: products of classwise bounds, summed."""
     ws = world_space or build_world_space(t)
     profiles = query_profiles(ws, q)
-    k = len(t.spaces)
-    if k == 0:
-        value = _ONE if profiles else _ZERO
-        return IntervalResult(value, value, "outer_bound")
-
     class_lo: list[list[Fraction]] = []
     class_hi: list[list[Fraction]] = []
-    for i in range(k):
+    for i in range(len(t.spaces)):
         system = marginal_polytope(ws, i).feasible_system()
         units = [[_ONE if jj == j else _ZERO for jj in range(system.n)] for j in range(system.n)]
         class_lo.append([system.solve(u).value for u in units])

@@ -8,8 +8,9 @@ problems, and every reported optimum and witness point is exact.
 
 ``FeasibleSystem`` is the core: it runs phase one once per constraint
 system and keeps the feasible basis, so every objective optimized over
-the same polytope pays only for its own phase two.  ``solve_lp`` and
-``feasible_point`` are one-shot calls into it.
+the same polytope pays only for its own phase two.  It is the one LP
+entry point: a one-shot optimum is ``FeasibleSystem(n, cons).solve(c)``
+and a feasible point is ``FeasibleSystem(n, cons).point``.
 
 The same machinery enumerates the vertices of a bounded polyhedron in
 equality form ``{x >= 0 : Ax = b}`` by breadth-first search over
@@ -47,16 +48,24 @@ class LPSolution:
 
 
 def _pivot(rows: list[Row], obj: Row, basis: list[int], r: int, c: int) -> None:
+    """Pivot on entry ``(r, c)``, touching only the pivot row's non-zero columns.
+
+    Every changed row is replaced by a new list rather than edited in
+    place, so callers may share unchanged rows with a shallow copy.
+    """
     piv = rows[r][c]
-    rows[r] = [v / piv for v in rows[r]]
-    prow = rows[r]
+    prow = rows[r] = [v / piv if v else v for v in rows[r]]
+    nonzero = [(j, p) for j, p in enumerate(prow) if p]
     for i, row in enumerate(rows):
-        if i != r and row[c] != 0:
-            f = row[c]
-            rows[i] = [v - f * p for v, p in zip(row, prow)]
-    if obj[c] != 0:
-        f = obj[c]
-        for j, p in enumerate(prow):
+        f = row[c]
+        if i != r and f:
+            row = row[:]
+            for j, p in nonzero:
+                row[j] -= f * p
+            rows[i] = row
+    f = obj[c]
+    if f:
+        for j, p in nonzero:
             obj[j] -= f * p
     basis[r] = c
 
@@ -195,25 +204,6 @@ class FeasibleSystem:
         return LPSolution(-value if maximize else value, _basic_point(rows, basis, n))
 
 
-def solve_lp(
-    objective: Sequence[Fraction],
-    constraints: Iterable[Constraint],
-    *,
-    maximize: bool = False,
-) -> LPSolution:
-    """Optimize ``objective . x`` over ``x >= 0`` under the constraints.
-
-    Returns the exact optimum and a witness point.  Raises
-    :class:`InfeasibleError` or :class:`UnboundedError` accordingly.
-    """
-    return FeasibleSystem(len(objective), constraints).solve(objective, maximize=maximize)
-
-
-def feasible_point(n: int, constraints: Iterable[Constraint]) -> tuple[Fraction, ...]:
-    """Any feasible point (a phase-one basic solution), exact."""
-    return FeasibleSystem(n, constraints).point
-
-
 # ---------------------------------------------------------------------------
 # Vertex enumeration for {x >= 0 : Ax = b}.
 
@@ -224,19 +214,15 @@ def _tableau_for_basis(rows: list[Row], basis: Sequence[int]) -> list[Row] | Non
     Returns None when the basis columns are singular.  Row ``k`` of the
     result is the unit row of ``basis[k]``.
     """
-    aug = [row[:] for row in rows]
+    aug = list(rows)  # pivots replace rows rather than editing them
     m = len(aug)
+    untouched: Row = [_ZERO] * len(aug[0]) if aug else []  # a zero objective row; pivots leave it
     for k, col in enumerate(basis):
         src = next((r for r in range(k, m) if aug[r][col] != 0), None)
         if src is None:
             return None
         aug[k], aug[src] = aug[src], aug[k]
-        piv = aug[k][col]
-        aug[k] = [v / piv for v in aug[k]]
-        for r in range(m):
-            if r != k and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [v - f * p for v, p in zip(aug[r], aug[k])]
+        _pivot(aug, untouched, list(basis), k, col)
     return aug
 
 

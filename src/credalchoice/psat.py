@@ -13,6 +13,12 @@ Satisfiability is decided exactly: the models of the hard formula are
 enumerated by backtracking over its CNF, and a rational linear program
 looks for a distribution over them meeting the soft assessments.
 
+Probes of one query differ only in the query row's right-hand side, so
+the accepted values form an interval: the least and greatest query mass
+over distributions meeting the other assessments.  :func:`bisect_bounds`
+enumerates the models and runs phase one once per query, then compares
+each probe with those two optima.
+
 The ``xor`` connective here is n-ary *exclusive selection*: true when
 exactly one operand is true.  Its CNF is one disjunction plus pairwise
 negative clauses, so no auxiliary variables are introduced.
@@ -348,6 +354,23 @@ def build_psat_instance(t: CCLTheory, q: Query, alpha: Fraction) -> PSATInstance
     return PSATInstance(tuple(assessments))
 
 
+def _indicator(f: Formula, models: Sequence[frozenset[Atom]]) -> list[Fraction]:
+    return [_ONE if f.evaluate(m) else _ZERO for m in models]
+
+
+def _mass_system(
+    inst: PSATInstance, soft: Sequence[Assessment], var_cap: int, clause_cap: int
+) -> tuple[list[frozenset[Atom]], lp.FeasibleSystem]:
+    """The instance's models, and the distributions over them meeting ``soft``.
+
+    Hard assessments get no row: every model satisfies them.
+    """
+    models = enumerate_models(inst.hard_formulas(), inst.variables(), var_cap=var_cap, clause_cap=clause_cap)
+    rows = [lp.Constraint([_ONE] * len(models), "==", _ONE)]
+    rows += [lp.Constraint(_indicator(a.formula, models), "==", a.prob) for a in soft if a.prob != 1]
+    return models, lp.FeasibleSystem(len(models), rows)
+
+
 def psat_decide(
     inst: PSATInstance,
     *,
@@ -355,22 +378,22 @@ def psat_decide(
     clause_cap: int = DEFAULT_CLAUSE_CAP,
 ) -> bool:
     """True iff some distribution over assignments meets every assessment."""
-    variables = inst.variables()
-    models = enumerate_models(
-        inst.hard_formulas(), variables, var_cap=var_cap, clause_cap=clause_cap
-    )
-    n = len(models)
-    constraints: list[lp.Constraint] = [([_ONE] * n, "==", _ONE)]
-    for a in inst.assessments:
-        if a.prob == 1:
-            continue  # the models already satisfy hard formulas
-        coeffs = [_ONE if a.formula.evaluate(m) else _ZERO for m in models]
-        constraints.append((coeffs, "==", a.prob))
     try:
-        lp.feasible_point(n, constraints)
+        _mass_system(inst, inst.assessments, var_cap, clause_cap)
     except InfeasibleError:
         return False
     return True
+
+
+def _query_range(t: CCLTheory, q: Query, var_cap: int) -> tuple[Fraction, Fraction] | None:
+    """The probe values ``psat_decide`` accepts, as ``(lo, hi)``; None if none."""
+    inst = build_psat_instance(t, q, _ZERO)  # a zero probe keeps the query soft: no model is cut
+    try:
+        models, system = _mass_system(inst, inst.assessments[:-1], var_cap, DEFAULT_CLAUSE_CAP)
+    except InfeasibleError:
+        return None
+    row = _indicator(inst.assessments[-1].formula, models)
+    return system.solve(row).value, system.solve(row, maximize=True).value
 
 
 # ---------------------------------------------------------------------------
@@ -425,12 +448,13 @@ def bisect_bounds(
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     mid_value = inner_point(t, q)
+    attainable = _query_range(t, q, var_cap)
     st = state if state is not None else BracketState(epsilon)
     st.epsilon = epsilon
     st.sat_low = st.sat_high = mid_value
 
     def probe(alpha: Fraction) -> bool:
-        result = psat_decide(build_psat_instance(t, q, alpha), var_cap=var_cap)
+        result = attainable is not None and attainable[0] <= alpha <= attainable[1]
         st.probes.append((alpha, result))
         return result
 

@@ -363,22 +363,15 @@ def report_from_marginals(
                 interval = bisect_bounds(*pairwise_query(base_theory, marginals, i, j), epsilon)
             decision = decide_preference(interval, threshold, (i, j))
             point = sum((w for w, a in zip(proxy, ahead) if a), _ZERO)
-            if point > threshold:
-                icl_verdict: str | None = "first"
-            elif point < threshold:
-                icl_verdict = "second"
-            else:
-                icl_verdict = None
-            truth = (
-                _majority_truth(truth_rankings, i, j) if truth_rankings is not None else None
-            )
+            icl_verdict = decide_preference(IntervalResult(point, point, "proxy"), threshold).verdict
+            truth = _majority_truth(truth_rankings, i, j) if truth_rankings is not None else None
             outcomes.append(
                 PairOutcome(
                     (marginals.objects[i], marginals.objects[j]),
                     interval,
                     decision.verdict,
                     point,
-                    icl_verdict,
+                    None if icl_verdict == "indeterminate" else icl_verdict,
                     truth,
                 )
             )
@@ -464,7 +457,7 @@ def parse_rankings(text: str) -> RankingDataset:
             continue
         count = 1
         parts = line.rsplit(None, 1)
-        if len(parts) == 2 and parts[1].startswith("x") and parts[1][1:].isdigit():
+        if len(parts) == 2 and parts[1].startswith("x") and parts[1][1:].isdecimal():
             line, count = parts[0], int(parts[1][1:])
             if count < 1:
                 raise ParseError("multiplicity must be at least 1", lineno)

@@ -295,12 +295,16 @@ def parse_query(text: str) -> Query:
 
 
 def _parse_query_from(ts: TokenStream) -> Query:
-    """One or more literals separated by commas."""
-    lits = [parse_literal_from(ts)[0]]
-    while ts.at(","):
+    """One or more ground literals separated by commas."""
+    lits = []
+    while True:
+        lit, tok = parse_literal_from(ts)
+        if not lit.atom.is_ground:
+            raise ParseError(f"query literal is not ground: {lit}", tok.line, tok.column)
+        lits.append(lit)
+        if not ts.at(","):
+            return Query(frozenset(lits))
         ts.advance()
-        lits.append(parse_literal_from(ts)[0])
-    return Query(frozenset(lits))
 
 
 # ---------------------------------------------------------------------------

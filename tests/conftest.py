@@ -317,7 +317,7 @@ def with_derived_atom(rng: random.Random, t: CCLTheory) -> tuple[CCLTheory, Quer
     n_clauses = rng.randrange(1, 3)
     clauses = []
     for _ in range(n_clauses):
-        body_atoms = rng.sample(pool, rng.randrange(1, 3))
+        body_atoms = rng.sample(pool, rng.randrange(1, min(2, len(pool)) + 1))
         body = tuple(Literal(a, rng.random() < 0.6) for a in body_atoms)
         clauses.append(Clause(head, body))
     extended = CCLTheory(t.program.extend(clauses), t.spaces, t.mu)

@@ -70,6 +70,14 @@ def test_validate_parse_error_exits_2(tmp_path, capsys):
     assert "error" in err
 
 
+def test_validate_non_ground_query_exits_2(tmp_path, capsys):
+    p = tmp_path / "open-query.ccl"
+    p.write_text("choicespace {\n  alternative { p(a): 1 }\n}\nquery p(X).\n")
+    code, _, err = run(["validate", str(p)], capsys)
+    assert code == 2
+    assert "line 4, column 7: query literal is not ground: p(X)" in err
+
+
 # ---------------------------------------------------------------------------
 # infer
 
@@ -151,6 +159,14 @@ def test_infer_bad_query_text_exits_2(data_dir, capsys):
     )
     assert code == 2
     assert "error" in err
+
+
+def test_infer_non_ground_query_exits_2(data_dir, capsys):
+    code, _, err = run(
+        ["infer", str(data_dir / "urn-merged.ccl"), "--query", "r(X)"], capsys
+    )
+    assert code == 2
+    assert "query literal is not ground" in err
 
 
 def test_infer_unknown_query_atom_exits_1(data_dir, capsys):
@@ -294,12 +310,13 @@ def test_rank_bad_threshold_exits_2(data_dir, capsys):
         ("bad.rankings", "Alice,bob\n"),
         ("bad.csv", "a,a\n1,0\n0,1\nN=1\n"),
         ("bad.csv", "a,,b\n1,0,0\n0,1,0\n0,0,1\nN=1\n"),
+        ("bad.rankings", "a,b x\u00b2\nb,a\n"),
     ],
-    ids=["ragged-rankings", "uppercase-name", "repeated-header", "empty-header-name"],
+    ids=["ragged-rankings", "uppercase-name", "repeated-header", "empty-header-name", "superscript-multiplicity"],
 )
 def test_rank_malformed_rankings_exits_2(tmp_path, capsys, name, text):
     p = tmp_path / name
-    p.write_text(text)
+    p.write_text(text, encoding="utf-8")
     code, _, err = run(["rank", str(p)], capsys)
     assert code == 2
     assert "error" in err
@@ -397,6 +414,7 @@ GOLDEN_CASES = (
         for stem, data in (("rankings", "abc.rankings"), ("counts", "abc-counts.csv"))
         for f in ("json", "table")
     ]
+    + [("rank-rankings-psat-json", ["rank", "abc.rankings", "--backend", "psat", "--epsilon", "1/64"])]
     + [(f"psat-export-{n}", ["psat-export", f"{n}.ccl", "--alpha", "14/25"]) for n in _ONE_SPACE]
 )
 

@@ -6,13 +6,7 @@ from fractions import Fraction
 import pytest
 
 from credalchoice.errors import CapExceededError, InfeasibleError, UnboundedError
-from credalchoice.lp import (
-    Constraint,
-    FeasibleSystem,
-    enumerate_vertices_eq,
-    feasible_point,
-    solve_lp,
-)
+from credalchoice.lp import Constraint, FeasibleSystem, enumerate_vertices_eq
 
 F = Fraction
 
@@ -22,8 +16,8 @@ def test_one_dimensional_box():
         Constraint((F(1),), "<=", F(7, 10)),
         Constraint((F(1),), ">=", F(1, 2)),
     ]
-    assert solve_lp((F(1),), cons, maximize=True).value == F(7, 10)
-    assert solve_lp((F(1),), cons, maximize=False).value == F(1, 2)
+    assert FeasibleSystem(1, cons).solve((F(1),), maximize=True).value == F(7, 10)
+    assert FeasibleSystem(1, cons).solve((F(1),), maximize=False).value == F(1, 2)
 
 
 def test_solution_point_attains_value():
@@ -31,7 +25,7 @@ def test_solution_point_attains_value():
         Constraint((F(1), F(1)), "<=", F(1)),
         Constraint((F(1), F(-1)), "<=", F(0)),
     ]
-    sol = solve_lp((F(2), F(1)), cons, maximize=True)
+    sol = FeasibleSystem(2, cons).solve((F(2), F(1)), maximize=True)
     assert sum(c * x for c, x in zip((F(2), F(1)), sol.point)) == sol.value
     assert sol.value == F(3, 2)
 
@@ -42,18 +36,18 @@ def test_infeasible_detected():
         Constraint((F(1),), ">=", F(2, 3)),
     ]
     with pytest.raises(InfeasibleError):
-        solve_lp((F(1),), cons)
+        FeasibleSystem(1, cons).solve((F(1),))
 
 
 def test_unbounded_detected():
     cons = [Constraint((F(-1), F(1)), "<=", F(1))]
     with pytest.raises(UnboundedError):
-        solve_lp((F(1), F(0)), cons, maximize=True)
+        FeasibleSystem(2, cons).solve((F(1), F(0)), maximize=True)
 
 
 def test_equality_constraints():
     cons = [Constraint((F(1), F(1)), "==", F(1))]
-    sol = solve_lp((F(1), F(0)), cons, maximize=True)
+    sol = FeasibleSystem(2, cons).solve((F(1), F(0)), maximize=True)
     assert sol.value == F(1)
     assert sol.point == (F(1), F(0))
 
@@ -63,7 +57,7 @@ def test_feasible_point_satisfies_constraints():
         Constraint((F(1), F(1), F(1)), "==", F(1)),
         Constraint((F(1), F(0), F(0)), ">=", F(1, 4)),
     ]
-    pt = feasible_point(3, cons)
+    pt = FeasibleSystem(3, cons).point
     assert sum(pt) == F(1)
     assert pt[0] >= F(1, 4)
     assert all(x >= 0 for x in pt)
@@ -75,7 +69,7 @@ def test_feasible_point_infeasible_system():
         Constraint((F(1), F(0)), ">=", F(2)),
     ]
     with pytest.raises(InfeasibleError):
-        feasible_point(2, cons)
+        FeasibleSystem(2, cons)
 
 
 def urn_joint_constraints() -> tuple[list[tuple[Fraction, ...]], list[Fraction]]:
@@ -110,8 +104,8 @@ def test_urn_joint_lp_bounds():
     objective = tuple(
         F(1) if (i != 1 and j != 0) else F(0) for i in range(3) for j in range(3)
     )
-    lo = solve_lp(objective, cons, maximize=False).value
-    hi = solve_lp(objective, cons, maximize=True).value
+    lo = FeasibleSystem(9, cons).solve(objective, maximize=False).value
+    hi = FeasibleSystem(9, cons).solve(objective, maximize=True).value
     assert (lo, hi) == (F(1, 2), F(7, 10))
 
 
@@ -208,14 +202,15 @@ def test_lp_matches_vertex_brute_force_on_random_transportation():
                 senses.reverse()
             for maximize, best in senses:
                 sol = system.solve(objective, maximize=maximize)
-                assert sol == solve_lp(objective, cons, maximize=maximize), f"trial {trial}"
+                assert sol == FeasibleSystem(m * n, cons).solve(objective, maximize=maximize), f"trial {trial}"
                 assert sol.value == best, f"trial {trial}"
 
 
 def test_feasible_system_point_and_objective_length():
     cons = [Constraint((F(1), F(1), F(1)), "==", F(1))]
     system = FeasibleSystem(3, cons)
-    assert system.point == feasible_point(3, cons)
+    assert system.point == FeasibleSystem(3, cons).point
+    assert sum(system.point) == F(1) and all(x >= 0 for x in system.point)
     with pytest.raises(ValueError):
         system.solve((F(1), F(1)))
 

@@ -7,6 +7,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import random_query, random_single_space_theory, with_derived_atom
+from credalchoice import psat
 from credalchoice.errors import CapExceededError
 from credalchoice.inference import credal_bounds_single_space
 from credalchoice.logic import Program, atom, parse_program, ground
@@ -419,6 +421,60 @@ def test_bisect_degenerate_interval_width():
     iv = bisect_bounds(t, q, eps)
     assert iv.upper - iv.lower <= 2 * eps
     assert iv.lower <= F(3, 10) <= iv.upper
+
+
+def _assert_probes_match_decide(t, q, state):
+    for alpha, answer in state.probes:
+        assert answer is psat_decide(build_psat_instance(t, q, alpha)), alpha
+
+
+def test_bisect_probes_match_psat_decide_on_random_theories():
+    rng = random.Random(61)
+    for trial in range(120):
+        t = random_single_space_theory(rng)
+        q = random_query(rng, t)
+        if trial % 2:
+            t, q = with_derived_atom(rng, t)
+        state = BracketState()
+        bisect_bounds(t, q, F(1, 64), state=state)
+        assert state.probes, trial
+        _assert_probes_match_decide(t, q, state)
+
+
+def test_bisect_answers_false_when_the_assessments_conflict(monkeypatch):
+    # masses summing to 3/4: no distribution meets them, at any probe
+    t = CCLTheory(
+        Program(),
+        (ChoiceSpace((alternative("a", "b"),)),),
+        {atom("a"): F(1, 2), atom("b"): F(1, 4)},
+    )
+    q = query("a")
+    monkeypatch.setattr(psat, "inner_point", lambda t, q: F(1, 2))
+    state = BracketState()
+    bisect_bounds(t, q, F(1, 16), state=state)
+    assert state.probes and not any(answer for _, answer in state.probes)
+    _assert_probes_match_decide(t, q, state)
+
+
+def test_bisect_enumerates_models_once_and_never_decides(data_dir, monkeypatch):
+    calls = {"enumerate_models": 0, "psat_decide": 0}
+
+    def counting(name):
+        original = getattr(psat, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(psat, name, counting(name))
+    doc = load_ccl(data_dir / "friends-merged.ccl")
+    state = BracketState()
+    bisect_bounds(doc.theory, doc.queries[0], state=state)
+    assert state.calls > 2
+    assert calls == {"enumerate_models": 1, "psat_decide": 0}
 
 
 def test_bisect_rejects_nonpositive_epsilon(data_dir):

@@ -193,8 +193,16 @@ def test_merge_rejects_bad_indices():
 
 
 def test_query_requires_ground_literals():
-    with pytest.raises(ValueError):
+    # query text is parsed, so a variable is a parse error at its literal
+    with pytest.raises(ParseError, match="line 1, column 1: query literal is not ground"):
         query("p(X)")
+    with pytest.raises(ParseError, match="line 1, column 6"):
+        query("a1r, p(X)")
+    with pytest.raises(ParseError, match="line 2, column 7"):
+        parse_ccl("a.\nquery \\+ p(X).")
+    # a Query built directly still checks its literals
+    with pytest.raises(ValueError):
+        Query(frozenset({Literal(atom("p", "X"))}))
 
 
 def test_parse_query_negation():
