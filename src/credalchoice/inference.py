@@ -198,8 +198,7 @@ def credal_bounds_single_space(
     The strong extension with one space: a pair of LPs over the class
     masses, with no vertex enumeration.
     """
-    if len(t.spaces) != 1:
-        raise ValueError("credal_bounds_single_space needs exactly one choice space")
+    t.require_one_space("the lp method")
     return replace(credal_bounds_strong_extension(t, q, world_space=world_space), method="lp")
 
 

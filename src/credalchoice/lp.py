@@ -1,10 +1,17 @@
 """Exact linear programming over the rationals.
 
-A small two-phase simplex on ``Fraction`` tableaus.  All variables are
-implicitly non-negative; constraints are ``(coefficients, relation,
-rhs)`` triples with relation one of ``<=``, ``==``, ``>=``.  Bland's
-rule picks the pivots, so the method terminates even on degenerate
-problems, and every reported optimum and witness point is exact.
+A small two-phase simplex.  All variables are implicitly non-negative;
+constraints are ``(coefficients, relation, rhs)`` triples with relation
+one of ``<=``, ``==``, ``>=``.  Bland's rule picks the pivots, so the
+method terminates even on degenerate problems.
+
+Constraints and objectives come in as ``Fraction``s, and points and
+optima go out as exact ``Fraction``s.  Inside, the tableau is
+fraction-free (Edmonds 1967; Bareiss 1968): each row is a list of
+coprime Python ``int``s, held only up to a positive factor.  Every
+Bland decision is a sign test or a cross-multiplied ratio comparison,
+and no such factor changes either, so the pivots are exactly those of
+a ``Fraction`` tableau.
 
 ``FeasibleSystem`` is the core: it runs phase one once per constraint
 system and keeps the feasible basis, so every objective optimized over
@@ -23,11 +30,13 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import CapExceededError, InfeasibleError, UnboundedError
 
 Row = list[Fraction]
+IntRow = list[int]  # a tableau row, held only up to a positive factor
 
 
 class Constraint(NamedTuple):
@@ -47,71 +56,86 @@ class LPSolution:
     point: tuple[Fraction, ...]
 
 
-def _pivot(rows: list[Row], obj: Row, basis: list[int], r: int, c: int) -> None:
-    """Pivot on entry ``(r, c)``, touching only the pivot row's non-zero columns.
+def _coprime(row: IntRow) -> IntRow:
+    """``row`` divided by the gcd of its entries."""
+    g = gcd(*row)
+    return [v // g for v in row] if g > 1 else row
 
-    Every changed row is replaced by a new list rather than edited in
-    place, so callers may share unchanged rows with a shallow copy.
+
+def _scaled(row: Sequence[Fraction], den: int) -> IntRow:
+    """``den * row`` for a common multiple ``den`` of the row's denominators."""
+    return [v.numerator * (den // v.denominator) for v in row]
+
+
+def _combine(p: int, row: IntRow, f: int, prow: IntRow) -> IntRow:
+    """``p*row - f*prow`` divided by the gcd of its entries, as a new list."""
+    return _coprime([p * v - f * w for v, w in zip(row, prow)])
+
+
+def _pivot(rows: list[IntRow], obj: IntRow, basis: list[int], r: int, c: int) -> None:
+    """Pivot on entry ``(r, c)``, made positive (``p``) by negating its row.
+
+    Each other row with entry ``f`` in column ``c`` becomes ``p*row -
+    f*prow`` over its gcd, a positive multiple of the rational pivot's
+    row.  Changed rows are new lists, so callers may share unchanged
+    rows with a shallow copy.
     """
-    piv = rows[r][c]
-    prow = rows[r] = [v / piv if v else v for v in rows[r]]
-    nonzero = [(j, p) for j, p in enumerate(prow) if p]
+    prow = rows[r]
+    if prow[c] < 0:
+        prow = rows[r] = [-v for v in prow]
+    p = prow[c]
     for i, row in enumerate(rows):
         f = row[c]
         if i != r and f:
-            row = row[:]
-            for j, p in nonzero:
-                row[j] -= f * p
-            rows[i] = row
+            rows[i] = _combine(p, row, f, prow)
     f = obj[c]
     if f:
-        for j, p in nonzero:
-            obj[j] -= f * p
+        obj[:] = _combine(p, obj, f, prow)
     basis[r] = c
 
 
-def _bland_minimize(rows: list[Row], obj: Row, basis: list[int]) -> None:
+def _bland_minimize(rows: list[IntRow], obj: IntRow, basis: list[int]) -> None:
+    """Bland's rule; ratios ``rhs / row[enter]`` are compared by cross-multiplying."""
     ncols = len(obj) - 1
     while True:
         enter = next((j for j in range(ncols) if obj[j] < 0), None)
         if enter is None:
             return
-        best_ratio = None
         leave = None
         for r, row in enumerate(rows):
-            if row[enter] > 0:
-                ratio = row[-1] / row[enter]
-                if best_ratio is None or ratio < best_ratio or (
-                    ratio == best_ratio and basis[r] < basis[leave]
-                ):
-                    best_ratio = ratio
-                    leave = r
+            d = row[enter]
+            if d > 0:
+                # the sign of row[-1]/d - num/den, the best ratio so far
+                diff = -1 if leave is None else row[-1] * den - num * d
+                if diff < 0 or (diff == 0 and basis[r] < basis[leave]):
+                    leave, num, den = r, row[-1], d
         if leave is None:
             raise UnboundedError("objective improves without bound")
         _pivot(rows, obj, basis, leave, enter)
 
 
-def _phase_one(rows: list[Row], nreal: int) -> list[int]:
+def _phase_one(rows: list, nreal: int) -> list[int]:
     """Bring the tableau to a feasible basis; may drop redundant rows.
 
-    ``rows`` holds equality rows with non-negative right-hand sides over
-    ``nreal`` columns plus the rhs.  On return the rows are rewritten in
-    terms of a feasible basis over the real columns and the basis (one
-    real column per remaining row) is returned.
+    ``rows`` holds ``Fraction`` equality rows with non-negative
+    right-hand sides over ``nreal`` columns plus the rhs.  They are
+    scaled to integers by one common factor, so the phase-one objective
+    (minus their sum) weighs them as it would in fractions, and only then
+    is each row made coprime.  On return the rows are written in terms of
+    a feasible basis over the real columns, which is returned.
     """
     m = len(rows)
+    den = lcm(*(v.denominator for row in rows for v in row))
     for r, row in enumerate(rows):
-        art = [_ZERO] * m
-        art[r] = _ONE
-        rows[r] = row[:-1] + art + [row[-1]]
+        art = [0] * m
+        art[r] = den
+        rows[r] = _scaled(row[:-1], den) + art + _scaled(row[-1:], den)
     basis = [nreal + r for r in range(m)]
-    obj: Row = [_ZERO] * (nreal + m + 1)
-    for row in rows:
-        for j in range(nreal):
-            obj[j] -= row[j]
-        obj[-1] -= row[-1]
+    sums = [sum(col) for col in zip(*rows, [0] * (nreal + m + 1))]
+    obj = _coprime([-s for s in sums[:nreal]] + [0] * m + [-sums[-1]])
+    rows[:] = [_coprime(row) for row in rows]
     _bland_minimize(rows, obj, basis)
-    if -obj[-1] != 0:
+    if obj[-1] != 0:
         raise InfeasibleError("no feasible point")
 
     for r in range(len(rows)):
@@ -121,10 +145,9 @@ def _phase_one(rows: list[Row], nreal: int) -> list[int]:
                 _pivot(rows, obj, basis, r, col)
 
     keep = [r for r in range(len(rows)) if basis[r] < nreal]
-    pruned = [rows[r][:nreal] + [rows[r][-1]] for r in keep]
+    pruned = [_coprime(rows[r][:nreal] + [rows[r][-1]]) for r in keep]
     new_basis = [basis[r] for r in keep]
-    rows.clear()
-    rows.extend(pruned)
+    rows[:] = pruned
     return new_basis
 
 
@@ -154,12 +177,12 @@ def _standardize(n: int, constraints: Iterable[Constraint]) -> tuple[list[Row], 
     return rows, n + nslack
 
 
-def _basic_point(rows: list[Row], basis: Sequence[int], n: int) -> tuple[Fraction, ...]:
+def _basic_point(rows: list[IntRow], basis: Sequence[int], n: int) -> tuple[Fraction, ...]:
     """The basic solution of a tableau, restricted to the first ``n`` columns."""
     point = [_ZERO] * n
     for r, b in enumerate(basis):
         if b < n:
-            point[b] = rows[r][-1]
+            point[b] = Fraction(rows[r][-1], rows[r][b])
     return tuple(point)
 
 
@@ -190,33 +213,30 @@ class FeasibleSystem:
         # pivots replace rows rather than editing them, so a shallow copy is enough
         rows = list(self._rows)
         basis = list(self._basis)
-        costs = [Fraction(c) for c in objective] + [_ZERO] * (self._ncols - n)
-        if maximize:
-            costs = [-c for c in costs]
-        obj: Row = costs + [_ZERO]
+        costs = [Fraction(c) for c in objective]
+        den = lcm(*(c.denominator for c in costs))
+        obj = _coprime(_scaled([-c if maximize else c for c in costs], den) + [0] * (self._ncols - n + 1))
         for r, b in enumerate(basis):
-            if obj[b] != 0:
-                f = obj[b]
-                for j, v in enumerate(rows[r]):
-                    obj[j] -= f * v
+            if obj[b]:
+                obj = _combine(rows[r][b], obj, obj[b], rows[r])
         _bland_minimize(rows, obj, basis)
-        value = -obj[-1]
-        return LPSolution(-value if maximize else value, _basic_point(rows, basis, n))
+        point = _basic_point(rows, basis, n)
+        return LPSolution(sum((c * x for c, x in zip(costs, point) if x), _ZERO), point)
 
 
 # ---------------------------------------------------------------------------
 # Vertex enumeration for {x >= 0 : Ax = b}.
 
 
-def _tableau_for_basis(rows: list[Row], basis: Sequence[int]) -> list[Row] | None:
+def _tableau_for_basis(rows: list[IntRow], basis: Sequence[int]) -> list[IntRow] | None:
     """Rewrite independent equality rows in terms of the given basis.
 
     Returns None when the basis columns are singular.  Row ``k`` of the
-    result is the unit row of ``basis[k]``.
+    result is a positive multiple of the unit row of ``basis[k]``.
     """
     aug = list(rows)  # pivots replace rows rather than editing them
     m = len(aug)
-    untouched: Row = [_ZERO] * len(aug[0]) if aug else []  # a zero objective row; pivots leave it
+    untouched = [0] * len(aug[0]) if aug else []  # a zero objective row; pivots leave it
     for k, col in enumerate(basis):
         src = next((r for r in range(k, m) if aug[r][col] != 0), None)
         if src is None:
@@ -263,17 +283,16 @@ def enumerate_vertices_eq(
         for j in range(n):
             if j in basic:
                 continue
-            best = None
             leave: list[int] = []
             for r in range(m):
-                if tab[r][j] > 0:
-                    ratio = tab[r][-1] / tab[r][j]
-                    if best is None or ratio < best:
-                        best = ratio
-                        leave = [r]
-                    elif ratio == best:
+                d = tab[r][j]
+                if d > 0:
+                    diff = tab[r][-1] * den - num * d if leave else -1
+                    if diff < 0:
+                        leave, num, den = [r], tab[r][-1], d
+                    elif diff == 0:
                         leave.append(r)
-            if best is None:
+            if not leave:
                 continue  # unbounded edge; irrelevant for bounded polytopes
             for r in leave:
                 nb = tuple(sorted(basic - {basis[r]} | {j}))

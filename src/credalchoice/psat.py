@@ -339,8 +339,7 @@ class PSATInstance:
 
 def build_psat_instance(t: CCLTheory, q: Query, alpha: Fraction) -> PSATInstance:
     """Hard world formula, one assessment per atomic choice, one probe."""
-    if len(t.spaces) != 1:
-        raise ValueError("the reduction needs exactly one choice space")
+    t.require_one_space("the PSAT reduction")
     alpha = Fraction(alpha)
     if not (0 <= alpha <= 1):
         raise ValueError(f"probe probability {alpha} outside [0, 1]")
@@ -422,8 +421,7 @@ def inner_point(t: CCLTheory, q: Query, *, world_space: WorldSpace | None = None
     Computed from a feasible point of the single-space marginal system,
     so probing it always answers satisfiable.
     """
-    if len(t.spaces) != 1:
-        raise ValueError("inner_point needs exactly one choice space")
+    t.require_one_space("inner_point")
     ws = world_space or build_world_space(t)
     point = marginal_polytope(ws, 0).feasible_system().point
     return sum((point[c] for (c,) in query_profiles(ws, q)), _ZERO)
@@ -444,6 +442,7 @@ def bisect_bounds(
     nearest unsatisfiable probe.  The returned interval contains the
     exact one and each endpoint is within ``epsilon`` of it.
     """
+    t.require_one_space("the psat method")
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")

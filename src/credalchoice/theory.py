@@ -123,6 +123,13 @@ class CCLTheory:
             out.update(a.args)
         return out
 
+    def require_one_space(self, what: str) -> None:
+        """Raise ``ValueError`` unless the theory has exactly one choice space."""
+        if len(self.spaces) != 1:
+            raise ValueError(
+                f"{what} needs a theory with exactly one choice space; this theory has {len(self.spaces)}"
+            )
+
     @cached_property
     def ground_program(self) -> GroundProgram:
         return ground(self.program, self.constants(), extra_atoms=self.atomic_choices)

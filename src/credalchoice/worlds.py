@@ -90,41 +90,35 @@ class WorldSpace:
     profiles: tuple[tuple[int, ...], ...]
 
 
-def _coherent(selected: Sequence[Atom], alternatives: Sequence, candidate: Atom, upto: int) -> bool:
-    cand_alt = alternatives[upto]
-    for k in range(upto):
-        prev = selected[k]
-        prev_alt = alternatives[k]
-        if candidate in prev_alt.atom_set and prev != candidate:
-            return False
-        if prev in cand_alt.atom_set and prev != candidate:
-            return False
-    return True
-
-
 def coherent_partial_choices(
     space: ChoiceSpace, space_index: int = 0, cap: int = DEFAULT_WORLD_CAP
 ) -> list[PartialChoice]:
-    """All coherent selections of one space, in canonical order."""
-    alts = space.alternatives
+    """All coherent selections of one space, in canonical order, checked on atom-index bit sets."""
+    atoms = space.atomic_choices
+    index = {a: i for i, a in enumerate(atoms)}
+    alts = [[index[a] for a in alt.atoms] for alt in space.alternatives]
+    masks = [sum(1 << a for a in ids) for ids in alts]
+    # holders[i][a]: the earlier alternatives that also hold atom a; each must pick a
+    holders = [{a: [k for k in range(i) if masks[k] >> a & 1] for a in ids} for i, ids in enumerate(alts)]
     out: list[PartialChoice] = []
-    chosen: list[Atom] = []
+    chosen: list[int] = []
 
-    def walk(i: int) -> None:
+    def walk(i: int, picked: int) -> None:
         if i == len(alts):
-            out.append(partial_choice(space_index, chosen))
+            out.append(partial_choice(space_index, [atoms[a] for a in chosen]))
             if len(out) > cap:
                 raise CapExceededError(
                     f"more than {cap} coherent selections in choice space {space_index}"
                 )
             return
-        for a in alts[i].atoms:
-            if _coherent(chosen, alts, a, i):
+        for a in alts[i]:
+            # coherent: no other atom of this alternative is picked, and every holder of a picked a
+            if not (picked & masks[i] & ~(1 << a) or any(chosen[k] != a for k in holders[i][a])):
                 chosen.append(a)
-                walk(i + 1)
+                walk(i + 1, picked | 1 << a)
                 chosen.pop()
 
-    walk(0)
+    walk(0, 0)
     return out
 
 

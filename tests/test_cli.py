@@ -177,12 +177,23 @@ def test_infer_unknown_query_atom_exits_1(data_dir, capsys):
     assert "error" in err
 
 
+ONE_SPACE = "needs a theory with exactly one choice space; this theory has 2"
+
+
 def test_infer_lp_needs_single_space(data_dir, capsys):
     code, _, err = run(
         ["infer", str(data_dir / "friends.ccl"), "--method", "lp"], capsys
     )
     assert code == 1
-    assert "error" in err
+    assert f"error: the lp method {ONE_SPACE}" in err
+
+
+def test_infer_psat_needs_single_space(data_dir, capsys):
+    code, _, err = run(
+        ["infer", str(data_dir / "friends.ccl"), "--method", "psat"], capsys
+    )
+    assert code == 1
+    assert f"error: the psat method {ONE_SPACE}" in err
 
 
 def test_infer_theory_without_query_exits_1(tmp_path, capsys):
@@ -381,8 +392,9 @@ def test_psat_export_rejects_bad_alpha(data_dir, capsys):
 
 
 def test_psat_export_needs_single_space(data_dir, capsys):
-    code, _, _ = run(["psat-export", str(data_dir / "friends.ccl")], capsys)
+    code, _, err = run(["psat-export", str(data_dir / "friends.ccl")], capsys)
     assert code == 1
+    assert f"error: the PSAT reduction {ONE_SPACE}" in err
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Exact rational simplex and vertex enumeration."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from conftest import solve_affine_system
 
 from credalchoice.errors import CapExceededError, InfeasibleError, UnboundedError
 from credalchoice.lp import Constraint, FeasibleSystem, enumerate_vertices_eq
@@ -222,3 +224,111 @@ def test_vertices_satisfy_their_system():
         assert all(x >= 0 for x in v)
         for r, b in zip(rows, rhs):
             assert sum(c * x for c, x in zip(r, v)) == b
+
+
+# ---------------------------------------------------------------------------
+# An oracle that shares nothing with the tableau: basic solutions by brute force.
+
+
+def standard_form(n: int, cons) -> tuple[list[list[Fraction]], list[Fraction]]:
+    """``{x >= 0 : Ax = b}`` with one slack column per inequality."""
+    slacks = [i for i, c in enumerate(cons) if c.sense != "=="]
+    a = []
+    for i, c in enumerate(cons):
+        row = list(c.coeffs) + [F(0)] * len(slacks)
+        if c.sense != "==":
+            row[n + slacks.index(i)] = F(1) if c.sense == "<=" else F(-1)
+        a.append(row)
+    return a, [c.rhs for c in cons]
+
+
+def basic_feasible_solutions(a, b) -> list[list[Fraction]]:
+    """Every ``x >= 0`` with ``Ax = b`` supported on linearly independent columns.
+
+    Each column subset is solved by Gauss-Jordan elimination; the vertices
+    of the polyhedron are among the results, and there is one exactly when
+    the polyhedron is non-empty.
+    """
+    ncols = len(a[0])
+    out = []
+    for size in range(min(len(a), ncols) + 1):
+        for cols in itertools.combinations(range(ncols), size):
+            try:
+                pivots, free, aug = solve_affine_system([[row[j] for j in cols] for row in a], b)
+            except ValueError:
+                continue  # b is not in the span of these columns
+            if free:
+                continue  # dependent columns
+            x = [F(0)] * ncols
+            for k, j in enumerate(cols):
+                x[j] = aug[k][-1]
+            if all(v >= 0 for v in x):
+                out.append(x)
+    return out
+
+
+def brute_force_min(a, b, costs) -> Fraction | None:
+    """The least ``costs . x`` over the polyhedron, or None when it is unbounded below.
+
+    The minimum is unbounded exactly when some extreme ray ``d`` of the
+    recession cone (a basic solution of ``Ad = 0, sum d = 1``) has
+    ``costs . d < 0``.
+    """
+    rays = basic_feasible_solutions(a + [[F(1)] * len(a[0])], [F(0)] * len(a) + [F(1)])
+    if any(sum(c * v for c, v in zip(costs, d)) < 0 for d in rays):
+        return None
+    return min(sum(c * v for c, v in zip(costs, x)) for x in basic_feasible_solutions(a, b))
+
+
+def satisfies_exactly(cons, x) -> bool:
+    def holds(c):
+        lhs = sum(v * w for v, w in zip(c.coeffs, x))
+        return {"<=": lhs <= c.rhs, "==": lhs == c.rhs, ">=": lhs >= c.rhs}[c.sense]
+
+    return all(v >= 0 for v in x) and all(holds(c) for c in cons)
+
+
+def random_constraints(rng: random.Random, n: int) -> list[Constraint]:
+    def value():
+        return F(rng.randint(-4, 4), rng.choice([1, 2, 3])) if rng.random() < 0.7 else F(0)
+
+    cons = [
+        Constraint([value() for _ in range(n)], rng.choice(["<=", "==", ">="]), value())
+        for _ in range(rng.randint(1, 4))
+    ]
+    if rng.random() < 0.3:  # a redundant copy of a row
+        c = rng.choice(cons)
+        cons.append(Constraint([2 * v for v in c.coeffs], c.sense, 2 * c.rhs))
+    return cons
+
+
+def test_lp_matches_basic_solution_brute_force_on_random_systems():
+    rng = random.Random(2024)
+    outcomes = {"infeasible": 0, "unbounded": 0, "optimum": 0}
+    for trial in range(250):
+        n = rng.randint(1, 3)
+        cons = random_constraints(rng, n)
+        a, b = standard_form(n, cons)
+        if not basic_feasible_solutions(a, b):
+            with pytest.raises(InfeasibleError):
+                FeasibleSystem(n, cons)
+            outcomes["infeasible"] += 1
+            continue
+        system = FeasibleSystem(n, cons)
+        assert satisfies_exactly(cons, system.point), f"trial {trial}"
+        for _ in range(3):
+            objective = [F(rng.randint(-3, 3)) for _ in range(n)]
+            maximize = rng.random() < 0.5
+            costs = [-c if maximize else c for c in objective] + [F(0)] * (len(a[0]) - n)
+            best = brute_force_min(a, b, costs)
+            if best is None:
+                with pytest.raises(UnboundedError):
+                    system.solve(objective, maximize=maximize)
+                outcomes["unbounded"] += 1
+                continue
+            sol = system.solve(objective, maximize=maximize)
+            assert satisfies_exactly(cons, sol.point), f"trial {trial}"
+            assert sol.value == sum(c * x for c, x in zip(objective, sol.point)), f"trial {trial}"
+            assert sol.value == (-best if maximize else best), f"trial {trial}"
+            outcomes["optimum"] += 1
+    assert min(outcomes.values()) >= 20, outcomes

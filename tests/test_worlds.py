@@ -1,6 +1,7 @@
 """World enumeration: coherence, canonical order, classes, and caps."""
 
-import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -27,21 +28,29 @@ from credalchoice.worlds import (
 F = Fraction
 
 
-def brute_force_coherent(space: ChoiceSpace) -> set[tuple]:
-    """All selection functions kept iff shared atoms are picked consistently."""
-    out = set()
-    for combo in itertools.product(*[alt.atoms for alt in space.alternatives]):
-        ok = True
-        for (a1, sel1), (a2, sel2) in itertools.combinations(
-            zip(space.alternatives, combo), 2
-        ):
-            if sel1 in a2.atom_set and sel1 != sel2:
-                ok = False
-            if sel2 in a1.atom_set and sel1 != sel2:
-                ok = False
-        if ok:
-            out.add(combo)
-    return out
+def brute_force_coherent(space: ChoiceSpace) -> list[tuple]:
+    """The tuples of ``itertools.product`` over the alternatives' atoms whose
+    picks are pairwise coherent, in product order.
+
+    Coherence is pairwise, so a tuple is kept exactly when each of its
+    prefixes is: the product is filtered prefix by prefix, which keeps the
+    n = 5 ranking space (5**10 tuples) cheap and changes neither the result
+    nor its order.
+    """
+    alts = space.alternatives
+
+    def coherent(k: int, sel_k, i: int, sel_i) -> bool:
+        return sel_k == sel_i or (sel_k not in alts[i].atom_set and sel_i not in alts[k].atom_set)
+
+    kept = [()]
+    for i, alt in enumerate(alts):
+        kept = [
+            prefix + (a,)
+            for prefix in kept
+            for a in alt.atoms
+            if all(coherent(k, sel, i, a) for k, sel in enumerate(prefix))
+        ]
+    return kept
 
 
 def ranking_space(n: int) -> ChoiceSpace:
@@ -91,14 +100,34 @@ def test_ranking_space_coherent_choices_are_permutations():
     space = ranking_space(3)
     got = coherent_partial_choices(space)
     assert len(got) == 6
-    assert {pc.selected for pc in got} == brute_force_coherent(space)
+    assert {pc.selected for pc in got} == set(brute_force_coherent(space))
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_brute_force_agreement_on_small_ranking_spaces(n):
     space = ranking_space(n)
-    got = {pc.selected for pc in coherent_partial_choices(space)}
+    got = [pc.selected for pc in coherent_partial_choices(space)]
+    assert len(got) == math.factorial(n)
     assert got == brute_force_coherent(space)
+
+
+def random_overlapping_space(rng: random.Random) -> ChoiceSpace:
+    pool = [atom(f"a{i}") for i in range(rng.randint(1, 6))]
+    return ChoiceSpace(
+        tuple(
+            Alternative(tuple(rng.sample(pool, rng.randint(1, min(3, len(pool))))))
+            for _ in range(rng.randint(1, 5))
+        )
+    )
+
+
+def test_coherent_choices_equal_product_filter_on_random_spaces():
+    rng = random.Random(11)
+    for trial in range(400):
+        space = random_overlapping_space(rng)
+        got = coherent_partial_choices(space, 3)
+        assert [pc.selected for pc in got] == brute_force_coherent(space), f"trial {trial}"
+        assert all(pc.space_index == 3 and pc.image == frozenset(pc.selected) for pc in got)
 
 
 def test_coherent_choice_image_consistency():
@@ -107,7 +136,7 @@ def test_coherent_choice_image_consistency():
     # picking a in either alternative forces a in the other, so (b, a)
     # and (a, c) are out
     assert selections == {(atom("a"), atom("a")), (atom("b"), atom("c"))}
-    assert selections == brute_force_coherent(space)
+    assert selections == set(brute_force_coherent(space))
 
 
 def test_classes_partition_worlds(data_dir):
