@@ -9,9 +9,9 @@ Queries are then bounded in three ways:
   spaces.  The query mass is linear in each space's class masses, so
   its extremes are attained with every space but the last at a vertex
   of its polytope.  Those vertices are enumerated for spaces 0..k-2;
-  each combination contracts the query into a linear objective over
-  the last space's classes, minimized and maximized by one
-  ``lp.FeasibleSystem`` that runs phase one once per call;
+  each combination sums the satisfying profiles out space by space into
+  an integer objective over the last space's classes, minimized and
+  maximized by one ``lp.FeasibleSystem`` that runs phase one once per call;
 * ``credal_bounds_single_space`` - the same bound for a one-space
   theory, where no vertex is enumerated and it is a pair of LPs;
 * ``outer_bound`` - a cheap factorized relaxation: per-world products of
@@ -19,7 +19,7 @@ Queries are then bounded in three ways:
   query (upper end clipped to one).  Always contains the exact interval.
 
 Every bound reads a world through its class profile: its class index in
-each space.
+each space.  ``outer_bound`` sums the profiles out the same way.
 
 When every space holds exactly one alternative the theory reads as a
 fully independent one and ``icl_probability`` returns the point value.
@@ -30,14 +30,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 from typing import Sequence
 
 from . import lp
 from .errors import CapExceededError
 from .rational import format_fraction
 from .theory import CCLTheory, Query
-from .worlds import WorldSpace, build_world_space, satisfies
+from .worlds import WorldSpace, build_world_space
 
 DEFAULT_COMBO_CAP = 1_000_000
 
@@ -135,7 +135,8 @@ def enumerate_vertices(p: MarginalPolytope, *, cap: int = lp.DEFAULT_BASIS_CAP) 
 
 def _query_worlds(ws: WorldSpace, q: Query) -> list[int]:
     q.check_against(ws.theory)
-    return [w.index for w in ws.worlds if satisfies(w, q)]
+    pos, neg = ws.theory.ground_program.masks(q.literals)
+    return [i for i, m in enumerate(ws.models) if m & pos == pos and not m & neg]
 
 
 def query_profiles(ws: WorldSpace, q: Query) -> list[tuple[int, ...]]:
@@ -155,15 +156,24 @@ def _class_weights(ws: WorldSpace) -> list[list[Fraction]]:
     ]
 
 
-def _profile_product(per_class: list[list[Fraction]], profile: tuple[int, ...]) -> Fraction:
-    """The product over spaces of the profile's class entries in a per-space table."""
-    return prod((per_class[i][c] for i, c in enumerate(profile)), start=_ONE)
-
-
 def _world_weights(ws: WorldSpace) -> list[Fraction]:
     """Each world's product weight, from its class profile."""
     weights = _class_weights(ws)
-    return [_profile_product(weights, p) for p in ws.profiles]
+    return [prod((weights[i][c] for i, c in enumerate(p)), start=_ONE) for p in ws.profiles]
+
+
+def _contract(table: dict, den: int, values: Sequence[Fraction]) -> tuple[dict, int]:
+    """Sum out the first remaining space of ``table`` (remaining class digits -> integer weight over ``den``).
+
+    ``values`` are scaled to integer numerators over their lcm; entries agreeing on the later digits merge.
+    """
+    d = lcm(*(v.denominator for v in values))
+    nums = [v.numerator * (d // v.denominator) for v in values]
+    out: dict[tuple[int, ...], int] = {}
+    for digits, w in table.items():
+        if nums[digits[0]]:
+            out[digits[1:]] = out.get(digits[1:], 0) + w * nums[digits[0]]
+    return out, den * d
 
 
 def icl_probability(t: CCLTheory, q: Query, *, world_space: WorldSpace | None = None) -> Fraction:
@@ -234,43 +244,35 @@ def credal_bounds_strong_extension(
 
     lo = hi = None
 
-    def walk(i: int, weighted: list[tuple[tuple[int, ...], Fraction]]) -> None:
-        # weighted: the satisfying profiles whose chosen masses over spaces
-        # before i multiply to a non-zero weight, with that weight
+    def walk(i: int, table: dict[tuple[int, ...], int], den: int) -> None:
+        # table / den: the satisfying profiles contracted against the vertices chosen before i
         nonlocal lo, hi
         if i == k - 1:
-            objective = [_ZERO] * last.n
-            for p, w in weighted:
-                objective[p[i]] += w
-            low = last.solve(objective).value
-            high = last.solve(objective, maximize=True).value
+            objective = [table.get((j,), 0) for j in range(last.n)]
+            low = last.solve(objective).value / den
+            high = last.solve(objective, maximize=True).value / den
             lo = low if lo is None else min(lo, low)
             hi = high if hi is None else max(hi, high)
             return
         for v in vertex_sets[i]:
-            walk(i + 1, [(p, w * v[p[i]]) for p, w in weighted if v[p[i]]])
+            walk(i + 1, *_contract(table, den, v))
 
-    walk(0, [(p, _ONE) for p in profiles])
+    walk(0, dict.fromkeys(profiles, 1), 1)
     return IntervalResult(lo, hi, "vertex_product")
 
 
 def outer_bound(t: CCLTheory, q: Query, *, world_space: WorldSpace | None = None) -> IntervalResult:
     """Factorized relaxation: products of classwise bounds, summed."""
     ws = world_space or build_world_space(t)
-    profiles = query_profiles(ws, q)
-    class_lo: list[list[Fraction]] = []
-    class_hi: list[list[Fraction]] = []
+    lo = hi = (dict.fromkeys(query_profiles(ws, q), 1), 1)
     for i in range(len(t.spaces)):
         system = marginal_polytope(ws, i).feasible_system()
         units = [[_ONE if jj == j else _ZERO for jj in range(system.n)] for j in range(system.n)]
-        class_lo.append([system.solve(u).value for u in units])
-        class_hi.append([system.solve(u, maximize=True).value for u in units])
-
-    lo_total = hi_total = _ZERO
-    for p in profiles:
-        lo_total += _profile_product(class_lo, p)
-        hi_total += _profile_product(class_hi, p)
-    return IntervalResult(lo_total, min(hi_total, _ONE), "outer_bound")
+        lo = _contract(*lo, [system.solve(u).value for u in units])
+        hi = _contract(*hi, [system.solve(u, maximize=True).value for u in units])
+    # every space is summed out: each table holds at most the one entry ()
+    lower, upper = (Fraction(sum(table.values()), den) for table, den in (lo, hi))
+    return IntervalResult(lower, min(upper, _ONE), "outer_bound")
 
 
 # ---------------------------------------------------------------------------

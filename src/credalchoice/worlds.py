@@ -15,18 +15,20 @@ identical indices, which the textual world tables rely on.
 The worlds are the product of the spaces' coherent selections, last
 space fastest.  A world's class profile is its digit tuple in that
 product: its selection's index in each space, which is also the index
-of its class there.
+of its class there.  A world space keeps each world as that profile and
+a model bitset; ``World`` objects are decoded only when first read.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from math import prod
 from typing import Sequence
 
 from .errors import CapExceededError
-from .logic import Atom, Interpretation, stable_model
+from .logic import Atom, Interpretation
 from .theory import CCLTheory, ChoiceSpace, Query
 
 DEFAULT_WORLD_CAP = 2**20
@@ -81,13 +83,23 @@ class WorldSpace:
     """Every world of a theory plus, per space, its partition into classes.
 
     ``profiles[i]`` is world ``i``'s class profile: its class index in
-    each space.
+    each space; ``models[i]`` is its stable model as a ``GroundProgram.bits`` bitset.
     """
 
     theory: CCLTheory
-    worlds: tuple[World, ...]
     classes_by_space: tuple[tuple[WorldClass, ...], ...]
     profiles: tuple[tuple[int, ...], ...]
+    models: tuple[int, ...]
+
+    @cached_property
+    def worlds(self) -> tuple[World, ...]:
+        """The worlds as objects, decoded from the profiles and model bitsets on first read."""
+        gp, classes = self.theory.ground_program, self.classes_by_space
+        return tuple(
+            World(i, TotalChoice(tuple(c[j].partial for c, j in zip(classes, p))),
+                  Interpretation(gp.herbrand_base, gp.decode(m)))
+            for i, (p, m) in enumerate(zip(self.profiles, self.models))
+        )
 
 
 def coherent_partial_choices(
@@ -137,23 +149,23 @@ def enumerate_total_choices(t: CCLTheory, cap: int = DEFAULT_WORLD_CAP) -> list[
 
 
 def build_world_space(t: CCLTheory, cap: int = DEFAULT_WORLD_CAP) -> WorldSpace:
-    """Materialize every world and the per-space classes."""
+    """Every world's stable model, evaluated on its selections' image bits, and the per-space classes."""
     gp = t.ground_program
     per_space = _selections_by_space(t, cap)
     profiles = tuple(itertools.product(*(range(len(lst)) for lst in per_space)))
-    worlds: list[World] = []
+    masks = [[gp.encode(pc.image) for pc in lst] for lst in per_space]
     members: list[list[list[int]]] = [[[] for _ in lst] for lst in per_space]
-    for i, profile in enumerate(profiles):
-        tc = TotalChoice(tuple(lst[j] for lst, j in zip(per_space, profile)))
-        worlds.append(World(i, tc, stable_model(gp, tc.image)))
-        for si, j in enumerate(profile):
-            members[si][j].append(i)
+    images = [0] * len(profiles)  # world i's image: the OR of its selections' masks
+    for in_class, ms, column in zip(members, masks, zip(*profiles)):  # column: each world's class there
+        for i, j in enumerate(column):
+            in_class[j].append(i)
+        images = [image | ms[j] for image, j in zip(images, column)]
     # with no world at all (a space without coherent selections) no class is kept
     classes = tuple(
         tuple(WorldClass(pc, tuple(m)) for pc, m in zip(lst, ms) if m)
         for lst, ms in zip(per_space, members)
     )
-    return WorldSpace(t, tuple(worlds), classes, profiles)
+    return WorldSpace(t, classes, profiles, tuple(map(gp.evaluate, images)))
 
 
 def satisfies(world: World, q: Query) -> bool:
@@ -168,7 +180,7 @@ def satisfies(world: World, q: Query) -> bool:
 def world_table(ws: WorldSpace) -> str:
     """A truth table over the worlds, atoms as rows, worlds as columns."""
     t = ws.theory
-    derived = sorted(a for a in t.herbrand_base if a not in set(t.atomic_choices))
+    derived = sorted(t.herbrand_base - set(t.atomic_choices))
     rows = list(t.atomic_choices) + derived
     width = max((len(str(a)) for a in rows), default=1)
     headers = [f"w{w.index + 1}" for w in ws.worlds]

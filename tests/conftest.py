@@ -1,4 +1,5 @@
 import importlib.resources
+import math
 import random
 from fractions import Fraction
 
@@ -291,16 +292,61 @@ def vertex_product_bounds(t, q, ws):
         for w in ws.worlds
         if satisfies(w, q)
     ]
+    # each vertex as integer numerators over one denominator, so the sums stay in ints
+    scaled = []
+    for vs in vertex_sets:
+        denominators = [math.lcm(*(x.denominator for x in v)) for v in vs]
+        scaled.append([([int(x * d) for x in v], d) for v, d in zip(vs, denominators)])
     values = []
-    for parts in itertools.product(*vertex_sets):
-        total = Fraction(0)
-        for profile in profiles:
-            term = Fraction(1)
-            for part, c in zip(parts, profile):
-                term *= part[c]
-            total += term
-        values.append(total)
+    for parts in itertools.product(*scaled):
+        total = sum(math.prod(nums[c] for (nums, _), c in zip(parts, profile)) for profile in profiles)
+        values.append(Fraction(total, math.prod(d for _, d in parts)))
     return min(values), max(values)
+
+
+def random_product_theory(rng: random.Random, n_spaces: int) -> CCLTheory:
+    """``n_spaces`` low-dimensional spaces (0 to 4) under an empty program."""
+    drawn = [random_low_dim_space(rng, prefix) for prefix in "xyzw"[:n_spaces]]
+    mu = {a: p for _, m in drawn for a, p in m.items()}
+    return CCLTheory(Program(), tuple(sp for sp, _ in drawn), mu)
+
+
+def multispace_theory(rng: random.Random, n_spaces: int) -> CCLTheory:
+    """Spaces shaped like the benchmark's: alternatives {a0, a1} and {b0, b1, b2}."""
+    spaces, mu = [], {}
+    for s in range(n_spaces):
+        first = [atom(f"s{s}a{i}") for i in range(2)]
+        second = [atom(f"s{s}b{i}") for i in range(3)]
+        mu.update(zip(first, random_masses(rng, 2)))
+        mu.update(zip(second, random_masses(rng, 3)))
+        spaces.append(ChoiceSpace((Alternative(tuple(first)), Alternative(tuple(second)))))
+    return CCLTheory(Program(), tuple(spaces), mu)
+
+
+def with_derived_atoms(rng: random.Random, t: CCLTheory, n: int) -> tuple[CCLTheory, list]:
+    """Extend a theory with derived atoms ``d0 .. d<n-1>``.
+
+    Each gets one or two clauses whose bodies draw up to three literals,
+    about 40% negated, from the choice atoms and the earlier derived
+    atoms; with no atom to draw from a clause is a fact.
+    """
+    pool = sorted({a for sp in t.spaces for a in sp.atom_set})
+    clauses, derived = [], []
+    for i in range(n):
+        head = atom(f"d{i}")
+        for _ in range(rng.randrange(1, 3)):
+            body_atoms = rng.sample(pool, rng.randrange(min(1, len(pool)), min(3, len(pool)) + 1))
+            clauses.append(Clause(head, tuple(Literal(a, rng.random() < 0.6) for a in body_atoms)))
+        pool.append(head)
+        derived.append(head)
+    return CCLTheory(t.program.extend(clauses), t.spaces, t.mu), derived
+
+
+def random_base_query(rng: random.Random, t: CCLTheory, max_literals: int = 3) -> Query:
+    """A conjunction of random literals over the whole Herbrand base."""
+    pool = sorted(t.herbrand_base)
+    chosen = rng.sample(pool, rng.randrange(1, min(max_literals, len(pool)) + 1))
+    return Query(frozenset(Literal(a, rng.random() < 0.6) for a in chosen))
 
 
 def random_query(rng: random.Random, t: CCLTheory, max_literals: int = 3) -> Query:
@@ -322,3 +368,31 @@ def with_derived_atom(rng: random.Random, t: CCLTheory) -> tuple[CCLTheory, Quer
         clauses.append(Clause(head, body))
     extended = CCLTheory(t.program.extend(clauses), t.spaces, t.mu)
     return extended, Query(frozenset({Literal(head, rng.random() < 0.8)}))
+
+
+def outer_bound_oracle(t, q, ws):
+    """The outer bound as a plain per-profile product sum.
+
+    Each satisfying world contributes the product of its classes' lower
+    (upper) mass bounds over the spaces; the upper total is clipped to
+    one.  Returns the exact (lower, upper).
+    """
+    from credalchoice.inference import marginal_polytope
+    from credalchoice.worlds import satisfies
+
+    class_lo, class_hi = [], []
+    for i in range(len(t.spaces)):
+        system = marginal_polytope(ws, i).feasible_system()
+        units = [[Fraction(int(jj == j)) for jj in range(system.n)] for j in range(system.n)]
+        class_lo.append([system.solve(u).value for u in units])
+        class_hi.append([system.solve(u, maximize=True).value for u in units])
+    lo = hi = Fraction(0)
+    for w, profile in zip(ws.worlds, ws.profiles):
+        if satisfies(w, q):
+            term_lo = term_hi = Fraction(1)
+            for i, c in enumerate(profile):
+                term_lo *= class_lo[i][c]
+                term_hi *= class_hi[i][c]
+            lo += term_lo
+            hi += term_hi
+    return lo, min(hi, Fraction(1))

@@ -6,12 +6,16 @@ from fractions import Fraction
 import pytest
 from conftest import (
     grid_strong_bounds,
-    random_low_dim_space,
+    multispace_theory,
+    outer_bound_oracle,
+    random_base_query,
+    random_product_theory,
     random_query,
     random_single_space_theory,
     random_two_space_theory,
     vertex_product_bounds,
     with_derived_atom,
+    with_derived_atoms,
 )
 
 from credalchoice.errors import InfeasibleError
@@ -28,8 +32,9 @@ from credalchoice.inference import (
     proxy_in_credal_set,
     proxy_mass_function,
     proxy_query_value,
+    query_profiles,
 )
-from credalchoice.logic import Program, atom
+from credalchoice.logic import Literal, Program, atom
 from credalchoice.ranking import (
     build_ranking_theory,
     counts_from_rankings,
@@ -41,6 +46,7 @@ from credalchoice.theory import (
     Alternative,
     CCLTheory,
     ChoiceSpace,
+    Query,
     alternative,
     from_icl,
     load_ccl,
@@ -282,26 +288,50 @@ def _random_product_theory(rng, shape):
     if shape == "two-low-dim":
         return random_two_space_theory(rng)
     if shape == "three-low-dim":
-        drawn = [random_low_dim_space(rng, prefix) for prefix in "xyz"]
-        mu = {a: p for _, m in drawn for a, p in m.items()}
-        return CCLTheory(Program(), tuple(sp for sp, _ in drawn), mu)
+        return random_product_theory(rng, 3)
+    if shape == "four-low-dim":
+        return random_product_theory(rng, 4)
+    if shape == "multispace":
+        return multispace_theory(rng, 4)
     # two spaces with polytopes of any dimension
     spaces = [random_single_space_theory(rng, 3, 3, prefix, class_cap=8) for prefix in "xy"]
     return CCLTheory(Program(), tuple(s.spaces[0] for s in spaces), {**spaces[0].mu, **spaces[1].mu})
 
 
-@pytest.mark.parametrize("shape", ["two-low-dim", "three-low-dim", "two-general"])
+@pytest.mark.parametrize(
+    "shape", ["two-low-dim", "three-low-dim", "two-general", "four-low-dim", "multispace"]
+)
 def test_strong_extension_equals_vertex_product_oracle(shape):
     rng = random.Random(71)
-    for trial in range(12):
+    # a multispace trial sums about 400 vertex combinations over 1296 worlds
+    for trial in range(3 if shape == "multispace" else 12):
         t = _random_product_theory(rng, shape)
-        if rng.random() < 0.5:
+        if shape == "multispace":
+            t, derived = with_derived_atoms(rng, t, 8)
+        elif rng.random() < 0.5:
             t, q = with_derived_atom(rng, t)
         else:
             q = random_query(rng, t)
         ws = build_world_space(t)
+        if shape == "multispace":
+            # the derived atom holding in closest to half of the worlds
+            q = min(map(query, derived), key=lambda q: abs(2 * len(query_profiles(ws, q)) - len(ws.profiles)))
         iv = credal_bounds_strong_extension(t, q, world_space=ws)
         assert (iv.lower, iv.upper) == vertex_product_bounds(t, q, ws), f"trial {trial}"
+
+
+def test_outer_bound_equals_product_sum_oracle():
+    rng = random.Random(97)
+    for trial in range(30):
+        t = random_product_theory(rng, rng.randrange(0, 5))
+        t, derived = with_derived_atoms(rng, t, rng.randrange(1, 5))
+        ws = build_world_space(t)
+        d = derived[-1]
+        unsatisfiable = Query(frozenset({Literal(d, True), Literal(d, False)}))
+        assert outer_bound(t, unsatisfiable, world_space=ws).upper == 0
+        for q in (random_base_query(rng, t), query(d), unsatisfiable):
+            iv = outer_bound(t, q, world_space=ws)
+            assert (iv.lower, iv.upper) == outer_bound_oracle(t, q, ws), f"trial {trial}: {q}"
 
 
 def test_icl_theories_have_point_strong_extension():

@@ -5,8 +5,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import naive_stable_model, random_base_query, random_product_theory, with_derived_atoms
 
-from credalchoice import logic
+from credalchoice import logic, worlds
+from credalchoice.inference import query_profiles
 from credalchoice.errors import CapExceededError
 from credalchoice.logic import Program, atom
 from credalchoice.theory import (
@@ -180,6 +182,39 @@ def test_world_space_checks_acyclicity_once(data_dir, monkeypatch):
     assert len(first.worlds) == 8
     assert first == second
     assert len(calls) == 1
+
+
+def test_world_space_builds_no_world_until_read(data_dir, monkeypatch):
+    stable_calls, built = [], []
+    real_world = worlds.World
+
+    def counting_world(*args):
+        built.append(args[0])
+        return real_world(*args)
+
+    for mod in (logic, worlds):
+        monkeypatch.setattr(mod, "stable_model", lambda *a: stable_calls.append(a), raising=False)
+    monkeypatch.setattr(worlds, "World", counting_world)
+    ws = build_world_space(load_ccl(data_dir / "friends.ccl").theory)
+    assert stable_calls == [] and built == []
+    first = ws.worlds
+    assert len(first) == 8 and built == list(range(8))
+    assert ws.worlds is first and len(built) == 8
+
+
+def test_world_models_and_query_filter_match_naive_oracle():
+    rng = random.Random(83)
+    for trial in range(40):
+        t = random_product_theory(rng, rng.randrange(1, 5))
+        t, _ = with_derived_atoms(rng, t, rng.randrange(1, 6))
+        gp = t.ground_program
+        ws = build_world_space(t)
+        for w in ws.worlds:
+            assert w.model.true_atoms == naive_stable_model(gp, w.choice.image), f"trial {trial}"
+        for _ in range(3):
+            q = random_base_query(rng, t)
+            want = [ws.profiles[w.index] for w in ws.worlds if satisfies(w, q)]
+            assert query_profiles(ws, q) == want, f"trial {trial}: {q}"
 
 
 def test_class_intersection_identifies_world(data_dir):
