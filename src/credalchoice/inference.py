@@ -18,8 +18,9 @@ Queries are then bounded in three ways:
   classwise probability bounds, summed over the worlds satisfying the
   query (upper end clipped to one).  Always contains the exact interval.
 
-Every bound reads a world through its class profile: its class index in
-each space.  ``outer_bound`` sums the profiles out the same way.
+A query's worlds are the AND of its literals' world sets (complemented
+when negated).  Every bound reads a world through its class profile, its
+class index in each space; ``outer_bound`` sums the profiles out too.
 
 When every space holds exactly one alternative the theory reads as a
 fully independent one and ``icl_probability`` returns the point value.
@@ -37,7 +38,7 @@ from . import lp
 from .errors import CapExceededError
 from .rational import format_fraction
 from .theory import CCLTheory, Query
-from .worlds import WorldSpace, build_world_space
+from .worlds import WorldSpace, build_world_space, set_bits
 
 DEFAULT_COMBO_CAP = 1_000_000
 
@@ -134,9 +135,14 @@ def enumerate_vertices(p: MarginalPolytope, *, cap: int = lp.DEFAULT_BASIS_CAP) 
 
 
 def _query_worlds(ws: WorldSpace, q: Query) -> list[int]:
+    """The worlds satisfying the query, in order: the AND of its literals' columns (complemented if negated)."""
     q.check_against(ws.theory)
-    pos, neg = ws.theory.ground_program.masks(q.literals)
-    return [i for i, m in enumerate(ws.models) if m & pos == pos and not m & neg]
+    index = ws.theory.ground_program.index
+    hits = (1 << len(ws.profiles)) - 1
+    for lit in q.literals:
+        column = ws.columns[index[lit.atom]]
+        hits &= column if lit.positive else ~column
+    return set_bits(hits)
 
 
 def query_profiles(ws: WorldSpace, q: Query) -> list[tuple[int, ...]]:

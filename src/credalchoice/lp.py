@@ -213,15 +213,18 @@ class FeasibleSystem:
         # pivots replace rows rather than editing them, so a shallow copy is enough
         rows = list(self._rows)
         basis = list(self._basis)
-        costs = [Fraction(c) for c in objective]
-        den = lcm(*(c.denominator for c in costs))
-        obj = _coprime(_scaled([-c if maximize else c for c in costs], den) + [0] * (self._ncols - n + 1))
+        den = lcm(*(c.denominator for c in objective))
+        costs = _scaled(objective, den)  # ``int``s and ``Fraction``s alike
+        obj = _coprime([-c for c in costs] if maximize else costs) + [0] * (self._ncols - n + 1)
         for r, b in enumerate(basis):
             if obj[b]:
                 obj = _combine(rows[r][b], obj, obj[b], rows[r])
         _bland_minimize(rows, obj, basis)
-        point = _basic_point(rows, basis, n)
-        return LPSolution(sum((c * x for c, x in zip(costs, point) if x), _ZERO), point)
+        # the optimum: cost * rhs / pivot summed over the basic rows, over the pivots' lcm
+        basic = [(costs[b], rows[r][-1], rows[r][b]) for r, b in enumerate(basis) if b < n]
+        pivots = lcm(*(p for _, _, p in basic))
+        value = Fraction(sum(c * v * (pivots // p) for c, v, p in basic), pivots * den)
+        return LPSolution(value, _basic_point(rows, basis, n))
 
 
 # ---------------------------------------------------------------------------

@@ -15,16 +15,19 @@ identical indices, which the textual world tables rely on.
 The worlds are the product of the spaces' coherent selections, last
 space fastest.  A world's class profile is its digit tuple in that
 product: its selection's index in each space, which is also the index
-of its class there.  A world space keeps each world as that profile and
-a model bitset; ``World`` objects are decoded only when first read.
+of its class there.  A world space keeps each world's profile and, per
+atom, a column: the set of worlds holding the atom, as the bits of an
+``int``.  So every world is evaluated in one bit-sliced pass, a query is
+an AND of columns, and ``World`` objects are decoded only when first read.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from math import prod
+from operator import or_
 from typing import Sequence
 
 from .errors import CapExceededError
@@ -83,23 +86,33 @@ class WorldSpace:
     """Every world of a theory plus, per space, its partition into classes.
 
     ``profiles[i]`` is world ``i``'s class profile: its class index in
-    each space; ``models[i]`` is its stable model as a ``GroundProgram.bits`` bitset.
+    each space.  ``columns[a]`` is the set of worlds (bit ``i`` for world
+    ``i``) whose stable model holds the atom of slot ``a`` in ``GroundProgram.index``.
     """
 
     theory: CCLTheory
     classes_by_space: tuple[tuple[WorldClass, ...], ...]
     profiles: tuple[tuple[int, ...], ...]
-    models: tuple[int, ...]
+    columns: tuple[int, ...]
 
     @cached_property
     def worlds(self) -> tuple[World, ...]:
-        """The worlds as objects, decoded from the profiles and model bitsets on first read."""
+        """The worlds as objects, decoded from the profiles and by transposing the columns on first read."""
         gp, classes = self.theory.ground_program, self.classes_by_space
+        true: list[list[Atom]] = [[] for _ in self.profiles]
+        for a, column in zip(gp.index, self.columns):
+            for i in set_bits(column):
+                true[i].append(a)
         return tuple(
             World(i, TotalChoice(tuple(c[j].partial for c, j in zip(classes, p))),
-                  Interpretation(gp.herbrand_base, gp.decode(m)))
-            for i, (p, m) in enumerate(zip(self.profiles, self.models))
+                  Interpretation(gp.herbrand_base, frozenset(m)))
+            for i, (p, m) in enumerate(zip(self.profiles, true))
         )
+
+
+def set_bits(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, in increasing order."""
+    return [i for i, b in enumerate(bin(mask)[:1:-1]) if b == "1"]
 
 
 def coherent_partial_choices(
@@ -110,12 +123,14 @@ def coherent_partial_choices(
     index = {a: i for i, a in enumerate(atoms)}
     alts = [[index[a] for a in alt.atoms] for alt in space.alternatives]
     masks = [sum(1 << a for a in ids) for ids in alts]
-    # holders[i][a]: the earlier alternatives that also hold atom a; each must pick a
-    holders = [{a: [k for k in range(i) if masks[k] >> a & 1] for a in ids} for i, ids in enumerate(alts)]
+    # conflict[i][a]: every later holder of a must pick a too, so no other atom of i or of them may be picked
+    conflict = [{a: reduce(or_, (m for m in masks[i + 1:] if m >> a & 1), masks[i]) & ~(1 << a) for a in ids}
+                for i, ids in enumerate(alts)]
     out: list[PartialChoice] = []
     chosen: list[int] = []
 
-    def walk(i: int, picked: int) -> None:
+    def walk(i: int, picked: int, banned: int) -> None:
+        # banned: the atoms an earlier alternative holds but did not pick
         if i == len(alts):
             out.append(partial_choice(space_index, [atoms[a] for a in chosen]))
             if len(out) > cap:
@@ -124,13 +139,12 @@ def coherent_partial_choices(
                 )
             return
         for a in alts[i]:
-            # coherent: no other atom of this alternative is picked, and every holder of a picked a
-            if not (picked & masks[i] & ~(1 << a) or any(chosen[k] != a for k in holders[i][a])):
+            if not (picked & conflict[i][a] or banned >> a & 1):
                 chosen.append(a)
-                walk(i + 1, picked | 1 << a)
+                walk(i + 1, picked | 1 << a, banned | masks[i] & ~(1 << a))
                 chosen.pop()
 
-    walk(0, 0)
+    walk(0, 0, 0)
     return out
 
 
@@ -149,23 +163,33 @@ def enumerate_total_choices(t: CCLTheory, cap: int = DEFAULT_WORLD_CAP) -> list[
 
 
 def build_world_space(t: CCLTheory, cap: int = DEFAULT_WORLD_CAP) -> WorldSpace:
-    """Every world's stable model, evaluated on its selections' image bits, and the per-space classes."""
+    """Every world's stable model, evaluated on all worlds at once, and the per-space classes.
+
+    World ``i`` is its profile as a mixed-radix number, so class ``j`` of a space with ``c`` classes and
+    stride ``s`` (the later spaces' world count) is the block ``((1 << s) - 1) << j*s`` every ``s*c`` worlds.
+    """
     gp = t.ground_program
     per_space = _selections_by_space(t, cap)
     profiles = tuple(itertools.product(*(range(len(lst)) for lst in per_space)))
-    masks = [[gp.encode(pc.image) for pc in lst] for lst in per_space]
-    members: list[list[list[int]]] = [[[] for _ in lst] for lst in per_space]
-    images = [0] * len(profiles)  # world i's image: the OR of its selections' masks
-    for in_class, ms, column in zip(members, masks, zip(*profiles)):  # column: each world's class there
-        for i, j in enumerate(column):
-            in_class[j].append(i)
-        images = [image | ms[j] for image, j in zip(images, column)]
-    # with no world at all (a space without coherent selections) no class is kept
-    classes = tuple(
-        tuple(WorldClass(pc, tuple(m)) for pc, m in zip(lst, ms) if m)
-        for lst, ms in zip(per_space, members)
-    )
-    return WorldSpace(t, classes, profiles, tuple(map(gp.evaluate, images)))
+    n = len(profiles)
+    columns = [0] * len(gp.index)
+    classes: list[tuple[WorldClass, ...]] = []
+    period = n
+    for lst in per_space:
+        # with no world at all (a space without coherent selections) no class is kept
+        stride = period // len(lst) if n else 0
+        repunit = ((1 << n) - 1) // ((1 << period) - 1) if n else 0  # one bit at the start of each period
+        for j, pc in enumerate(lst):
+            worlds = repunit * ((1 << stride) - 1) << j * stride
+            for a in pc.image:
+                columns[gp.index[a]] |= worlds
+        classes.append(tuple(
+            WorldClass(pc, tuple(itertools.chain.from_iterable(
+                map(range, range(j * stride, n, period), range((j + 1) * stride, n + 1, period)))))
+            for j, pc in enumerate(lst) if n
+        ))
+        period = stride
+    return WorldSpace(t, tuple(classes), profiles, tuple(gp.evaluate(columns, (1 << n) - 1)))
 
 
 def satisfies(world: World, q: Query) -> bool:

@@ -1,6 +1,7 @@
 """Exact rational simplex and vertex enumeration."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import pytest
 from conftest import solve_affine_system
 
 from credalchoice.errors import CapExceededError, InfeasibleError, UnboundedError
-from credalchoice.lp import Constraint, FeasibleSystem, enumerate_vertices_eq
+from credalchoice.lp import Constraint, FeasibleSystem, LPSolution, enumerate_vertices_eq
 
 F = Fraction
 
@@ -332,3 +333,30 @@ def test_lp_matches_basic_solution_brute_force_on_random_systems():
             assert sol.value == (-best if maximize else best), f"trial {trial}"
             outcomes["optimum"] += 1
     assert min(outcomes.values()) >= 20, outcomes
+
+
+def test_int_and_fraction_objectives_give_equal_solutions():
+    rng = random.Random(77)
+    solved = 0
+    for trial in range(200):
+        n = rng.randint(1, 3)
+        try:
+            system = FeasibleSystem(n, random_constraints(rng, n))
+        except InfeasibleError:
+            continue
+        objective = [F(rng.randint(-3, 3), rng.choice([1, 2, 3])) for _ in range(n)]
+        den = math.lcm(*(c.denominator for c in objective))
+        ints = [int(c * den) for c in objective]
+        maximize = rng.random() < 0.5
+        try:
+            sol = system.solve(objective, maximize=maximize)
+        except UnboundedError:
+            with pytest.raises(UnboundedError):
+                system.solve(ints, maximize=maximize)
+            continue
+        # the same pivots: a scaled objective gives the same point and a scaled optimum
+        assert system.solve(ints, maximize=maximize) == LPSolution(sol.value * den, sol.point), f"trial {trial}"
+        assert system.solve([F(c) for c in ints], maximize=maximize) == system.solve(ints, maximize=maximize)
+        assert sol.value == sum(c * x for c, x in zip(objective, sol.point)), f"trial {trial}"
+        solved += 1
+    assert solved >= 50, solved

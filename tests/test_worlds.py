@@ -1,5 +1,6 @@
 """World enumeration: coherence, canonical order, classes, and caps."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -10,7 +11,7 @@ from conftest import naive_stable_model, random_base_query, random_product_theor
 from credalchoice import logic, worlds
 from credalchoice.inference import query_profiles
 from credalchoice.errors import CapExceededError
-from credalchoice.logic import Program, atom
+from credalchoice.logic import Clause, Literal, Program, atom
 from credalchoice.theory import (
     Alternative,
     CCLTheory,
@@ -113,6 +114,14 @@ def test_brute_force_agreement_on_small_ranking_spaces(n):
     assert got == brute_force_coherent(space)
 
 
+def test_ranking_space_selections_are_permutations_in_order_at_n6():
+    # brute force cannot reach n = 6: the per-object picks must list every permutation, in order
+    got = coherent_partial_choices(ranking_space(6))
+    positions = [tuple(int(a.relation[1:]) - 1 for a in pc.selected[:6]) for pc in got]
+    assert positions == list(itertools.permutations(range(6)))
+    assert all(pc.selected[6:] == tuple(pc.selected[p.index(j)] for j in range(6)) for pc, p in zip(got, positions))
+
+
 def random_overlapping_space(rng: random.Random) -> ChoiceSpace:
     pool = [atom(f"a{i}") for i in range(rng.randint(1, 6))]
     return ChoiceSpace(
@@ -185,36 +194,57 @@ def test_world_space_checks_acyclicity_once(data_dir, monkeypatch):
 
 
 def test_world_space_builds_no_world_until_read(data_dir, monkeypatch):
-    stable_calls, built = [], []
-    real_world = worlds.World
+    evaluated, built = [], []
+    real_evaluate, real_world = logic.GroundProgram.evaluate, worlds.World
+
+    def counting_evaluate(gp, columns, every):
+        evaluated.append(every)
+        return real_evaluate(gp, columns, every)
 
     def counting_world(*args):
         built.append(args[0])
         return real_world(*args)
 
-    for mod in (logic, worlds):
-        monkeypatch.setattr(mod, "stable_model", lambda *a: stable_calls.append(a), raising=False)
+    monkeypatch.setattr(logic.GroundProgram, "evaluate", counting_evaluate)
     monkeypatch.setattr(worlds, "World", counting_world)
-    ws = build_world_space(load_ccl(data_dir / "friends.ccl").theory)
-    assert stable_calls == [] and built == []
+    t = load_ccl(data_dir / "friends.ccl").theory
+    ws = build_world_space(t)
+    # one evaluator pass over all eight worlds at once
+    assert evaluated == [2**8 - 1] and built == []
+    assert len(query_profiles(ws, query(atom("h")))) == 1 and built == []
     first = ws.worlds
     assert len(first) == 8 and built == list(range(8))
     assert ws.worlds is first and len(built) == 8
+    build_world_space(t)
+    assert len(evaluated) == 2
 
 
 def test_world_models_and_query_filter_match_naive_oracle():
     rng = random.Random(83)
+    shapes = set()
     for trial in range(40):
-        t = random_product_theory(rng, rng.randrange(1, 5))
-        t, _ = with_derived_atoms(rng, t, rng.randrange(1, 6))
+        t = random_product_theory(rng, rng.randrange(0, 5))
+        t, derived = with_derived_atoms(rng, t, rng.randrange(1, 6))
+        # a fact (an empty body), then one more body for a derived head, over atoms below it
+        k = rng.randrange(len(derived))
+        pool = sorted(t.atomic_choices) + derived[:k]
+        body = tuple(Literal(a, rng.random() < 0.5) for a in rng.sample(pool, min(2, len(pool))))
+        extra = [Clause(atom("f")), Clause(derived[k], body)]
+        t = CCLTheory(t.program.extend(extra), t.spaces, t.mu)
+        shapes.add(len(t.spaces))
         gp = t.ground_program
         ws = build_world_space(t)
+        assert len(ws.worlds) == math.prod(len(coherent_partial_choices(sp)) for sp in t.spaces)
+        for si, classes in enumerate(ws.classes_by_space):
+            for j, cls in enumerate(classes):
+                assert cls.world_indices == tuple(i for i, p in enumerate(ws.profiles) if p[si] == j)
         for w in ws.worlds:
             assert w.model.true_atoms == naive_stable_model(gp, w.choice.image), f"trial {trial}"
         for _ in range(3):
             q = random_base_query(rng, t)
             want = [ws.profiles[w.index] for w in ws.worlds if satisfies(w, q)]
             assert query_profiles(ws, q) == want, f"trial {trial}: {q}"
+    assert shapes == {0, 1, 2, 3, 4}
 
 
 def test_class_intersection_identifies_world(data_dir):
