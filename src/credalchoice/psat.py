@@ -15,9 +15,12 @@ looks for a distribution over them meeting the soft assessments.
 
 Probes of one query differ only in the query row's right-hand side, so
 the accepted values form an interval: the least and greatest query mass
-over distributions meeting the other assessments.  :func:`bisect_bounds`
-enumerates the models and runs phase one once per query, then compares
-each probe with those two optima.
+over distributions meeting the other assessments.  The hard formula's
+models are the theory's worlds, one per class of its one space, so that
+interval is the exact one over the space's class masses.
+:func:`bisect_bounds` reads it off one world space and one phase one per
+query, and compares each probe with its two ends; :func:`psat_decide`
+still decides a probe through the models, independently of the bracket.
 
 The ``xor`` connective here is n-ary *exclusive selection*: true when
 exactly one operand is true.  Its CNF is one disjunction plus pairwise
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from . import lp
 from .errors import CapExceededError, InfeasibleError
@@ -357,42 +360,24 @@ def _indicator(f: Formula, models: Sequence[frozenset[Atom]]) -> list[Fraction]:
     return [_ONE if f.evaluate(m) else _ZERO for m in models]
 
 
-def _mass_system(
-    inst: PSATInstance, soft: Sequence[Assessment], var_cap: int, clause_cap: int
-) -> tuple[list[frozenset[Atom]], lp.FeasibleSystem]:
-    """The instance's models, and the distributions over them meeting ``soft``.
-
-    Hard assessments get no row: every model satisfies them.
-    """
-    models = enumerate_models(inst.hard_formulas(), inst.variables(), var_cap=var_cap, clause_cap=clause_cap)
-    rows = [lp.Constraint([_ONE] * len(models), "==", _ONE)]
-    rows += [lp.Constraint(_indicator(a.formula, models), "==", a.prob) for a in soft if a.prob != 1]
-    return models, lp.FeasibleSystem(len(models), rows)
-
-
 def psat_decide(
     inst: PSATInstance,
     *,
     var_cap: int = DEFAULT_VAR_CAP,
     clause_cap: int = DEFAULT_CLAUSE_CAP,
 ) -> bool:
-    """True iff some distribution over assignments meets every assessment."""
+    """True iff some distribution over assignments meets every assessment.
+
+    Hard assessments get no row: every model satisfies them.
+    """
+    models = enumerate_models(inst.hard_formulas(), inst.variables(), var_cap=var_cap, clause_cap=clause_cap)
+    rows = [lp.Constraint([_ONE] * len(models), "==", _ONE)]
+    rows += [lp.Constraint(_indicator(a.formula, models), "==", a.prob) for a in inst.assessments if a.prob != 1]
     try:
-        _mass_system(inst, inst.assessments, var_cap, clause_cap)
+        lp.FeasibleSystem(len(models), rows)
     except InfeasibleError:
         return False
     return True
-
-
-def _query_range(t: CCLTheory, q: Query, var_cap: int) -> tuple[Fraction, Fraction] | None:
-    """The probe values ``psat_decide`` accepts, as ``(lo, hi)``; None if none."""
-    inst = build_psat_instance(t, q, _ZERO)  # a zero probe keeps the query soft: no model is cut
-    try:
-        models, system = _mass_system(inst, inst.assessments[:-1], var_cap, DEFAULT_CLAUSE_CAP)
-    except InfeasibleError:
-        return None
-    row = _indicator(inst.assessments[-1].formula, models)
-    return system.solve(row).value, system.solve(row, maximize=True).value
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +400,16 @@ class BracketState:
         return len(self.probes)
 
 
+def _query_system(ws: WorldSpace, q: Query) -> tuple[lp.FeasibleSystem, list[Fraction], Fraction]:
+    """The one space's class-mass system, the query's 0/1 row over its
+    classes, and the row's value at the system's phase-one point."""
+    system = marginal_polytope(ws, 0).feasible_system()
+    row = [_ZERO] * len(system.point)
+    for (c,) in query_profiles(ws, q):
+        row[c] = _ONE
+    return system, row, sum((v for v, r in zip(system.point, row) if r), _ZERO)
+
+
 def inner_point(t: CCLTheory, q: Query, *, world_space: WorldSpace | None = None) -> Fraction:
     """A query value attained by some admissible mass assignment.
 
@@ -422,9 +417,55 @@ def inner_point(t: CCLTheory, q: Query, *, world_space: WorldSpace | None = None
     so probing it always answers satisfiable.
     """
     t.require_one_space("inner_point")
-    ws = world_space or build_world_space(t)
-    point = marginal_polytope(ws, 0).feasible_system().point
-    return sum((point[c] for (c,) in query_profiles(ws, q)), _ZERO)
+    return _query_system(world_space or build_world_space(t), q)[2]
+
+
+def _bracket(
+    mid: Fraction, lo: Fraction, hi: Fraction, epsilon: Fraction, state: BracketState | None = None
+) -> IntervalResult:
+    """Bracket ``[lo, hi]``, which holds ``mid``, by probes ``lo <= alpha <= hi``.
+
+    Probes 0 and 1 first (a satisfiable boundary is an exact endpoint),
+    then two independent bisections between ``mid`` and the nearest
+    unsatisfiable probe, each to within ``epsilon``.
+    """
+    epsilon = Fraction(epsilon)
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    st = state if state is not None else BracketState(epsilon)
+    st.epsilon = epsilon
+    st.sat_low = st.sat_high = mid
+
+    def probe(alpha: Fraction) -> bool:
+        result = lo <= alpha <= hi
+        st.probes.append((alpha, result))
+        return result
+
+    if probe(_ZERO):
+        st.sat_low = lower = _ZERO
+    else:
+        st.unsat_low = _ZERO
+        while st.sat_low - st.unsat_low > epsilon:
+            alpha = (st.sat_low + st.unsat_low) / 2
+            if probe(alpha):
+                st.sat_low = alpha
+            else:
+                st.unsat_low = alpha
+        lower = st.unsat_low
+
+    if probe(_ONE):
+        st.sat_high = upper = _ONE
+    else:
+        st.unsat_high = _ONE
+        while st.unsat_high - st.sat_high > epsilon:
+            alpha = (st.sat_high + st.unsat_high) / 2
+            if probe(alpha):
+                st.sat_high = alpha
+            else:
+                st.unsat_high = alpha
+        upper = st.unsat_high
+
+    return IntervalResult(lower, upper, "psat_bisect", epsilon)
 
 
 def bisect_bounds(
@@ -433,57 +474,17 @@ def bisect_bounds(
     epsilon: Fraction = Fraction(1, 1024),
     *,
     state: BracketState | None = None,
-    var_cap: int = DEFAULT_VAR_CAP,
 ) -> IntervalResult:
     """Bracket the exact interval with probes, to within ``epsilon``.
 
-    Probes 0 and 1 first (a satisfiable boundary is an exact endpoint),
-    then runs two independent bisections between the inner point and the
-    nearest unsatisfiable probe.  The returned interval contains the
-    exact one and each endpoint is within ``epsilon`` of it.
+    The probes start from the inner point and are decided against the
+    least and greatest query mass of the class-mass system.  The returned
+    interval contains the exact one and each endpoint is within
+    ``epsilon`` of it.
     """
     t.require_one_space("the psat method")
-    epsilon = Fraction(epsilon)
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    mid_value = inner_point(t, q)
-    attainable = _query_range(t, q, var_cap)
-    st = state if state is not None else BracketState(epsilon)
-    st.epsilon = epsilon
-    st.sat_low = st.sat_high = mid_value
-
-    def probe(alpha: Fraction) -> bool:
-        result = attainable is not None and attainable[0] <= alpha <= attainable[1]
-        st.probes.append((alpha, result))
-        return result
-
-    if probe(_ZERO):
-        lower = _ZERO
-        st.sat_low = _ZERO
-    else:
-        st.unsat_low = _ZERO
-        while st.sat_low - st.unsat_low > epsilon:
-            mid = (st.sat_low + st.unsat_low) / 2
-            if probe(mid):
-                st.sat_low = mid
-            else:
-                st.unsat_low = mid
-        lower = st.unsat_low
-
-    if probe(_ONE):
-        upper = _ONE
-        st.sat_high = _ONE
-    else:
-        st.unsat_high = _ONE
-        while st.unsat_high - st.sat_high > epsilon:
-            mid = (st.sat_high + st.unsat_high) / 2
-            if probe(mid):
-                st.sat_high = mid
-            else:
-                st.unsat_high = mid
-        upper = st.unsat_high
-
-    return IntervalResult(lower, upper, "psat_bisect", epsilon)
+    system, row, mid = _query_system(build_world_space(t), q)
+    return _bracket(mid, system.solve(row).value, system.solve(row, maximize=True).value, epsilon, state)
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,10 @@ for "object A is ranked better than object B" without inventing a joint
 distribution the marginals do not determine.
 
 The world space is built once per matrix: its classes are the
-permutations.  The ``lp`` backend reads each pair off that one space as
-a 0/1 objective over the permutations ("A ahead of B"), minimized and
-maximized over the one marginal polytope; the ``psat`` backend still
-poses the pair as a query atom (:func:`pairwise_query`), since its
-reduction needs one.
+permutations.  Each pair is a 0/1 objective over them ("A ahead of B")
+on the one marginal polytope: the ``lp`` backend reports its minimum and
+maximum, and the ``psat`` backend brackets the two by bisection, as
+:func:`~credalchoice.psat.bisect_bounds` does for :func:`pairwise_query`.
 
 Ranking files hold one ranking per line, best first, comma separated,
 with an optional ``xK`` multiplicity suffix::
@@ -33,12 +32,12 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import ParseError
 from .inference import IntervalResult, marginal_polytope, proxy_mass_function
 from .logic import Atom, Clause, Literal, Program, Term, atom
-from .psat import bisect_bounds
+from .psat import _bracket
 from .rational import format_fraction
 from .theory import Alternative, CCLTheory, ChoiceSpace, Query, validate_theory
 from .worlds import build_world_space
@@ -341,7 +340,7 @@ def report_from_marginals(
     base_theory = build_ranking_theory(marginals)
     ws = build_world_space(base_theory)
     # one space and no rules: world c is the permutation of class c
-    system = marginal_polytope(ws, 0).feasible_system() if backend == "lp" else None
+    system = marginal_polytope(ws, 0).feasible_system()
     proxy = proxy_mass_function(base_theory, world_space=ws).values
     n = len(marginals.objects)
     position_of = {
@@ -355,12 +354,12 @@ def report_from_marginals(
     for i in range(n):
         for j in range(i + 1, n):
             ahead = [_ONE if pos[i] < pos[j] else _ZERO for pos in positions]
+            lo, hi = system.solve(ahead).value, system.solve(ahead, maximize=True).value
             if backend == "lp":
-                interval = IntervalResult(
-                    system.solve(ahead).value, system.solve(ahead, maximize=True).value, "lp"
-                )
+                interval = IntervalResult(lo, hi, "lp")
             else:
-                interval = bisect_bounds(*pairwise_query(base_theory, marginals, i, j), epsilon)
+                start = sum((v for v, a in zip(system.point, ahead) if a), _ZERO)
+                interval = _bracket(start, lo, hi, epsilon)
             decision = decide_preference(interval, threshold, (i, j))
             point = sum((w for w, a in zip(proxy, ahead) if a), _ZERO)
             icl_verdict = decide_preference(IntervalResult(point, point, "proxy"), threshold).verdict

@@ -267,17 +267,28 @@ def test_rank_single_ranking_all_pairs_determinate(tmp_path, capsys):
     assert F(d["determinacy_rate"]["value"]) == 1
 
 
-def test_rank_psat_backend_brackets_lp(data_dir, capsys):
-    path = str(data_dir / "abc.rankings")
+def assert_rank_psat_brackets_lp(path, capsys):
     _, lp_out, _ = run(["rank", path], capsys)
-    _, ps_out, _ = run(["rank", path, "--backend", "psat", "--epsilon", "1/64"], capsys)
+    code, ps_out, _ = run(["rank", path, "--backend", "psat", "--epsilon", "1/64"], capsys)
+    assert code == 0
     lp = json.loads(lp_out)
     ps = json.loads(ps_out)
+    assert len(ps["pairs"]) == len(lp["pairs"])
     for a, b in zip(lp["pairs"], ps["pairs"]):
         assert F(b["interval"]["lower"]) <= F(a["interval"]["lower"])
         assert F(a["interval"]["upper"]) <= F(b["interval"]["upper"])
         assert F(a["interval"]["lower"]) - F(b["interval"]["lower"]) <= F(1, 64)
         assert F(b["interval"]["upper"]) - F(a["interval"]["upper"]) <= F(1, 64)
+
+
+def test_rank_psat_backend_brackets_lp(data_dir, capsys):
+    assert_rank_psat_brackets_lp(str(data_dir / "abc.rankings"), capsys)
+
+
+def test_rank_psat_backend_on_five_objects(tmp_path, capsys):
+    p = tmp_path / "five.rankings"
+    p.write_text("a,b,c,d,e x3\nb,a,d,c,e x2\ne,d,c,b,a\nc,a,e,b,d\n")
+    assert_rank_psat_brackets_lp(str(p), capsys)
 
 
 def test_rank_holdout_seed_determinism(data_dir, capsys):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_query, random_single_space_theory, with_derived_atom
 from credalchoice import psat
-from credalchoice.errors import CapExceededError
+from credalchoice.errors import CapExceededError, InfeasibleError
 from credalchoice.inference import credal_bounds_single_space
 from credalchoice.logic import Program, atom, parse_program, ground
 from credalchoice.psat import (
@@ -441,7 +441,7 @@ def test_bisect_probes_match_psat_decide_on_random_theories():
         _assert_probes_match_decide(t, q, state)
 
 
-def test_bisect_answers_false_when_the_assessments_conflict(monkeypatch):
+def test_bisect_answers_false_when_the_assessments_conflict():
     # masses summing to 3/4: no distribution meets them, at any probe
     t = CCLTheory(
         Program(),
@@ -449,15 +449,14 @@ def test_bisect_answers_false_when_the_assessments_conflict(monkeypatch):
         {atom("a"): F(1, 2), atom("b"): F(1, 4)},
     )
     q = query("a")
-    monkeypatch.setattr(psat, "inner_point", lambda t, q: F(1, 2))
-    state = BracketState()
-    bisect_bounds(t, q, F(1, 16), state=state)
-    assert state.probes and not any(answer for _, answer in state.probes)
-    _assert_probes_match_decide(t, q, state)
+    with pytest.raises(InfeasibleError):
+        bisect_bounds(t, q, F(1, 16))
+    for alpha in (F(0), F(1, 4), F(1, 2), F(3, 4), F(1)):
+        assert not psat_decide(build_psat_instance(t, q, alpha)), alpha
 
 
-def test_bisect_enumerates_models_once_and_never_decides(data_dir, monkeypatch):
-    calls = {"enumerate_models": 0, "psat_decide": 0}
+def test_bisect_builds_one_world_space_and_never_decides(data_dir, monkeypatch):
+    calls = {"build_world_space": 0, "enumerate_models": 0, "psat_decide": 0}
 
     def counting(name):
         original = getattr(psat, name)
@@ -474,7 +473,7 @@ def test_bisect_enumerates_models_once_and_never_decides(data_dir, monkeypatch):
     state = BracketState()
     bisect_bounds(doc.theory, doc.queries[0], state=state)
     assert state.calls > 2
-    assert calls == {"enumerate_models": 1, "psat_decide": 0}
+    assert calls == {"build_world_space": 1, "enumerate_models": 0, "psat_decide": 0}
 
 
 def test_bisect_rejects_nonpositive_epsilon(data_dir):

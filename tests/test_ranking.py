@@ -14,6 +14,7 @@ from credalchoice.inference import (
     proxy_in_credal_set,
     proxy_query_value,
 )
+from credalchoice.psat import bisect_bounds
 from credalchoice.ranking import (
     CountMatrix,
     MarginalMatrix,
@@ -372,15 +373,25 @@ def test_evaluate_identical_rankings_all_determinate():
     assert rep.icl_acc_indeterminate is None  # vacuous: no such pairs
 
 
-def test_evaluate_psat_backend_brackets_lp():
-    d = abc_dataset()
-    eps = F(1, 256)
+def assert_psat_brackets_lp(d: RankingDataset, eps: Fraction) -> None:
     lp_rep = evaluate(d, backend="lp")
     psat_rep = evaluate(d, backend="psat", epsilon=eps)
+    assert len(psat_rep.pairs) == len(lp_rep.pairs) == d.n * (d.n - 1) // 2
     for a, b in zip(lp_rep.pairs, psat_rep.pairs):
         assert b.interval.lower <= a.interval.lower <= a.interval.upper <= b.interval.upper
         assert a.interval.lower - b.interval.lower <= eps
         assert b.interval.upper - a.interval.upper <= eps
+
+
+def test_evaluate_psat_backend_brackets_lp():
+    assert_psat_brackets_lp(abc_dataset(), F(1, 256))
+
+
+def test_evaluate_psat_backend_brackets_lp_on_five_objects():
+    rng = random.Random(5)
+    assert_psat_brackets_lp(
+        RankingDataset(tuple("abcde"), tuple(tuple(rng.sample(range(5), 5)) for _ in range(30))), F(1, 64)
+    )
 
 
 def test_evaluate_holdout_split_determinism():
@@ -456,6 +467,44 @@ def test_report_builds_one_world_space(monkeypatch):
     monkeypatch.setattr(ranking, "build_world_space", counting)
     report_from_marginals(oracle_marginals("random-4"), backend="lp")
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_psat_report_matches_per_pair_bisection(n):
+    rng = random.Random(n)
+    for trial in range(3):
+        rankings = tuple(tuple(rng.sample(range(n), n)) for _ in range(rng.randint(1, 20)))
+        m = smooth_marginals(counts_from_rankings(RankingDataset(tuple(f"o{i}" for i in range(n)), rankings)))
+        t = build_ranking_theory(m)
+        eps = [F(1, 16), F(1, 64), F(1, 1024)][trial]
+        rep = report_from_marginals(m, backend="psat", epsilon=eps)
+        for p, (i, j) in zip(rep.pairs, itertools.combinations(range(n), 2)):
+            assert p.interval == bisect_bounds(*pairwise_query(t, m, i, j), eps), (trial, i, j)
+
+
+def test_psat_report_builds_one_world_space_and_one_system(monkeypatch):
+    import credalchoice.lp as lp
+    import credalchoice.psat as psat
+    import credalchoice.ranking as ranking
+
+    calls = {"build_world_space": 0, "FeasibleSystem": 0, "pairwise_query": 0, "bisect_bounds": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(ranking, "build_world_space")
+    counting(lp, "FeasibleSystem")
+    counting(ranking, "pairwise_query")
+    counting(psat, "bisect_bounds")
+    rep = report_from_marginals(oracle_marginals("random-4"), backend="psat", epsilon=F(1, 64))
+    assert len(rep.pairs) == 6
+    assert calls == {"build_world_space": 1, "FeasibleSystem": 1, "pairwise_query": 0, "bisect_bounds": 0}
 
 
 def test_report_rejects_unknown_backend():
