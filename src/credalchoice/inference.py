@@ -8,10 +8,11 @@ Queries are then bounded in three ways:
 * ``credal_bounds_strong_extension`` - exact bounds for any number of
   spaces.  The query mass is linear in each space's class masses, so
   its extremes are attained with every space but the last at a vertex
-  of its polytope.  Those vertices are enumerated for spaces 0..k-2;
-  each combination sums the satisfying profiles out space by space into
-  an integer objective over the last space's classes, minimized and
-  maximized by one ``lp.FeasibleSystem`` that runs phase one once per call;
+  of its polytope.  Every space's polytope is one ``lp.FeasibleSystem``,
+  brought to a feasible basis by one phase one: the vertices of spaces
+  0..k-2 are walked from that basis, and each combination sums the
+  satisfying profiles out space by space into an integer objective over
+  the last space's classes, minimized and maximized over its system;
 * ``credal_bounds_single_space`` - the same bound for a one-space
   theory, where no vertex is enumerated and it is a pair of LPs;
 * ``outer_bound`` - a cheap factorized relaxation: per-world products of
@@ -130,8 +131,7 @@ def marginal_polytope(ws: WorldSpace, space_index: int) -> MarginalPolytope:
 
 def enumerate_vertices(p: MarginalPolytope, *, cap: int = lp.DEFAULT_BASIS_CAP) -> list[MassFunction]:
     """All extreme points of the class-mass polytope, exact and deduplicated."""
-    vertices = lp.enumerate_vertices_eq(p.rows, p.rhs, cap=cap)
-    return [MassFunction(v) for v in vertices]
+    return [MassFunction(v) for v in lp.enumerate_vertices_eq(p.feasible_system(), cap=cap)]
 
 
 def _query_worlds(ws: WorldSpace, q: Query) -> list[int]:
@@ -240,8 +240,7 @@ def credal_bounds_strong_extension(
         return IntervalResult(value, value, "vertex_product")
 
     vertex_sets = [
-        [mf.values for mf in enumerate_vertices(marginal_polytope(ws, i), cap=vertex_cap)]
-        for i in range(k - 1)
+        lp.enumerate_vertices_eq(marginal_polytope(ws, i).feasible_system(), cap=vertex_cap) for i in range(k - 1)
     ]
     combos = prod(len(vs) for vs in vertex_sets)
     if combos > combo_cap:

@@ -19,10 +19,11 @@ the same polytope pays only for its own phase two.  It is the one LP
 entry point: a one-shot optimum is ``FeasibleSystem(n, cons).solve(c)``
 and a feasible point is ``FeasibleSystem(n, cons).point``.
 
-The same machinery enumerates the vertices of a bounded polyhedron in
-equality form ``{x >= 0 : Ax = b}`` by breadth-first search over
-feasible bases, starting from a phase-one basis.  Degenerate vertices
-are reached through multiple bases; points are deduplicated.
+:func:`enumerate_vertices_eq` lists the vertices of a bounded system's
+polytope by breadth-first search over its feasible bases, starting from
+the system's phase-one basis and leaving by the simplex's own ratio
+test.  Degenerate vertices are reached through multiple bases; points
+are deduplicated.
 """
 
 from __future__ import annotations
@@ -94,24 +95,32 @@ def _pivot(rows: list[IntRow], obj: IntRow, basis: list[int], r: int, c: int) ->
     basis[r] = c
 
 
+def _min_ratio_rows(rows: list[IntRow], col: int) -> list[int]:
+    """The rows with ``row[col] > 0`` whose ratio ``rhs / row[col]`` is least, found by cross-multiplying."""
+    best: list[int] = []
+    for r, row in enumerate(rows):
+        d = row[col]
+        if d > 0:
+            # the sign of row[-1]/d - num/den, the best ratio so far
+            diff = row[-1] * den - num * d if best else -1
+            if diff < 0:
+                best, num, den = [r], row[-1], d
+            elif diff == 0:
+                best.append(r)
+    return best
+
+
 def _bland_minimize(rows: list[IntRow], obj: IntRow, basis: list[int]) -> None:
-    """Bland's rule; ratios ``rhs / row[enter]`` are compared by cross-multiplying."""
+    """Bland's rule: the first improving column enters, the tied row with the least basic column leaves."""
     ncols = len(obj) - 1
     while True:
         enter = next((j for j in range(ncols) if obj[j] < 0), None)
         if enter is None:
             return
-        leave = None
-        for r, row in enumerate(rows):
-            d = row[enter]
-            if d > 0:
-                # the sign of row[-1]/d - num/den, the best ratio so far
-                diff = -1 if leave is None else row[-1] * den - num * d
-                if diff < 0 or (diff == 0 and basis[r] < basis[leave]):
-                    leave, num, den = r, row[-1], d
-        if leave is None:
+        ties = _min_ratio_rows(rows, enter)
+        if not ties:
             raise UnboundedError("objective improves without bound")
-        _pivot(rows, obj, basis, leave, enter)
+        _pivot(rows, obj, basis, min(ties, key=basis.__getitem__), enter)
 
 
 def _phase_one(rows: list, nreal: int) -> list[int]:
@@ -145,10 +154,8 @@ def _phase_one(rows: list, nreal: int) -> list[int]:
                 _pivot(rows, obj, basis, r, col)
 
     keep = [r for r in range(len(rows)) if basis[r] < nreal]
-    pruned = [_coprime(rows[r][:nreal] + [rows[r][-1]]) for r in keep]
-    new_basis = [basis[r] for r in keep]
-    rows[:] = pruned
-    return new_basis
+    rows[:] = [_coprime(rows[r][:nreal] + [rows[r][-1]]) for r in keep]
+    return [basis[r] for r in keep]
 
 
 def _standardize(n: int, constraints: Iterable[Constraint]) -> tuple[list[Row], int]:
@@ -167,7 +174,7 @@ def _standardize(n: int, constraints: Iterable[Constraint]) -> tuple[list[Row], 
     rows: list[Row] = []
     slack_at = 0
     for coeffs, rel, rhs in cons:
-        row = [Fraction(c) for c in coeffs] + [_ZERO] * nslack + [rhs]
+        row = coeffs + [_ZERO] * nslack + [rhs]  # as given: phase one reads numerators and denominators
         if rel != "==":
             row[n + slack_at] = _ONE if rel == "<=" else -_ONE
             slack_at += 1
@@ -228,76 +235,45 @@ class FeasibleSystem:
 
 
 # ---------------------------------------------------------------------------
-# Vertex enumeration for {x >= 0 : Ax = b}.
+# Vertex enumeration over a system's feasible bases.
 
 
-def _tableau_for_basis(rows: list[IntRow], basis: Sequence[int]) -> list[IntRow] | None:
-    """Rewrite independent equality rows in terms of the given basis.
-
-    Returns None when the basis columns are singular.  Row ``k`` of the
-    result is a positive multiple of the unit row of ``basis[k]``.
-    """
+def _tableau_for_basis(rows: list[IntRow], basis: Sequence[int]) -> list[IntRow]:
+    """Independent ``rows`` on a non-singular basis: row ``k`` is a positive multiple of ``basis[k]``'s unit row."""
     aug = list(rows)  # pivots replace rows rather than editing them
-    m = len(aug)
     untouched = [0] * len(aug[0]) if aug else []  # a zero objective row; pivots leave it
     for k, col in enumerate(basis):
-        src = next((r for r in range(k, m) if aug[r][col] != 0), None)
-        if src is None:
-            return None
+        src = next(r for r in range(k, len(aug)) if aug[r][col] != 0)
         aug[k], aug[src] = aug[src], aug[k]
         _pivot(aug, untouched, list(basis), k, col)
     return aug
 
 
-def enumerate_vertices_eq(
-    a: Sequence[Sequence[Fraction]],
-    b: Sequence[Fraction],
-    *,
-    cap: int = DEFAULT_BASIS_CAP,
-) -> list[tuple[Fraction, ...]]:
-    """All vertices of the bounded polyhedron ``{x >= 0 : Ax = b}``.
+def enumerate_vertices_eq(system: FeasibleSystem, *, cap: int = DEFAULT_BASIS_CAP) -> list[tuple[Fraction, ...]]:
+    """All vertices of a bounded system's polytope, sorted.
 
-    Walks the graph of feasible bases by single pivots, so the polytope
-    must be bounded (unbounded edge directions are ignored).  Raises
-    :class:`InfeasibleError` when the polyhedron is empty and
-    :class:`CapExceededError` when more than ``cap`` bases are visited.
+    Walks the graph of feasible bases breadth first by single pivots,
+    starting from the phase-one basis, so the polytope must be bounded
+    (unbounded edge directions are ignored).  Every tied leaving row is
+    followed, so degenerate vertices are reached through several bases;
+    points are deduplicated.  Raises :class:`CapExceededError` when more
+    than ``cap`` bases are visited.
     """
-    if not a:
-        return [()]
-    n = len(a[0])
-    # phase one drops redundant rows, so ``rows`` ends up independent
-    rows, _ = _standardize(n, (Constraint(row, "==", rhs) for row, rhs in zip(a, b)))
-    start = _phase_one(rows, n)
-
-    m = len(start)
-    first = tuple(sorted(start))
+    rows, n = system._rows, system.n
+    first = tuple(sorted(system._basis))
     seen: set[tuple[int, ...]] = {first}
     queue: deque[tuple[int, ...]] = deque([first])
     points: dict[tuple[Fraction, ...], None] = {}
-
     while queue:
         basis = queue.popleft()
         tab = _tableau_for_basis(rows, basis)
-        if tab is None:
-            continue
         points.setdefault(_basic_point(tab, basis, n))
-
         basic = set(basis)
-        for j in range(n):
+        for j in range(system._ncols):
             if j in basic:
                 continue
-            leave: list[int] = []
-            for r in range(m):
-                d = tab[r][j]
-                if d > 0:
-                    diff = tab[r][-1] * den - num * d if leave else -1
-                    if diff < 0:
-                        leave, num, den = [r], tab[r][-1], d
-                    elif diff == 0:
-                        leave.append(r)
-            if not leave:
-                continue  # unbounded edge; irrelevant for bounded polytopes
-            for r in leave:
+            # a min-ratio pivot on a positive entry: the new basis is feasible and non-singular
+            for r in _min_ratio_rows(tab, j):
                 nb = tuple(sorted(basic - {basis[r]} | {j}))
                 if nb not in seen:
                     seen.add(nb)

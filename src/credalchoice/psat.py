@@ -360,17 +360,12 @@ def _indicator(f: Formula, models: Sequence[frozenset[Atom]]) -> list[Fraction]:
     return [_ONE if f.evaluate(m) else _ZERO for m in models]
 
 
-def psat_decide(
-    inst: PSATInstance,
-    *,
-    var_cap: int = DEFAULT_VAR_CAP,
-    clause_cap: int = DEFAULT_CLAUSE_CAP,
-) -> bool:
+def psat_decide(inst: PSATInstance) -> bool:
     """True iff some distribution over assignments meets every assessment.
 
     Hard assessments get no row: every model satisfies them.
     """
-    models = enumerate_models(inst.hard_formulas(), inst.variables(), var_cap=var_cap, clause_cap=clause_cap)
+    models = enumerate_models(inst.hard_formulas(), inst.variables())
     rows = [lp.Constraint([_ONE] * len(models), "==", _ONE)]
     rows += [lp.Constraint(_indicator(a.formula, models), "==", a.prob) for a in inst.assessments if a.prob != 1]
     try:

@@ -18,7 +18,7 @@ from conftest import (
     with_derived_atoms,
 )
 
-from credalchoice.errors import InfeasibleError
+from credalchoice.errors import CapExceededError, InfeasibleError
 from credalchoice.inference import (
     IntervalResult,
     MassFunction,
@@ -254,6 +254,15 @@ def test_friends_strong_extension_bounds(data_dir):
     iv = credal_bounds_strong_extension(doc.theory, query("h"))
     assert (iv.lower, iv.upper) == (F(8, 25), F(2, 5))
     assert iv.method == "vertex_product"
+
+
+def test_combo_cap_bounds_the_vertex_combinations(data_dir):
+    t = load_ccl(data_dir / "friends.ccl").theory
+    # two spaces: the combinations are the vertices of the first
+    v = len(enumerate_vertices(marginal_polytope(build_world_space(t), 0)))
+    with pytest.raises(CapExceededError, match=f"^{v} vertex combinations, more than the cap of {v - 1}$"):
+        credal_bounds_strong_extension(t, query("h"), combo_cap=v - 1)
+    assert credal_bounds_strong_extension(t, query("h"), combo_cap=v) == credal_bounds_strong_extension(t, query("h"))
 
 
 # Four ranked objects: the one-space pair theory's class-mass polytope is

@@ -112,9 +112,14 @@ def test_urn_joint_lp_bounds():
     assert (lo, hi) == (F(1, 2), F(7, 10))
 
 
+def equality_system(rows, rhs) -> FeasibleSystem:
+    """``{x >= 0 : Ax = b}`` brought to a feasible basis."""
+    return FeasibleSystem(len(rows[0]), [Constraint(r, "==", b) for r, b in zip(rows, rhs)])
+
+
 def test_urn_joint_vertices_bracket_lp():
     rows, rhs = urn_joint_constraints()
-    verts = enumerate_vertices_eq(rows, rhs)
+    verts = enumerate_vertices_eq(equality_system(rows, rhs))
     objective = tuple(
         F(1) if (i != 1 and j != 0) else F(0) for i in range(3) for j in range(3)
     )
@@ -126,7 +131,7 @@ def test_urn_joint_vertices_bracket_lp():
 def test_vertex_enumeration_on_unit_simplex():
     rows = [(F(1), F(1), F(1))]
     rhs = [F(1)]
-    verts = enumerate_vertices_eq(rows, rhs)
+    verts = enumerate_vertices_eq(equality_system(rows, rhs))
     assert sorted(verts) == [
         (F(0), F(0), F(1)),
         (F(0), F(1), F(0)),
@@ -137,20 +142,20 @@ def test_vertex_enumeration_on_unit_simplex():
 def test_vertex_enumeration_point_polytope():
     rows = [(F(1), F(0)), (F(0), F(1))]
     rhs = [F(1, 3), F(2, 3)]
-    assert enumerate_vertices_eq(rows, rhs) == [(F(1, 3), F(2, 3))]
+    assert enumerate_vertices_eq(equality_system(rows, rhs)) == [(F(1, 3), F(2, 3))]
 
 
 def test_vertex_enumeration_infeasible():
     rows = [(F(1), F(1)), (F(1), F(1))]
     rhs = [F(1), F(2)]
     with pytest.raises(InfeasibleError):
-        enumerate_vertices_eq(rows, rhs)
+        enumerate_vertices_eq(equality_system(rows, rhs))
 
 
 def test_vertex_enumeration_redundant_rows():
     rows = [(F(1), F(1)), (F(2), F(2))]
     rhs = [F(1), F(2)]
-    verts = enumerate_vertices_eq(rows, rhs)
+    verts = enumerate_vertices_eq(equality_system(rows, rhs))
     assert sorted(verts) == [(F(0), F(1)), (F(1), F(0))]
 
 
@@ -158,7 +163,7 @@ def test_vertex_cap():
     rows = [(F(1),) * 6]
     rhs = [F(1)]
     with pytest.raises(CapExceededError):
-        enumerate_vertices_eq(rows, rhs, cap=3)
+        enumerate_vertices_eq(equality_system(rows, rhs), cap=3)
 
 
 def random_transportation(rng: random.Random, m: int, n: int):
@@ -194,9 +199,9 @@ def test_lp_matches_vertex_brute_force_on_random_transportation():
         n = rng.randrange(2, 4)
         rows, rhs = random_transportation(rng, m, n)
         cons = [Constraint(r, "==", b) for r, b in zip(rows, rhs)]
-        verts = enumerate_vertices_eq(rows, rhs)
-        # one phase one serves every objective, minimized and maximized in turn
+        # one phase one serves the vertex walk and every objective, minimized and maximized in turn
         system = FeasibleSystem(m * n, cons)
+        verts = enumerate_vertices_eq(system)
         for _ in range(3):
             objective = tuple(F(rng.randrange(-5, 6)) for _ in range(m * n))
             values = [sum(c * x for c, x in zip(objective, v)) for v in verts]
@@ -221,7 +226,7 @@ def test_feasible_system_point_and_objective_length():
 def test_vertices_satisfy_their_system():
     rng = random.Random(5)
     rows, rhs = random_transportation(rng, 3, 3)
-    for v in enumerate_vertices_eq(rows, rhs):
+    for v in enumerate_vertices_eq(equality_system(rows, rhs)):
         assert all(x >= 0 for x in v)
         for r, b in zip(rows, rhs):
             assert sum(c * x for c, x in zip(r, v)) == b
@@ -360,3 +365,48 @@ def test_int_and_fraction_objectives_give_equal_solutions():
         assert sol.value == sum(c * x for c, x in zip(objective, sol.point)), f"trial {trial}"
         solved += 1
     assert solved >= 50, solved
+
+
+def random_bounded_system(rng: random.Random, n: int) -> list[Constraint]:
+    """A sum-to-one row plus random 0/+-1 rows, so the polyhedron is bounded.
+
+    Right-hand sides come from a point of the simplex, so most systems are
+    feasible; some are set to zero (degenerate vertices) or moved (often
+    infeasible), and some rows come twice (redundant).
+    """
+    rows = [[F(1)] * n] + [[F(rng.choice((-1, 0, 0, 1))) for _ in range(n)] for _ in range(rng.randint(0, 3))]
+    x = [F(rng.choice((0, 0, 1, 2, 3))) for _ in range(n)]
+    x = [v / sum(x) for v in x] if any(x) else [F(1)] + [F(0)] * (n - 1)
+    cons = [Constraint(rows[0], "==", F(1))]
+    for row in rows[1:]:
+        rhs = sum(c * v for c, v in zip(row, x))
+        draw = rng.random()
+        if draw < 0.2:
+            rhs = F(0)
+        elif draw < 0.3:
+            rhs = F(rng.randint(-2, 3), rng.randint(1, 4))
+        cons.append(Constraint(row, rng.choice(("==", "==", "<=", ">=")), rhs))
+    if rng.random() < 0.3:
+        c = rng.choice(cons)
+        cons.append(Constraint([2 * v for v in c.coeffs], c.sense, 2 * c.rhs))
+    return cons
+
+
+def test_vertex_walk_matches_basic_solution_brute_force():
+    rng = random.Random(11)
+    outcomes = {"infeasible": 0, "one vertex": 0, "several vertices": 0, "with slacks": 0}
+    for trial in range(150):
+        n = rng.randint(2, 5)
+        cons = random_bounded_system(rng, n)
+        a, b = standard_form(n, cons)
+        # the slacks are fixed by x, so the projected basic solutions are the vertices
+        expected = sorted({tuple(x[:n]) for x in basic_feasible_solutions(a, b)})
+        if not expected:
+            with pytest.raises(InfeasibleError):
+                enumerate_vertices_eq(FeasibleSystem(n, cons))
+            outcomes["infeasible"] += 1
+            continue
+        assert enumerate_vertices_eq(FeasibleSystem(n, cons)) == expected, f"trial {trial}"
+        outcomes["one vertex" if len(expected) == 1 else "several vertices"] += 1
+        outcomes["with slacks"] += len(a[0]) > n
+    assert min(outcomes.values()) >= 10, outcomes
