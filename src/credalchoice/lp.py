@@ -7,11 +7,14 @@ method terminates even on degenerate problems.
 
 Constraints and objectives come in as ``Fraction``s, and points and
 optima go out as exact ``Fraction``s.  Inside, the tableau is
-fraction-free (Edmonds 1967; Bareiss 1968): each row is a list of
-coprime Python ``int``s, held only up to a positive factor.  Every
-Bland decision is a sign test or a cross-multiplied ratio comparison,
-and no such factor changes either, so the pivots are exactly those of
-a ``Fraction`` tableau.
+fraction-free (Edmonds 1967; Bareiss 1968) and stores only the nonbasic
+columns: a row is its entries there, its rhs and, last, its entry
+``d > 0`` in its own basic column, as coprime ``int``s held only up to a
+positive factor.  Every Bland decision is a sign test or a
+cross-multiplied ratio comparison, which no such factor changes, so the
+pivots are exactly those of a ``Fraction`` tableau.  A pivot moves the
+leaving column into the entering one's place, so phase one stores an
+artificial column only once it has left the basis.
 
 ``FeasibleSystem`` is the core: it runs phase one once per constraint
 system and keeps the feasible basis, so every objective optimized over
@@ -22,8 +25,8 @@ and a feasible point is ``FeasibleSystem(n, cons).point``.
 :func:`enumerate_vertices_eq` lists the vertices of a bounded system's
 polytope by breadth-first search over its feasible bases, starting from
 the system's phase-one basis and leaving by the simplex's own ratio
-test.  Degenerate vertices are reached through multiple bases; points
-are deduplicated.
+test; the same pivot brings the kept tableau to each basis.  Degenerate
+vertices are reached through multiple bases; points are deduplicated.
 """
 
 from __future__ import annotations
@@ -68,100 +71,115 @@ def _scaled(row: Sequence[Fraction], den: int) -> IntRow:
     return [v.numerator * (den // v.denominator) for v in row]
 
 
-def _combine(p: int, row: IntRow, f: int, prow: IntRow) -> IntRow:
-    """``p*row - f*prow`` divided by the gcd of its entries, as a new list."""
-    return _coprime([p * v - f * w for v, w in zip(row, prow)])
-
-
-def _pivot(rows: list[IntRow], obj: IntRow, basis: list[int], r: int, c: int) -> None:
-    """Pivot on entry ``(r, c)``, made positive (``p``) by negating its row.
-
-    Each other row with entry ``f`` in column ``c`` becomes ``p*row -
-    f*prow`` over its gcd, a positive multiple of the rational pivot's
-    row.  Changed rows are new lists, so callers may share unchanged
-    rows with a shallow copy.
-    """
-    prow = rows[r]
-    if prow[c] < 0:
-        prow = rows[r] = [-v for v in prow]
-    p = prow[c]
-    for i, row in enumerate(rows):
-        f = row[c]
-        if i != r and f:
-            rows[i] = _combine(p, row, f, prow)
-    f = obj[c]
-    if f:
-        obj[:] = _combine(p, obj, f, prow)
-    basis[r] = c
-
-
 def _min_ratio_rows(rows: list[IntRow], col: int) -> list[int]:
     """The rows with ``row[col] > 0`` whose ratio ``rhs / row[col]`` is least, found by cross-multiplying."""
     best: list[int] = []
     for r, row in enumerate(rows):
         d = row[col]
         if d > 0:
-            # the sign of row[-1]/d - num/den, the best ratio so far
-            diff = row[-1] * den - num * d if best else -1
+            # the sign of rhs/d - num/den, the best ratio so far
+            diff = row[-2] * den - num * d if best else -1
             if diff < 0:
-                best, num, den = [r], row[-1], d
+                best, num, den = [r], row[-2], d
             elif diff == 0:
                 best.append(r)
     return best
 
 
-def _bland_minimize(rows: list[IntRow], obj: IntRow, basis: list[int]) -> None:
-    """Bland's rule: the first improving column enters, the tied row with the least basic column leaves."""
-    ncols = len(obj) - 1
-    while True:
-        enter = next((j for j in range(ncols) if obj[j] < 0), None)
-        if enter is None:
-            return
-        ties = _min_ratio_rows(rows, enter)
-        if not ties:
-            raise UnboundedError("objective improves without bound")
-        _pivot(rows, obj, basis, min(ties, key=basis.__getitem__), enter)
+def _eliminate(p: int, row: IntRow, erow: IntRow, k: int) -> IntRow:
+    """``p*row - f*erow`` over its gcd, ``f`` being ``row[k]``; at ``k`` the leaving column, zero in ``row``."""
+    f = row[k]
+    new = [p * v - f * w for v, w in zip(row, erow)]
+    new[k] = -f * erow[k]
+    return _coprime(new)
 
 
-def _phase_one(rows: list, nreal: int) -> list[int]:
-    """Bring the tableau to a feasible basis; may drop redundant rows.
+class _Tableau:
+    """Row ``r`` for basic variable ``basis[r]``, ``cols[k]`` the variable at position ``k``, and ``obj`` the reduced costs.
+
+    Pivots replace rows rather than editing them, so copies may share rows.
+    """
+
+    __slots__ = ("rows", "basis", "cols", "obj")
+
+    def __init__(self, rows: list[IntRow], basis: list[int], cols: list[int], obj: IntRow):
+        self.rows, self.basis, self.cols, self.obj = rows, basis, cols, obj
+
+    def copy(self, obj: IntRow) -> _Tableau:
+        return _Tableau(list(self.rows), list(self.basis), list(self.cols), obj)
+
+    def pivot(self, r: int, k: int) -> None:
+        """``cols[k]`` enters at row ``r``, and ``basis[r]`` leaves into position ``k``.
+
+        The pivot row, negated if need be, takes its pivot ``p > 0`` as ``d``
+        and ``±d`` as its leaving entry; other rows become ``p*row - f*prow``.
+        """
+        rows = self.rows
+        s = 1 if rows[r][k] > 0 else -1
+        prow = rows[r] = [s * v for v in rows[r]]
+        prow[k], prow[-1] = prow[-1], prow[k]
+        p, erow = prow[-1], prow[:-1] + [0]
+        for i, row in enumerate(rows):
+            if row[k] and i != r:
+                rows[i] = _eliminate(p, row, erow, k)
+        if self.obj[k]:
+            self.obj = _eliminate(p, self.obj, erow, k)  # ``zip`` stops at its rhs
+        self.basis[r], self.cols[k] = self.cols[k], self.basis[r]
+
+    def minimize(self) -> None:
+        """Bland's rule: the least variable with a negative reduced cost enters, the tied row with the least basic variable leaves."""
+        while True:
+            enter = min((c for c, v in zip(self.cols, self.obj) if v < 0), default=None)
+            if enter is None:
+                return
+            k = self.cols.index(enter)
+            ties = _min_ratio_rows(self.rows, k)
+            if not ties:
+                raise UnboundedError("objective improves without bound")
+            self.pivot(min(ties, key=self.basis.__getitem__), k)
+
+    def point(self, n: int) -> tuple[Fraction, ...]:
+        """The basic solution, restricted to the first ``n`` variables."""
+        point = [_ZERO] * n
+        for row, b in zip(self.rows, self.basis):
+            if b < n:
+                point[b] = Fraction(row[-2], row[-1])
+        return tuple(point)
+
+
+def _phase_one(rows: list[Row], nreal: int) -> _Tableau:
+    """A tableau on a feasible basis of the real variables; may drop redundant rows.
 
     ``rows`` holds ``Fraction`` equality rows with non-negative
     right-hand sides over ``nreal`` columns plus the rhs.  They are
-    scaled to integers by one common factor, so the phase-one objective
-    (minus their sum) weighs them as it would in fractions, and only then
-    is each row made coprime.  On return the rows are written in terms of
-    a feasible basis over the real columns, which is returned.
+    scaled to integers by one common factor ``den``, so the phase-one
+    objective (minus their sum) weighs them as it would in fractions, and
+    only then is each row, on artificial ``nreal + r`` with ``d = den``, made coprime.
     """
     m = len(rows)
     den = lcm(*(v.denominator for row in rows for v in row))
-    for r, row in enumerate(rows):
-        art = [0] * m
-        art[r] = den
-        rows[r] = _scaled(row[:-1], den) + art + _scaled(row[-1:], den)
-    basis = [nreal + r for r in range(m)]
-    sums = [sum(col) for col in zip(*rows, [0] * (nreal + m + 1))]
-    obj = _coprime([-s for s in sums[:nreal]] + [0] * m + [-sums[-1]])
-    rows[:] = [_coprime(row) for row in rows]
-    _bland_minimize(rows, obj, basis)
-    if obj[-1] != 0:
+    ints = [_scaled(row, den) for row in rows]
+    obj = _coprime([-sum(col) for col in zip(*ints, [0] * (nreal + 1))])
+    tab = _Tableau([_coprime(row + [den]) for row in ints], list(range(nreal, nreal + m)), list(range(nreal)), obj)
+    tab.minimize()
+    if tab.obj[-1] != 0:
         raise InfeasibleError("no feasible point")
 
-    for r in range(len(rows)):
-        if basis[r] >= nreal:
-            col = next((j for j in range(nreal) if rows[r][j] != 0), None)
-            if col is not None:
-                _pivot(rows, obj, basis, r, col)
+    for r in range(m):
+        if tab.basis[r] >= nreal:
+            real = [k for k, c in enumerate(tab.cols) if c < nreal and tab.rows[r][k]]
+            if real:
+                tab.pivot(r, min(real, key=tab.cols.__getitem__))
 
-    keep = [r for r in range(len(rows)) if basis[r] < nreal]
-    rows[:] = [_coprime(rows[r][:nreal] + [rows[r][-1]]) for r in keep]
-    return [basis[r] for r in keep]
+    real = [k for k, c in enumerate(tab.cols) if c < nreal]
+    keep = [r for r, b in enumerate(tab.basis) if b < nreal]
+    rows = [_coprime([tab.rows[r][k] for k in real] + tab.rows[r][-2:]) for r in keep]
+    return _Tableau(rows, [tab.basis[r] for r in keep], [tab.cols[k] for k in real], [])
 
 
 def _standardize(n: int, constraints: Iterable[Constraint]) -> tuple[list[Row], int]:
     """Equality rows with slack columns appended and non-negative rhs."""
     cons = []
-    nslack = 0
     for coeffs, rel, rhs in constraints:
         if rel not in ("<=", "==", ">="):
             raise ValueError(f"unknown relation {rel!r}")
@@ -169,28 +187,15 @@ def _standardize(n: int, constraints: Iterable[Constraint]) -> tuple[list[Row], 
         if len(coeffs) != n:
             raise ValueError(f"constraint has {len(coeffs)} coefficients, expected {n}")
         cons.append((coeffs, rel, Fraction(rhs)))
-        if rel != "==":
-            nslack += 1
+    nslack = sum(rel != "==" for _, rel, _ in cons)
+    slacks = iter(range(n, n + nslack))
     rows: list[Row] = []
-    slack_at = 0
     for coeffs, rel, rhs in cons:
         row = coeffs + [_ZERO] * nslack + [rhs]  # as given: phase one reads numerators and denominators
         if rel != "==":
-            row[n + slack_at] = _ONE if rel == "<=" else -_ONE
-            slack_at += 1
-        if row[-1] < 0:
-            row = [-v for v in row]
-        rows.append(row)
+            row[next(slacks)] = _ONE if rel == "<=" else -_ONE
+        rows.append([-v for v in row] if rhs < 0 else row)
     return rows, n + nslack
-
-
-def _basic_point(rows: list[IntRow], basis: Sequence[int], n: int) -> tuple[Fraction, ...]:
-    """The basic solution of a tableau, restricted to the first ``n`` columns."""
-    point = [_ZERO] * n
-    for r, b in enumerate(basis):
-        if b < n:
-            point[b] = Fraction(rows[r][-1], rows[r][b])
-    return tuple(point)
 
 
 class FeasibleSystem:
@@ -205,9 +210,9 @@ class FeasibleSystem:
 
     def __init__(self, n: int, constraints: Iterable[Constraint]):
         self.n = n
-        self._rows, self._ncols = _standardize(n, constraints)
-        self._basis = _phase_one(self._rows, self._ncols)
-        self.point = _basic_point(self._rows, self._basis, n)
+        rows, self._ncols = _standardize(n, constraints)
+        self._tab = _phase_one(rows, self._ncols)
+        self.point = self._tab.point(n)
 
     def solve(self, objective: Sequence[Fraction], *, maximize: bool = False) -> LPSolution:
         """Optimize ``objective . x``: the exact optimum and a witness point.
@@ -217,36 +222,42 @@ class FeasibleSystem:
         n = self.n
         if len(objective) != n:
             raise ValueError(f"objective has {len(objective)} coefficients, expected {n}")
-        # pivots replace rows rather than editing them, so a shallow copy is enough
-        rows = list(self._rows)
-        basis = list(self._basis)
+        tab = self._tab
         den = lcm(*(c.denominator for c in objective))
-        costs = _scaled(objective, den)  # ``int``s and ``Fraction``s alike
-        obj = _coprime([-c for c in costs] if maximize else costs) + [0] * (self._ncols - n + 1)
-        for r, b in enumerate(basis):
-            if obj[b]:
-                obj = _combine(rows[r][b], obj, obj[b], rows[r])
-        _bland_minimize(rows, obj, basis)
-        # the optimum: cost * rhs / pivot summed over the basic rows, over the pivots' lcm
-        basic = [(costs[b], rows[r][-1], rows[r][b]) for r, b in enumerate(basis) if b < n]
-        pivots = lcm(*(p for _, _, p in basic))
-        value = Fraction(sum(c * v * (pivots // p) for c, v, p in basic), pivots * den)
-        return LPSolution(value, _basic_point(rows, basis, n))
+        costs = _scaled(objective, den) + [0] * (self._ncols - n)  # ``int``s and ``Fraction``s alike
+        sign = -1 if maximize else 1
+        # the reduced costs times lcm(d): each basic cost eliminated by its row at weight lcm(d) / d
+        big = lcm(*(row[-1] for row in tab.rows))
+        obj = [sign * big * costs[c] for c in tab.cols] + [0]
+        for row, b in zip(tab.rows, tab.basis):
+            if costs[b]:
+                w = sign * costs[b] * (big // row[-1])
+                obj = [o - w * v for o, v in zip(obj, row)]
+        tab = tab.copy(_coprime(obj))
+        tab.minimize()
+        big = lcm(*(row[-1] for row in tab.rows))
+        value = sum(costs[b] * row[-2] * (big // row[-1]) for row, b in zip(tab.rows, tab.basis))
+        return LPSolution(Fraction(value, big * den), tab.point(n))
 
 
 # ---------------------------------------------------------------------------
 # Vertex enumeration over a system's feasible bases.
 
 
-def _tableau_for_basis(rows: list[IntRow], basis: Sequence[int]) -> list[IntRow]:
-    """Independent ``rows`` on a non-singular basis: row ``k`` is a positive multiple of ``basis[k]``'s unit row."""
-    aug = list(rows)  # pivots replace rows rather than editing them
-    untouched = [0] * len(aug[0]) if aug else []  # a zero objective row; pivots leave it
-    for k, col in enumerate(basis):
-        src = next(r for r in range(k, len(aug)) if aug[r][col] != 0)
-        aug[k], aug[src] = aug[src], aug[k]
-        _pivot(aug, untouched, list(basis), k, col)
-    return aug
+def _tableau_for_basis(tab: _Tableau, basis: Sequence[int]) -> _Tableau:
+    """``tab`` pivoted onto the non-singular sorted ``basis``, row ``k`` on ``basis[k]``.
+
+    A nonbasic target column enters at a row whose basic variable leaves the target: the basis is independent.
+    """
+    t = tab.copy([0] * (len(tab.cols) + 1))  # a zero objective row; pivots leave it
+    wanted = set(basis)
+    for j in basis:
+        if j in t.cols:
+            k = t.cols.index(j)
+            t.pivot(next(r for r, row in enumerate(t.rows) if row[k] and t.basis[r] not in wanted), k)
+    order = sorted(range(len(basis)), key=t.basis.__getitem__)
+    t.rows, t.basis = [t.rows[r] for r in order], list(basis)
+    return t
 
 
 def enumerate_vertices_eq(system: FeasibleSystem, *, cap: int = DEFAULT_BASIS_CAP) -> list[tuple[Fraction, ...]]:
@@ -259,21 +270,19 @@ def enumerate_vertices_eq(system: FeasibleSystem, *, cap: int = DEFAULT_BASIS_CA
     points are deduplicated.  Raises :class:`CapExceededError` when more
     than ``cap`` bases are visited.
     """
-    rows, n = system._rows, system.n
-    first = tuple(sorted(system._basis))
+    n = system.n
+    first = tuple(sorted(system._tab.basis))
     seen: set[tuple[int, ...]] = {first}
     queue: deque[tuple[int, ...]] = deque([first])
     points: dict[tuple[Fraction, ...], None] = {}
     while queue:
         basis = queue.popleft()
-        tab = _tableau_for_basis(rows, basis)
-        points.setdefault(_basic_point(tab, basis, n))
+        tab = _tableau_for_basis(system._tab, basis)
+        points.setdefault(tab.point(n))
         basic = set(basis)
-        for j in range(system._ncols):
-            if j in basic:
-                continue
+        for j, k in sorted(zip(tab.cols, range(len(tab.cols)))):
             # a min-ratio pivot on a positive entry: the new basis is feasible and non-singular
-            for r in _min_ratio_rows(tab, j):
+            for r in _min_ratio_rows(tab.rows, k):
                 nb = tuple(sorted(basic - {basis[r]} | {j}))
                 if nb not in seen:
                     seen.add(nb)

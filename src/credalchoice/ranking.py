@@ -10,11 +10,12 @@ permutations, and the credal machinery yields interval probabilities
 for "object A is ranked better than object B" without inventing a joint
 distribution the marginals do not determine.
 
-The world space is built once per matrix: its classes are the
-permutations.  Each pair is a 0/1 objective over them ("A ahead of B")
-on the one marginal polytope: the ``lp`` backend reports its minimum and
-maximum, and the ``psat`` backend brackets the two by bisection, as
-:func:`~credalchoice.psat.bisect_bounds` does for :func:`pairwise_query`.
+Evaluation skips that theory: :func:`permutation_polytope` builds its
+marginal system straight from the permutations, once per matrix.  Each
+pair is a 0/1 objective over them ("A ahead of B"): the ``lp`` backend
+reports its minimum and maximum, and the ``psat`` backend brackets the
+two by bisection, as :func:`~credalchoice.psat.bisect_bounds` does for
+:func:`pairwise_query`.
 
 Ranking files hold one ranking per line, best first, comma separated,
 with an optional ``xK`` multiplicity suffix::
@@ -28,19 +29,20 @@ and a final ``N=<total>`` line.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Sequence
 
 from .errors import ParseError
-from .inference import IntervalResult, marginal_polytope, proxy_mass_function
+from .inference import IntervalResult, MarginalPolytope
 from .logic import Atom, Clause, Literal, Program, Term, atom
 from .psat import _bracket
 from .rational import format_fraction
 from .theory import Alternative, CCLTheory, ChoiceSpace, Query, validate_theory
-from .worlds import build_world_space
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -180,6 +182,22 @@ def build_ranking_theory(m: MarginalMatrix) -> CCLTheory:
     if not report.ok:
         raise ValueError(f"ranking theory failed validation: {report}")
     return theory
+
+
+def permutation_polytope(m: MarginalMatrix) -> tuple[list[tuple[int, ...]], MarginalPolytope, list[Fraction]]:
+    """The ranking theory's classes, marginal polytope and proxy, without building the theory.
+
+    Permutation ``pos`` puts object ``i`` at position ``pos[i]``; the rows
+    are the all-ones row, then ``pos[i] == j`` for each ``(i, j)``.  Its
+    weight over ``sum(weights)`` is its :func:`proxy_mass_function` value.
+    """
+    n = len(m.objects)
+    perms = list(itertools.permutations(range(n)))
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    rows = [(1,) * len(perms)] + [tuple(int(pos[i] == j) for pos in perms) for i, j in cells]
+    rhs = [_ONE] + [m.alpha[i][j] for i, j in cells]
+    weights = [prod(m.alpha[i][p] for i, p in enumerate(pos)) for pos in perms]
+    return perms, MarginalPolytope(0, tuple(rows), tuple(rhs)), weights
 
 
 def pairwise_query(
@@ -337,23 +355,14 @@ def report_from_marginals(
     """
     if backend not in ("lp", "psat"):
         raise ValueError(f"unknown backend {backend!r}")
-    base_theory = build_ranking_theory(marginals)
-    ws = build_world_space(base_theory)
-    # one space and no rules: world c is the permutation of class c
-    system = marginal_polytope(ws, 0).feasible_system()
-    proxy = proxy_mass_function(base_theory, world_space=ws).values
     n = len(marginals.objects)
-    position_of = {
-        position_atom(p + 1, name): p for name in marginals.objects for p in range(n)
-    }
-    # the first n alternatives are the per-object ones
-    positions = [
-        [position_of[a] for a in cls.partial.selected[:n]] for cls in ws.classes_by_space[0]
-    ]
+    perms, polytope, weights = permutation_polytope(marginals)
+    system = polytope.feasible_system()
+    total = sum(weights)
     outcomes: list[PairOutcome] = []
     for i in range(n):
         for j in range(i + 1, n):
-            ahead = [_ONE if pos[i] < pos[j] else _ZERO for pos in positions]
+            ahead = [1 if pos[i] < pos[j] else 0 for pos in perms]
             lo, hi = system.solve(ahead).value, system.solve(ahead, maximize=True).value
             if backend == "lp":
                 interval = IntervalResult(lo, hi, "lp")
@@ -361,7 +370,7 @@ def report_from_marginals(
                 start = sum((v for v, a in zip(system.point, ahead) if a), _ZERO)
                 interval = _bracket(start, lo, hi, epsilon)
             decision = decide_preference(interval, threshold, (i, j))
-            point = sum((w for w, a in zip(proxy, ahead) if a), _ZERO)
+            point = sum((w for w, a in zip(weights, ahead) if a), _ZERO) / total
             icl_verdict = decide_preference(IntervalResult(point, point, "proxy"), threshold).verdict
             truth = _majority_truth(truth_rankings, i, j) if truth_rankings is not None else None
             outcomes.append(

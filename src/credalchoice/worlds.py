@@ -75,10 +75,15 @@ class World:
 
 @dataclass(frozen=True)
 class WorldClass:
-    """All worlds sharing one partial choice on one space."""
+    """All worlds sharing one partial choice on one space: runs of ``stride`` worlds, starting at ``blocks``."""
 
     partial: PartialChoice
-    world_indices: tuple[int, ...]
+    blocks: range
+    stride: int
+
+    @cached_property
+    def world_indices(self) -> tuple[int, ...]:
+        return tuple(itertools.chain.from_iterable(range(b, b + self.stride) for b in self.blocks))
 
 
 @dataclass(frozen=True)
@@ -183,11 +188,7 @@ def build_world_space(t: CCLTheory, cap: int = DEFAULT_WORLD_CAP) -> WorldSpace:
             worlds = repunit * ((1 << stride) - 1) << j * stride
             for a in pc.image:
                 columns[gp.index[a]] |= worlds
-        classes.append(tuple(
-            WorldClass(pc, tuple(itertools.chain.from_iterable(
-                map(range, range(j * stride, n, period), range((j + 1) * stride, n + 1, period)))))
-            for j, pc in enumerate(lst) if n
-        ))
+        classes.append(tuple(WorldClass(pc, range(j * stride, n, period), stride) for j, pc in enumerate(lst) if n))
         period = stride
     return WorldSpace(t, tuple(classes), profiles, tuple(gp.evaluate(columns, (1 << n) - 1)))
 

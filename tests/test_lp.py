@@ -410,3 +410,180 @@ def test_vertex_walk_matches_basic_solution_brute_force():
         outcomes["one vertex" if len(expected) == 1 else "several vertices"] += 1
         outcomes["with slacks"] += len(a[0]) > n
     assert min(outcomes.values()) >= 10, outcomes
+
+
+# ---------------------------------------------------------------------------
+# A reference that shares no code with the condensed integer tableau: a plain
+# Fraction tableau over every column, artificial ones included, pivoting under
+# the same Bland rule.  Points, optima and vertex lists must agree exactly.
+
+
+class ReferenceUnbounded(Exception):
+    pass
+
+
+def reference_subtract(row, f, prow):
+    """``row - f * prow``, skipping the zeros of ``prow``."""
+    return [v - f * w if w else v for v, w in zip(row, prow)]
+
+
+def reference_pivot(rows, obj, basis, r, c):
+    rows[r] = [v / rows[r][c] for v in rows[r]]
+    for i, row in enumerate(rows):
+        if i != r and row[c]:
+            rows[i] = reference_subtract(row, row[c], rows[r])
+    if obj[c]:
+        obj[:] = reference_subtract(obj, obj[c], rows[r])
+    basis[r] = c
+
+
+def reference_ratio_ties(rows, c):
+    ratios = [(row[-1] / row[c], r) for r, row in enumerate(rows) if row[c] > 0]
+    least = min(ratios, default=(None,))[0]
+    return [r for q, r in ratios if q == least]
+
+
+def reference_bland(rows, obj, basis):
+    while True:
+        enter = next((j for j, v in enumerate(obj[:-1]) if v < 0), None)
+        if enter is None:
+            return
+        ties = reference_ratio_ties(rows, enter)
+        if not ties:
+            raise ReferenceUnbounded
+        reference_pivot(rows, obj, basis, min(ties, key=basis.__getitem__), enter)
+
+
+def reference_point(rows, basis, n):
+    point = [F(0)] * n
+    for row, b in zip(rows, basis):
+        if b < n:
+            point[b] = row[-1]
+    return tuple(point)
+
+
+def reference_phase_one(n, cons):
+    """``(rows, basis, ncols)`` on a feasible basis of the standardized columns, or None when infeasible."""
+    a, b = standard_form(n, cons)
+    m, ncols = len(a), len(a[0])
+    rows = [
+        [-v if rhs < 0 else v for v in row] + [F(int(i == r)) for i in range(m)] + [abs(rhs)]
+        for r, (row, rhs) in enumerate(zip(a, b))
+    ]
+    basis = [ncols + r for r in range(m)]
+    obj = [-sum(col) for col in zip(*rows)]
+    obj[ncols:ncols + m] = [F(0)] * m  # an artificial's cost, eliminated by its own row
+    reference_bland(rows, obj, basis)
+    if obj[-1] != 0:
+        return None
+    for r in range(m):
+        if basis[r] >= ncols:
+            col = next((j for j in range(ncols) if rows[r][j] != 0), None)
+            if col is not None:
+                reference_pivot(rows, obj, basis, r, col)
+    keep = [r for r in range(m) if basis[r] < ncols]
+    return [rows[r][:ncols] + rows[r][-1:] for r in keep], [basis[r] for r in keep], ncols
+
+
+def reference_solve(tableau, n, objective, maximize):
+    rows, basis, ncols = tableau
+    rows, basis = list(rows), list(basis)
+    obj = [-c if maximize else c for c in objective] + [F(0)] * (ncols - n + 1)
+    for row, b in zip(rows, basis):
+        obj = reference_subtract(obj, obj[b], row) if obj[b] else obj
+    reference_bland(rows, obj, basis)
+    point = reference_point(rows, basis, n)
+    return LPSolution(sum(c * x for c, x in zip(objective, point)), point)
+
+
+def reference_vertices(tableau, n, cap):
+    """Breadth first over feasible bases, each re-eliminated from the phase-one rows."""
+    rows0, basis0, ncols = tableau
+    first = tuple(sorted(basis0))
+    seen, queue, points = {first}, [first], set()
+    for basis in queue:
+        rows = list(rows0)
+        for k, col in enumerate(basis):
+            src = next(r for r in range(k, len(rows)) if rows[r][col] != 0)
+            rows[k], rows[src] = rows[src], rows[k]
+            reference_pivot(rows, [F(0)] * (ncols + 1), list(basis), k, col)
+        points.add(reference_point(rows, basis, n))
+        for j in range(ncols):
+            for r in reference_ratio_ties(rows, j) if j not in basis else []:
+                nb = tuple(sorted(set(basis) - {basis[r]} | {j}))
+                if nb not in seen:
+                    seen.add(nb)
+                    if len(seen) > cap:
+                        raise CapExceededError("cap")
+                    queue.append(nb)
+    return sorted(points)
+
+
+def degenerate_system(rng: random.Random, n: int) -> list[Constraint]:
+    """Sparse 0/1 rows whose right-hand sides come from a point of small support.
+
+    Like a marginal polytope, most vertices are degenerate, so ratio ties
+    and Bland's tie-breaks decide the path; a sum-to-one row, when drawn,
+    makes the polyhedron bounded.
+    """
+    support = rng.sample(range(n), rng.randint(1, 3))
+    x = [F(rng.randint(1, 3)) if j in support else F(0) for j in range(n)]
+    x = [v / sum(x) for v in x]
+    rows = [[F(1)] * n] if rng.random() < 0.5 else []
+    rows += [[F(int(rng.random() < 0.5)) for _ in range(n)] for _ in range(rng.randint(2, 5))]
+    cons = [Constraint(row, rng.choice(("==", "==", "<=", ">=")), sum(c * v for c, v in zip(row, x))) for row in rows]
+    if rng.random() < 0.3:
+        c = rng.choice(cons)
+        cons.append(Constraint([2 * v for v in c.coeffs], c.sense, 2 * c.rhs))
+    return cons
+
+
+def test_condensed_tableau_matches_fraction_reference():
+    rng = random.Random(1968)
+    outcomes = {"infeasible": 0, "unbounded": 0, "optimum": 0, "vertices": 0, "cap": 0}
+    for trial in range(1200):
+        kind = trial % 3
+        if kind == 0:
+            n = rng.randint(1, 4)
+            cons = random_constraints(rng, n)
+        elif kind == 1:
+            n = rng.randint(2, 5)
+            cons = random_bounded_system(rng, n)
+        else:
+            n = rng.randint(4, 8)
+            cons = degenerate_system(rng, n)
+        reference = reference_phase_one(n, cons)
+        if reference is None:
+            with pytest.raises(InfeasibleError):
+                FeasibleSystem(n, cons)
+            outcomes["infeasible"] += 1
+            continue
+        system = FeasibleSystem(n, cons)
+        assert system.point == reference_point(reference[0], reference[1], n), f"trial {trial}"
+        for _ in range(2):
+            if kind == 2:  # 0/1 objectives, as for ranking pairs: optima are often attained on a whole face
+                objective = [F(rng.randint(0, 1)) for _ in range(n)]
+            else:
+                objective = [F(rng.randint(-3, 3), rng.choice([1, 2, 3])) for _ in range(n)]
+            for maximize in (False, True):
+                try:
+                    expected = reference_solve(reference, n, objective, maximize)
+                except ReferenceUnbounded:
+                    with pytest.raises(UnboundedError):
+                        system.solve(objective, maximize=maximize)
+                    outcomes["unbounded"] += 1
+                    continue
+                assert system.solve(objective, maximize=maximize) == expected, f"trial {trial}"
+                outcomes["optimum"] += 1
+        if kind and any(c.sense == "==" and set(c.coeffs) == {1} for c in cons):  # bounded: the walk applies
+            cap = rng.choice([3, 10_000])
+            try:
+                expected = reference_vertices(reference, n, cap)
+            except CapExceededError:
+                with pytest.raises(CapExceededError):
+                    enumerate_vertices_eq(system, cap=cap)
+                outcomes["cap"] += 1
+                continue
+            assert enumerate_vertices_eq(system, cap=cap) == expected, f"trial {trial}"
+            outcomes["vertices"] += 1
+    assert min(outcomes.values()) >= 30, outcomes

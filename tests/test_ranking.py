@@ -11,7 +11,9 @@ from credalchoice.errors import ParseError
 from credalchoice.inference import (
     IntervalResult,
     credal_bounds_single_space,
+    marginal_polytope,
     proxy_in_credal_set,
+    proxy_mass_function,
     proxy_query_value,
 )
 from credalchoice.psat import bisect_bounds
@@ -26,6 +28,7 @@ from credalchoice.ranking import (
     pairwise_query,
     parse_counts_csv,
     parse_rankings,
+    permutation_polytope,
     position_atom,
     report_from_marginals,
     smooth_marginals,
@@ -454,19 +457,58 @@ def test_report_matches_per_pair_theory_oracle(name):
         assert p.icl_value == proxy_query_value(tq, q)
 
 
-def test_report_builds_one_world_space(monkeypatch):
-    import credalchoice.ranking as ranking
+def mallows_text(rng: random.Random, n: int, count: int, phi: float = 0.6) -> str:
+    """``count`` rankings by repeated insertion around a hidden order, in the rankings file format."""
+    hidden = [f"o{i}" for i in range(n)]
+    rng.shuffle(hidden)
+    lines = []
+    for _ in range(count):
+        ranking: list[str] = []
+        for i, obj in enumerate(hidden):
+            ranking.insert(rng.choices(range(i + 1), [phi ** (i - j) for j in range(i + 1)])[0], obj)
+        lines.append(",".join(ranking))
+    return "\n".join(lines) + "\n"
 
-    calls = []
-    original = ranking.build_world_space
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_permutation_polytope_matches_the_generic_path(n):
+    rng = random.Random(40 + n)
+    for count in (1, 12, 50):
+        m = smooth_marginals(counts_from_rankings(parse_rankings(mallows_text(rng, n, count))))
+        t = build_ranking_theory(m)
+        ws = build_world_space(t)
+        perms, polytope, weights = permutation_polytope(m)
+        position_of = {position_atom(p + 1, name): p for name in m.objects for p in range(n)}
+        # the first n alternatives are the per-object ones: class c puts object i at perms[c][i]
+        assert perms == [tuple(position_of[a] for a in cls.partial.selected[:n]) for cls in ws.classes_by_space[0]]
+        assert polytope == marginal_polytope(ws, 0)
+        assert tuple(w / sum(weights) for w in weights) == proxy_mass_function(t, world_space=ws).values
 
-    monkeypatch.setattr(ranking, "build_world_space", counting)
+
+def count_calls(monkeypatch, targets) -> dict[str, int]:
+    """Count the calls of each ``(module, name)`` binding in ``targets``, keyed by name."""
+    calls = {name: 0 for _, name in targets}
+    for module, name in targets:
+        original = getattr(module, name)
+
+        def wrapper(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_report_builds_no_world_space_and_one_system(monkeypatch):
+    import credalchoice.inference as inference
+    import credalchoice.lp as lp
+    import credalchoice.psat as psat
+    import credalchoice.worlds as worlds
+
+    builders = [(m, "build_world_space") for m in (worlds, inference, psat)]
+    calls = count_calls(monkeypatch, builders + [(lp, "FeasibleSystem")])
     report_from_marginals(oracle_marginals("random-4"), backend="lp")
-    assert len(calls) == 1
+    assert calls == {"build_world_space": 0, "FeasibleSystem": 1}
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -482,29 +524,22 @@ def test_psat_report_matches_per_pair_bisection(n):
             assert p.interval == bisect_bounds(*pairwise_query(t, m, i, j), eps), (trial, i, j)
 
 
-def test_psat_report_builds_one_world_space_and_one_system(monkeypatch):
+def test_psat_report_builds_no_world_space_and_one_system(monkeypatch):
+    import credalchoice.inference as inference
     import credalchoice.lp as lp
     import credalchoice.psat as psat
     import credalchoice.ranking as ranking
+    import credalchoice.worlds as worlds
 
-    calls = {"build_world_space": 0, "FeasibleSystem": 0, "pairwise_query": 0, "bisect_bounds": 0}
-
-    def counting(module, name):
-        original = getattr(module, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, wrapper)
-
-    counting(ranking, "build_world_space")
-    counting(lp, "FeasibleSystem")
-    counting(ranking, "pairwise_query")
-    counting(psat, "bisect_bounds")
+    targets = [(m, "build_world_space") for m in (worlds, inference, psat)] + [
+        (lp, "FeasibleSystem"),
+        (ranking, "pairwise_query"),
+        (psat, "bisect_bounds"),
+    ]
+    calls = count_calls(monkeypatch, targets)
     rep = report_from_marginals(oracle_marginals("random-4"), backend="psat", epsilon=F(1, 64))
     assert len(rep.pairs) == 6
-    assert calls == {"build_world_space": 1, "FeasibleSystem": 1, "pairwise_query": 0, "bisect_bounds": 0}
+    assert calls == {"build_world_space": 0, "FeasibleSystem": 1, "pairwise_query": 0, "bisect_bounds": 0}
 
 
 def test_report_rejects_unknown_backend():
