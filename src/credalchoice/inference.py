@@ -11,17 +11,18 @@ Queries are then bounded in three ways:
   of its polytope.  Every space's polytope is one ``lp.FeasibleSystem``,
   brought to a feasible basis by one phase one: the vertices of spaces
   0..k-2 are walked from that basis, and each combination sums the
-  satisfying profiles out space by space into an integer objective over
-  the last space's classes, minimized and maximized over its system;
+  query out space by space into an integer objective over the last
+  space's classes, whose range its system's ``bounds`` gives;
 * ``credal_bounds_single_space`` - the same bound for a one-space
   theory, where no vertex is enumerated and it is a pair of LPs;
 * ``outer_bound`` - a cheap factorized relaxation: per-world products of
   classwise probability bounds, summed over the worlds satisfying the
   query (upper end clipped to one).  Always contains the exact interval.
 
-A query's worlds are the AND of its literals' world sets (complemented
-when negated).  Every bound reads a world through its class profile, its
-class index in each space; ``outer_bound`` sums the profiles out too.
+A query is the AND of its literals' world sets (complemented when
+negated), read out as a dense 0/1 ``int`` table in world order.  Space 0
+is its most significant digit: both multi-space bounds sum it out as one
+weighted sum of slices, one per class of non-zero mass, and repeat.
 
 When every space holds exactly one alternative the theory reads as a
 fully independent one and ``icl_probability`` returns the point value.
@@ -32,14 +33,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import lcm, prod
+from itertools import compress
+from math import prod
 from typing import Sequence
 
 from . import lp
 from .errors import CapExceededError
-from .rational import format_fraction
+from .rational import format_fraction, numerators
 from .theory import CCLTheory, Query
-from .worlds import WorldSpace, build_world_space, set_bits
+from .worlds import WorldSpace, build_world_space
 
 DEFAULT_COMBO_CAP = 1_000_000
 
@@ -134,20 +136,28 @@ def enumerate_vertices(p: MarginalPolytope, *, cap: int = lp.DEFAULT_BASIS_CAP) 
     return [MassFunction(v) for v in lp.enumerate_vertices_eq(p.feasible_system(), cap=cap)]
 
 
-def _query_worlds(ws: WorldSpace, q: Query) -> list[int]:
-    """The worlds satisfying the query, in order: the AND of its literals' columns (complemented if negated)."""
+_BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
+
+
+def query_table(ws: WorldSpace, q: Query) -> list[int]:
+    """The query's 0/1 indicator over the worlds, in world order (space 0 the most significant digit).
+
+    Its worlds are the AND of its literals' columns (complemented if negated).
+    """
     q.check_against(ws.theory)
     index = ws.theory.ground_program.index
-    hits = (1 << len(ws.profiles)) - 1
+    n = len(ws.profiles)
+    hits = (1 << n) - 1
     for lit in q.literals:
         column = ws.columns[index[lit.atom]]
         hits &= column if lit.positive else ~column
-    return set_bits(hits)
+    # the binary digits below a sentinel bit n, least significant first, read as bytes
+    return list(bin(hits | 1 << n)[:2:-1].encode().translate(_BIT_VALUES))
 
 
 def query_profiles(ws: WorldSpace, q: Query) -> list[tuple[int, ...]]:
     """The class profiles of the worlds satisfying the query, in world order."""
-    return [ws.profiles[i] for i in _query_worlds(ws, q)]
+    return list(compress(ws.profiles, query_table(ws, q)))
 
 
 def _class_weights(ws: WorldSpace) -> list[list[Fraction]]:
@@ -168,18 +178,18 @@ def _world_weights(ws: WorldSpace) -> list[Fraction]:
     return [prod((weights[i][c] for i, c in enumerate(p)), start=_ONE) for p in ws.profiles]
 
 
-def _contract(table: dict, den: int, values: Sequence[Fraction]) -> tuple[dict, int]:
-    """Sum out the first remaining space of ``table`` (remaining class digits -> integer weight over ``den``).
+def _sum_out(table: list[int], nums: Sequence[int]) -> list[int]:
+    """Sum the most significant space out of a world-ordered ``table``, weighting its class ``j`` by ``nums[j]``.
 
-    ``values`` are scaled to integer numerators over their lcm; entries agreeing on the later digits merge.
+    Class ``j`` is the ``j``-th of ``len(nums)`` equal slices; a class of zero weight is skipped.
     """
-    d = lcm(*(v.denominator for v in values))
-    nums = [v.numerator * (d // v.denominator) for v in values]
-    out: dict[tuple[int, ...], int] = {}
-    for digits, w in table.items():
-        if nums[digits[0]]:
-            out[digits[1:]] = out.get(digits[1:], 0) + w * nums[digits[0]]
-    return out, den * d
+    size = len(table) // len(nums)
+    out = None
+    for j, w in enumerate(nums):
+        if w:
+            part = table[j * size:(j + 1) * size]
+            out = [w * v for v in part] if out is None else [o + w * v for o, v in zip(out, part)]
+    return [0] * size if out is None else out
 
 
 def icl_probability(t: CCLTheory, q: Query, *, world_space: WorldSpace | None = None) -> Fraction:
@@ -191,7 +201,7 @@ def icl_probability(t: CCLTheory, q: Query, *, world_space: WorldSpace | None = 
     _require_independent(t)  # before the world space is built
     ws = world_space or build_world_space(t)
     weights = icl_mass_function(t, world_space=ws).values
-    return sum((weights[i] for i in _query_worlds(ws, q)), _ZERO)
+    return sum(compress(weights, query_table(ws, q)), _ZERO)
 
 
 def _require_independent(t: CCLTheory) -> None:
@@ -233,10 +243,10 @@ def credal_bounds_strong_extension(
     the last space by LP at each one.
     """
     ws = world_space or build_world_space(t)
-    profiles = query_profiles(ws, q)
+    table = query_table(ws, q)
     k = len(t.spaces)
     if k == 0:
-        value = _ONE if profiles else _ZERO
+        value = Fraction(table[0])
         return IntervalResult(value, value, "vertex_product")
 
     vertex_sets = [
@@ -245,39 +255,38 @@ def credal_bounds_strong_extension(
     combos = prod(len(vs) for vs in vertex_sets)
     if combos > combo_cap:
         raise CapExceededError(f"{combos} vertex combinations, more than the cap of {combo_cap}")
+    scaled = [[numerators(v) for v in vs] for vs in vertex_sets]
     last = marginal_polytope(ws, k - 1).feasible_system()
 
     lo = hi = None
 
-    def walk(i: int, table: dict[tuple[int, ...], int], den: int) -> None:
-        # table / den: the satisfying profiles contracted against the vertices chosen before i
+    def walk(i: int, table: list[int], den: int) -> None:
+        # table / den: the query summed out against the vertices chosen for spaces before i
         nonlocal lo, hi
         if i == k - 1:
-            objective = [table.get((j,), 0) for j in range(last.n)]
-            low = last.solve(objective).value / den
-            high = last.solve(objective, maximize=True).value / den
-            lo = low if lo is None else min(lo, low)
-            hi = high if hi is None else max(hi, high)
+            low, high = last.bounds(table)
+            lo = low / den if lo is None else min(lo, low / den)
+            hi = high / den if hi is None else max(hi, high / den)
             return
-        for v in vertex_sets[i]:
-            walk(i + 1, *_contract(table, den, v))
+        for nums, d in scaled[i]:
+            walk(i + 1, _sum_out(table, nums), den * d)
 
-    walk(0, dict.fromkeys(profiles, 1), 1)
+    walk(0, table, 1)
     return IntervalResult(lo, hi, "vertex_product")
 
 
 def outer_bound(t: CCLTheory, q: Query, *, world_space: WorldSpace | None = None) -> IntervalResult:
     """Factorized relaxation: products of classwise bounds, summed."""
     ws = world_space or build_world_space(t)
-    lo = hi = (dict.fromkeys(query_profiles(ws, q), 1), 1)
+    lo = hi = query_table(ws, q)
+    lo_den = hi_den = 1
     for i in range(len(t.spaces)):
         system = marginal_polytope(ws, i).feasible_system()
-        units = [[_ONE if jj == j else _ZERO for jj in range(system.n)] for j in range(system.n)]
-        lo = _contract(*lo, [system.solve(u).value for u in units])
-        hi = _contract(*hi, [system.solve(u, maximize=True).value for u in units])
-    # every space is summed out: each table holds at most the one entry ()
-    lower, upper = (Fraction(sum(table.values()), den) for table, den in (lo, hi))
-    return IntervalResult(lower, min(upper, _ONE), "outer_bound")
+        ranges = [system.bounds([int(jj == j) for jj in range(system.n)]) for j in range(system.n)]
+        (lo_nums, d), (hi_nums, e) = (numerators(ends) for ends in zip(*ranges))
+        lo, hi, lo_den, hi_den = _sum_out(lo, lo_nums), _sum_out(hi, hi_nums), lo_den * d, hi_den * e
+    # every space is summed out: each table holds one entry
+    return IntervalResult(Fraction(lo[0], lo_den), min(Fraction(hi[0], hi_den), _ONE), "outer_bound")
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +314,7 @@ def proxy_query_value(
 ) -> Fraction:
     ws = world_space or build_world_space(t)
     proxy = proxy_mass_function(t, world_space=ws)
-    return sum((proxy.values[i] for i in _query_worlds(ws, q)), _ZERO)
+    return sum(compress(proxy.values, query_table(ws, q)), _ZERO)
 
 
 def proxy_in_credal_set(t: CCLTheory, *, world_space: WorldSpace | None = None) -> bool:

@@ -19,8 +19,9 @@ artificial column only once it has left the basis.
 ``FeasibleSystem`` is the core: it runs phase one once per constraint
 system and keeps the feasible basis, so every objective optimized over
 the same polytope pays only for its own phase two.  It is the one LP
-entry point: a one-shot optimum is ``FeasibleSystem(n, cons).solve(c)``
-and a feasible point is ``FeasibleSystem(n, cons).point``.
+entry point.  ``bounds(c)`` gives the range of ``c . x`` from one pricing
+of ``c``, the maximum's reduced costs being the minimum's negated, and
+builds no point; ``solve(c)`` gives one end with a witness point.
 
 :func:`enumerate_vertices_eq` lists the vertices of a bounded system's
 polytope by breadth-first search over its feasible bases, starting from
@@ -38,6 +39,7 @@ from math import gcd, lcm
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import CapExceededError, InfeasibleError, UnboundedError
+from .rational import numerators
 
 Row = list[Fraction]
 IntRow = list[int]  # a tableau row, held only up to a positive factor
@@ -64,11 +66,6 @@ def _coprime(row: IntRow) -> IntRow:
     """``row`` divided by the gcd of its entries."""
     g = gcd(*row)
     return [v // g for v in row] if g > 1 else row
-
-
-def _scaled(row: Sequence[Fraction], den: int) -> IntRow:
-    """``den * row`` for a common multiple ``den`` of the row's denominators."""
-    return [v.numerator * (den // v.denominator) for v in row]
 
 
 def _min_ratio_rows(rows: list[IntRow], col: int) -> list[int]:
@@ -158,7 +155,7 @@ def _phase_one(rows: list[Row], nreal: int) -> _Tableau:
     """
     m = len(rows)
     den = lcm(*(v.denominator for row in rows for v in row))
-    ints = [_scaled(row, den) for row in rows]
+    ints = [[v.numerator * (den // v.denominator) for v in row] for row in rows]
     obj = _coprime([-sum(col) for col in zip(*ints, [0] * (nreal + 1))])
     tab = _Tableau([_coprime(row + [den]) for row in ints], list(range(nreal, nreal + m)), list(range(nreal)), obj)
     tab.minimize()
@@ -203,41 +200,50 @@ class FeasibleSystem:
 
     The constructor standardizes the constraints and runs phase one,
     raising :class:`InfeasibleError` when there is no feasible point;
-    ``point`` is the phase-one basic solution.  :meth:`solve` runs phase
-    two on a copy of the kept tableau, so one system answers any number
-    of objectives, minimized or maximized, in any order.
+    ``point`` is the phase-one basic solution.  :meth:`bounds` and
+    :meth:`solve` run phase two on copies of the kept tableau, so one
+    system answers any number of objectives, in any order.
     """
 
     def __init__(self, n: int, constraints: Iterable[Constraint]):
         self.n = n
         rows, self._ncols = _standardize(n, constraints)
         self._tab = _phase_one(rows, self._ncols)
+        self._lcm_d = lcm(*(row[-1] for row in self._tab.rows))
         self.point = self._tab.point(n)
 
-    def solve(self, objective: Sequence[Fraction], *, maximize: bool = False) -> LPSolution:
-        """Optimize ``objective . x``: the exact optimum and a witness point.
-
-        Raises :class:`UnboundedError` when the objective has no optimum.
-        """
-        n = self.n
+    def _priced(self, objective: Sequence[Fraction]) -> tuple[list[int], int, IntRow]:
+        """``objective`` as integer costs over a denominator, and its coprime reduced costs at the kept basis."""
+        n, tab, big = self.n, self._tab, self._lcm_d
         if len(objective) != n:
             raise ValueError(f"objective has {len(objective)} coefficients, expected {n}")
-        tab = self._tab
-        den = lcm(*(c.denominator for c in objective))
-        costs = _scaled(objective, den) + [0] * (self._ncols - n)  # ``int``s and ``Fraction``s alike
-        sign = -1 if maximize else 1
-        # the reduced costs times lcm(d): each basic cost eliminated by its row at weight lcm(d) / d
-        big = lcm(*(row[-1] for row in tab.rows))
-        obj = [sign * big * costs[c] for c in tab.cols] + [0]
-        for row, b in zip(tab.rows, tab.basis):
+        costs, den = numerators(objective)
+        costs += [0] * (self._ncols - n)
+        obj = [big * costs[c] for c in tab.cols] + [0]
+        for row, b in zip(tab.rows, tab.basis):  # each basic cost eliminated by its row at weight lcm(d) / d
             if costs[b]:
-                w = sign * costs[b] * (big // row[-1])
+                w = costs[b] * (big // row[-1])
                 obj = [o - w * v for o, v in zip(obj, row)]
-        tab = tab.copy(_coprime(obj))
+        return costs, den, _coprime(obj)
+
+    def _optimum(self, costs: list[int], den: int, obj: IntRow) -> tuple[Fraction, _Tableau]:
+        """Phase two from the kept tableau under reduced costs ``obj``: the least ``costs . x / den`` and its tableau."""
+        tab = self._tab.copy(obj)
         tab.minimize()
         big = lcm(*(row[-1] for row in tab.rows))
         value = sum(costs[b] * row[-2] * (big // row[-1]) for row, b in zip(tab.rows, tab.basis))
-        return LPSolution(Fraction(value, big * den), tab.point(n))
+        return Fraction(value, big * den), tab
+
+    def bounds(self, objective: Sequence[Fraction]) -> tuple[Fraction, Fraction]:
+        """The least and greatest ``objective . x``, priced once; :class:`UnboundedError` if either has no optimum."""
+        costs, den, obj = self._priced(objective)
+        return self._optimum(costs, den, obj)[0], self._optimum(costs, den, [-v for v in obj])[0]
+
+    def solve(self, objective: Sequence[Fraction], *, maximize: bool = False) -> LPSolution:
+        """Optimize ``objective . x``: the exact optimum and a witness point, or :class:`UnboundedError`."""
+        costs, den, obj = self._priced(objective)
+        value, tab = self._optimum(costs, den, [-v for v in obj] if maximize else obj)
+        return LPSolution(value, tab.point(self.n))
 
 
 # ---------------------------------------------------------------------------

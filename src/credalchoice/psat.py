@@ -35,7 +35,7 @@ from typing import Iterable, Sequence
 
 from . import lp
 from .errors import CapExceededError, InfeasibleError
-from .inference import IntervalResult, marginal_polytope, query_profiles
+from .inference import IntervalResult, marginal_polytope, query_table
 from .logic import Atom, GroundProgram, Literal
 from .rational import format_fraction
 from .theory import CCLTheory, Query
@@ -395,13 +395,11 @@ class BracketState:
         return len(self.probes)
 
 
-def _query_system(ws: WorldSpace, q: Query) -> tuple[lp.FeasibleSystem, list[Fraction], Fraction]:
+def _query_system(ws: WorldSpace, q: Query) -> tuple[lp.FeasibleSystem, list[int], Fraction]:
     """The one space's class-mass system, the query's 0/1 row over its
     classes, and the row's value at the system's phase-one point."""
     system = marginal_polytope(ws, 0).feasible_system()
-    row = [_ZERO] * len(system.point)
-    for (c,) in query_profiles(ws, q):
-        row[c] = _ONE
+    row = query_table(ws, q)  # one space: its classes are the worlds
     return system, row, sum((v for v, r in zip(system.point, row) if r), _ZERO)
 
 
@@ -479,7 +477,7 @@ def bisect_bounds(
     """
     t.require_one_space("the psat method")
     system, row, mid = _query_system(build_world_space(t), q)
-    return _bracket(mid, system.solve(row).value, system.solve(row, maximize=True).value, epsilon, state)
+    return _bracket(mid, *system.bounds(row), epsilon, state)
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ from .errors import ParseError
 from .inference import IntervalResult, MarginalPolytope
 from .logic import Atom, Clause, Literal, Program, Term, atom
 from .psat import _bracket
-from .rational import format_fraction
+from .rational import format_fraction, numerators
 from .theory import Alternative, CCLTheory, ChoiceSpace, Query, validate_theory
 
 _ZERO = Fraction(0)
@@ -358,19 +358,21 @@ def report_from_marginals(
     n = len(marginals.objects)
     perms, polytope, weights = permutation_polytope(marginals)
     system = polytope.feasible_system()
+    # the proxy weights and the phase-one point as integers, so a pair's value is one integer sum
+    weights = numerators(weights)[0]
     total = sum(weights)
+    start_nums, start_den = numerators(system.point)
     outcomes: list[PairOutcome] = []
     for i in range(n):
         for j in range(i + 1, n):
             ahead = [1 if pos[i] < pos[j] else 0 for pos in perms]
-            lo, hi = system.solve(ahead).value, system.solve(ahead, maximize=True).value
+            lo, hi = system.bounds(ahead)
             if backend == "lp":
                 interval = IntervalResult(lo, hi, "lp")
             else:
-                start = sum((v for v, a in zip(system.point, ahead) if a), _ZERO)
-                interval = _bracket(start, lo, hi, epsilon)
+                interval = _bracket(Fraction(sum(itertools.compress(start_nums, ahead)), start_den), lo, hi, epsilon)
             decision = decide_preference(interval, threshold, (i, j))
-            point = sum((w for w, a in zip(weights, ahead) if a), _ZERO) / total
+            point = Fraction(sum(itertools.compress(weights, ahead)), total)
             icl_verdict = decide_preference(IntervalResult(point, point, "proxy"), threshold).verdict
             truth = _majority_truth(truth_rankings, i, j) if truth_rankings is not None else None
             outcomes.append(

@@ -1,8 +1,10 @@
-"""Helpers for exact rational values crossing a text boundary."""
+"""Helpers for exact rational values: text forms, and integer numerators over a common denominator."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from typing import Sequence
 
 from .errors import ParseError
 
@@ -19,3 +21,9 @@ def parse_fraction(text: str) -> Fraction:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"not a rational number: {text!r}") from exc
+
+
+def numerators(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """``values`` as integer numerators over their least common denominator, and that denominator."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den

@@ -51,6 +51,7 @@ from credalchoice.theory import (
     from_icl,
     load_ccl,
     merge_spaces,
+    parse_ccl,
     query,
 )
 from credalchoice.worlds import build_world_space
@@ -341,6 +342,34 @@ def test_outer_bound_equals_product_sum_oracle():
         for q in (random_base_query(rng, t), query(d), unsatisfiable):
             iv = outer_bound(t, q, world_space=ws)
             assert (iv.lower, iv.upper) == outer_bound_oracle(t, q, ws), f"trial {trial}: {q}"
+
+
+def test_bounds_do_not_depend_on_the_space_order():
+    # each space is one digit of the world-ordered query table, so reordering the spaces reorders its strides only
+    rng = random.Random(53)
+    for trial in range(10):
+        k = rng.randrange(2, 5)
+        t = random_product_theory(rng, k) if trial % 2 else multispace_theory(rng, min(k, 3))
+        t, derived = with_derived_atoms(rng, t, 4)
+        q = query(derived[-1]) if trial % 3 else random_base_query(rng, t)
+        shuffled = rng.sample(range(len(t.spaces)), len(t.spaces))
+        seen = set()
+        for order in (range(len(t.spaces)), range(len(t.spaces) - 1, -1, -1), shuffled):
+            theory = CCLTheory(t.program, tuple(t.spaces[i] for i in order), t.mu)
+            ws = build_world_space(theory)
+            strong = credal_bounds_strong_extension(theory, q, world_space=ws)
+            outer = outer_bound(theory, q, world_space=ws)
+            assert (strong.lower, strong.upper) == vertex_product_bounds(theory, q, ws), f"trial {trial}: {order}"
+            assert (outer.lower, outer.upper) == outer_bound_oracle(theory, q, ws), f"trial {trial}: {order}"
+            seen.add((strong.lower, strong.upper, outer.lower, outer.upper))
+        assert len(seen) == 1, f"trial {trial}: {seen}"
+
+
+def test_theory_without_spaces_has_one_world():
+    doc = parse_ccl("p.\nr :- s.\n")
+    for name, value in (("p", F(1)), ("r", F(0)), ("s", F(0))):
+        for iv in (credal_bounds_strong_extension(doc.theory, query(name)), outer_bound(doc.theory, query(name))):
+            assert (iv.lower, iv.upper) == (value, value), name
 
 
 def test_icl_theories_have_point_strong_extension():

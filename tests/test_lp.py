@@ -565,6 +565,7 @@ def test_condensed_tableau_matches_fraction_reference():
                 objective = [F(rng.randint(0, 1)) for _ in range(n)]
             else:
                 objective = [F(rng.randint(-3, 3), rng.choice([1, 2, 3])) for _ in range(n)]
+            ends = []
             for maximize in (False, True):
                 try:
                     expected = reference_solve(reference, n, objective, maximize)
@@ -574,7 +575,13 @@ def test_condensed_tableau_matches_fraction_reference():
                     outcomes["unbounded"] += 1
                     continue
                 assert system.solve(objective, maximize=maximize) == expected, f"trial {trial}"
+                ends.append(expected.value)
                 outcomes["optimum"] += 1
+            if len(ends) == 2:  # both ends from one pricing
+                assert system.bounds(objective) == tuple(ends), f"trial {trial}"
+            else:
+                with pytest.raises(UnboundedError):
+                    system.bounds(objective)
         if kind and any(c.sense == "==" and set(c.coeffs) == {1} for c in cons):  # bounded: the walk applies
             cap = rng.choice([3, 10_000])
             try:
