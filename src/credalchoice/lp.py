@@ -9,12 +9,16 @@ Constraints and objectives come in as ``Fraction``s, and points and
 optima go out as exact ``Fraction``s.  Inside, the tableau is
 fraction-free (Edmonds 1967; Bareiss 1968) and stores only the nonbasic
 columns: a row is its entries there, its rhs and, last, its entry
-``d > 0`` in its own basic column, as coprime ``int``s held only up to a
-positive factor.  Every Bland decision is a sign test or a
-cross-multiplied ratio comparison, which no such factor changes, so the
-pivots are exactly those of a ``Fraction`` tableau.  A pivot moves the
-leaving column into the entering one's place, so phase one stores an
-artificial column only once it has left the basis.
+``d > 0`` in its own basic column, as ``int``s held only up to a positive
+factor.  Every Bland decision is a sign test or a cross-multiplied ratio
+comparison, which no such factor changes, so the pivots are exactly those
+of a ``Fraction`` tableau.  A pivot combines rows over the gcd of the two
+multipliers and divides a row by the gcd of its entries only when its
+``d`` has grown past the pivot, so most rows are built in one pass; the
+reduced costs are always kept coprime.  A pivot moves the leaving column
+into the entering one's place, so phase one stores an artificial column
+only once it has left the basis; each artificial has entry 1 in its row,
+which scales its column by a positive factor and changes no pivot.
 
 ``FeasibleSystem`` is the core: it runs phase one once per constraint
 system and keeps the feasible basis, so every objective optimized over
@@ -83,17 +87,12 @@ def _min_ratio_rows(rows: list[IntRow], col: int) -> list[int]:
     return best
 
 
-def _eliminate(p: int, row: IntRow, erow: IntRow, k: int) -> IntRow:
-    """``p*row - f*erow`` over its gcd, ``f`` being ``row[k]``; at ``k`` the leaving column, zero in ``row``."""
-    f = row[k]
-    new = [p * v - f * w for v, w in zip(row, erow)]
-    new[k] = -f * erow[k]
-    return _coprime(new)
-
-
 class _Tableau:
     """Row ``r`` for basic variable ``basis[r]``, ``cols[k]`` the variable at position ``k``, and ``obj`` the reduced costs.
 
+    Rows need not be coprime: a row's scale is bounded by the reduction
+    rule of :meth:`pivot`.  ``obj`` is coprime and has no ``d``; it has an
+    rhs entry only in phase one, which reads the infeasibility off it.
     Pivots replace rows rather than editing them, so copies may share rows.
     """
 
@@ -108,19 +107,31 @@ class _Tableau:
     def pivot(self, r: int, k: int) -> None:
         """``cols[k]`` enters at row ``r``, and ``basis[r]`` leaves into position ``k``.
 
-        The pivot row, negated if need be, takes its pivot ``p > 0`` as ``d``
-        and ``±d`` as its leaving entry; other rows become ``p*row - f*prow``.
+        The pivot row ``prow``, negated if need be, takes its pivot ``p > 0``
+        as ``d`` and its ``±d`` as its leaving entry.  Every other row, and
+        the objective, with entry ``f`` at ``k`` becomes
+        ``(p/g)*row - (f/g)*prow`` for ``g = gcd(p, f)``: its leaving entry
+        is ``-(f/g)`` times the pivot row's, and its new ``d`` is ``p/g``
+        times its old one.  Only a row whose new ``d`` exceeds ``p`` is
+        divided by the gcd of its entries; the objective always is.
         """
-        rows = self.rows
-        s = 1 if rows[r][k] > 0 else -1
-        prow = rows[r] = [s * v for v in rows[r]]
+        rows, obj = self.rows, self.obj
+        row = rows[r]
+        prow = rows[r] = row[:] if row[k] > 0 else [-v for v in row]
         prow[k], prow[-1] = prow[-1], prow[k]
-        p, erow = prow[-1], prow[:-1] + [0]
-        for i, row in enumerate(rows):
-            if row[k] and i != r:
-                rows[i] = _eliminate(p, row, erow, k)
-        if self.obj[k]:
-            self.obj = _eliminate(p, self.obj, erow, k)  # ``zip`` stops at its rhs
+        p = prow[-1]
+        for i, row in enumerate(rows + [obj]):
+            f = row[k]
+            if f and i != r:
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                new = [a * v - b * w for v, w in zip(row, prow)]  # ``zip`` stops at the objective's end
+                new[k] = -b * prow[k]
+                if row is obj:
+                    self.obj = _coprime(new)
+                else:
+                    new[-1] = d = a * row[-1]
+                    rows[i] = _coprime(new) if d > p else new
         self.basis[r], self.cols[k] = self.cols[k], self.basis[r]
 
     def minimize(self) -> None:
@@ -150,14 +161,16 @@ def _phase_one(rows: list[Row], nreal: int) -> _Tableau:
     ``rows`` holds ``Fraction`` equality rows with non-negative
     right-hand sides over ``nreal`` columns plus the rhs.  They are
     scaled to integers by one common factor ``den``, so the phase-one
-    objective (minus their sum) weighs them as it would in fractions, and
-    only then is each row, on artificial ``nreal + r`` with ``d = den``, made coprime.
+    objective (minus their sum) weighs them as it would in fractions.
+    Row ``r`` is basic in artificial ``nreal + r`` with ``d = 1``: that
+    artificial is ``den`` times the ``Fraction`` tableau's, a positive
+    scale that no pivot choice sees.  The kept rows are made coprime.
     """
     m = len(rows)
     den = lcm(*(v.denominator for row in rows for v in row))
     ints = [[v.numerator * (den // v.denominator) for v in row] for row in rows]
     obj = _coprime([-sum(col) for col in zip(*ints, [0] * (nreal + 1))])
-    tab = _Tableau([_coprime(row + [den]) for row in ints], list(range(nreal, nreal + m)), list(range(nreal)), obj)
+    tab = _Tableau([row + [1] for row in ints], list(range(nreal, nreal + m)), list(range(nreal)), obj)
     tab.minimize()
     if tab.obj[-1] != 0:
         raise InfeasibleError("no feasible point")
@@ -219,7 +232,7 @@ class FeasibleSystem:
             raise ValueError(f"objective has {len(objective)} coefficients, expected {n}")
         costs, den = numerators(objective)
         costs += [0] * (self._ncols - n)
-        obj = [big * costs[c] for c in tab.cols] + [0]
+        obj = [big * costs[c] for c in tab.cols]
         for row, b in zip(tab.rows, tab.basis):  # each basic cost eliminated by its row at weight lcm(d) / d
             if costs[b]:
                 w = costs[b] * (big // row[-1])
@@ -255,7 +268,7 @@ def _tableau_for_basis(tab: _Tableau, basis: Sequence[int]) -> _Tableau:
 
     A nonbasic target column enters at a row whose basic variable leaves the target: the basis is independent.
     """
-    t = tab.copy([0] * (len(tab.cols) + 1))  # a zero objective row; pivots leave it
+    t = tab.copy([0] * len(tab.cols))  # a zero objective row; pivots leave it
     wanted = set(basis)
     for j in basis:
         if j in t.cols:

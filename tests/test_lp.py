@@ -1,15 +1,19 @@
 """Exact rational simplex and vertex enumeration."""
 
+import importlib.util
 import itertools
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from conftest import solve_affine_system
 
+from credalchoice import lp
 from credalchoice.errors import CapExceededError, InfeasibleError, UnboundedError
 from credalchoice.lp import Constraint, FeasibleSystem, LPSolution, enumerate_vertices_eq
+from credalchoice.ranking import counts_from_rankings, parse_rankings, permutation_polytope, smooth_marginals
 
 F = Fraction
 
@@ -594,3 +598,31 @@ def test_condensed_tableau_matches_fraction_reference():
             assert enumerate_vertices_eq(system, cap=cap) == expected, f"trial {trial}"
             outcomes["vertices"] += 1
     assert min(outcomes.values()) >= 30, outcomes
+
+
+# ---------------------------------------------------------------------------
+# Entry growth: rows are divided by their gcd only when their scale outgrows
+# the pivot, which must keep the integers machine-sized on a real polytope.
+
+
+def load_benchmark_generators():
+    """``perfbench/gen.py``, loaded from its file so that the repository root need not be on ``sys.path``."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen", Path(__file__).resolve().parents[1] / "perfbench" / "gen.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_phase_one_entries_stay_within_64_bits_on_the_six_object_ranking_polytope(monkeypatch):
+    text = load_benchmark_generators().rankings_text(1, n=6, count=50)
+    polytope = permutation_polytope(smooth_marginals(counts_from_rankings(parse_rankings(text))))[1]
+    pivot, widths = lp._Tableau.pivot, []
+
+    def measured_pivot(tab, r, k):
+        pivot(tab, r, k)
+        widths.append(max(max(max(row), -min(row)).bit_length() for row in tab.rows + [tab.obj]))
+
+    monkeypatch.setattr(lp._Tableau, "pivot", measured_pivot)
+    system = polytope.feasible_system()  # 720 permutation columns, 37 marginal rows
+    assert len(widths) > 100 and max(widths) <= 64, (len(widths), max(widths))
+    assert sum(system.point) == 1
