@@ -12,7 +12,8 @@ Queries are then bounded in three ways:
   brought to a feasible basis by one phase one: the vertices of spaces
   0..k-2 are walked from that basis, and each combination sums the
   query out space by space into an integer objective over the last
-  space's classes, whose range its system's ``bounds`` gives;
+  space's classes, whose range its system's ``bounds`` gives; each
+  space's vertices share one denominator, so the walk divides once;
 * ``credal_bounds_single_space`` - the same bound for a one-space
   theory, where no vertex is enumerated and it is a pair of LPs;
 * ``outer_bound`` - a cheap factorized relaxation: per-world products of
@@ -96,7 +97,7 @@ class MarginalPolytope:
     """Admissible class masses of one space, as an equality system."""
 
     space_index: int
-    rows: tuple[tuple[Fraction, ...], ...]
+    rows: tuple[tuple[int, ...], ...]
     rhs: tuple[Fraction, ...]
 
     @property
@@ -119,16 +120,18 @@ class MarginalPolytope:
 
 
 def marginal_polytope(ws: WorldSpace, space_index: int) -> MarginalPolytope:
-    """Constraint system for the classes of one space."""
-    t = ws.theory
+    """Constraint system for the classes of one space: 0/1 ``int`` rows, one per atomic choice."""
+    atoms = ws.theory.spaces[space_index].atomic_choices
     classes = ws.classes_by_space[space_index]
-    n = len(classes)
-    rows: list[tuple[Fraction, ...]] = [tuple([_ONE] * n)]
-    rhs: list[Fraction] = [_ONE]
-    for a in t.spaces[space_index].atomic_choices:
-        rows.append(tuple(_ONE if a in cls.partial.image else _ZERO for cls in classes))
-        rhs.append(t.mu[a])
-    return MarginalPolytope(space_index, tuple(rows), tuple(rhs))
+    row_of = {a: r for r, a in enumerate(atoms)}
+    rows = [[0] * len(classes) for _ in atoms]
+    for c, cls in enumerate(classes):
+        for a in cls.partial.image:
+            rows[row_of[a]][c] = 1
+    mu = ws.theory.mu
+    return MarginalPolytope(
+        space_index, ((1,) * len(classes), *map(tuple, rows)), (_ONE, *(mu[a] for a in atoms))
+    )
 
 
 def enumerate_vertices(p: MarginalPolytope, *, cap: int = lp.DEFAULT_BASIS_CAP) -> list[MassFunction]:
@@ -153,11 +156,6 @@ def query_table(ws: WorldSpace, q: Query) -> list[int]:
         hits &= column if lit.positive else ~column
     # the binary digits below a sentinel bit n, least significant first, read as bytes
     return list(bin(hits | 1 << n)[:2:-1].encode().translate(_BIT_VALUES))
-
-
-def query_profiles(ws: WorldSpace, q: Query) -> list[tuple[int, ...]]:
-    """The class profiles of the worlds satisfying the query, in world order."""
-    return list(compress(ws.profiles, query_table(ws, q)))
 
 
 def _class_weights(ws: WorldSpace) -> list[list[Fraction]]:
@@ -255,24 +253,30 @@ def credal_bounds_strong_extension(
     combos = prod(len(vs) for vs in vertex_sets)
     if combos > combo_cap:
         raise CapExceededError(f"{combos} vertex combinations, more than the cap of {combo_cap}")
-    scaled = [[numerators(v) for v in vs] for vs in vertex_sets]
+    # each space's vertices as integer numerators over one denominator for all of them
+    scaled, den = [], 1
+    for vs in vertex_sets:
+        nums, d = numerators([x for v in vs for x in v])
+        size = len(vs[0])
+        scaled.append([nums[j:j + size] for j in range(0, len(nums), size)])
+        den *= d
     last = marginal_polytope(ws, k - 1).feasible_system()
 
     lo = hi = None
 
-    def walk(i: int, table: list[int], den: int) -> None:
-        # table / den: the query summed out against the vertices chosen for spaces before i
+    def walk(i: int, table: list[int]) -> None:
+        # the query summed out against the vertices chosen for spaces before i, over the spaces' denominators
         nonlocal lo, hi
         if i == k - 1:
             low, high = last.bounds(table)
-            lo = low / den if lo is None else min(lo, low / den)
-            hi = high / den if hi is None else max(hi, high / den)
+            lo = low if lo is None else min(lo, low)
+            hi = high if hi is None else max(hi, high)
             return
-        for nums, d in scaled[i]:
-            walk(i + 1, _sum_out(table, nums), den * d)
+        for nums in scaled[i]:
+            walk(i + 1, _sum_out(table, nums))
 
-    walk(0, table, 1)
-    return IntervalResult(lo, hi, "vertex_product")
+    walk(0, table)
+    return IntervalResult(lo / den, hi / den, "vertex_product")
 
 
 def outer_bound(t: CCLTheory, q: Query, *, world_space: WorldSpace | None = None) -> IntervalResult:

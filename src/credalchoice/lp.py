@@ -5,8 +5,11 @@ constraints are ``(coefficients, relation, rhs)`` triples with relation
 one of ``<=``, ``==``, ``>=``.  Bland's rule picks the pivots, so the
 method terminates even on degenerate problems.
 
-Constraints and objectives come in as ``Fraction``s, and points and
-optima go out as exact ``Fraction``s.  Inside, the tableau is
+Constraints and objectives come in as ``int``s or ``Fraction``s, and
+points and optima go out as exact ``Fraction``s.  The constraints are
+scaled to integers once, by one common denominator, before phase one, so
+0/1 rows with ``Fraction`` right-hand sides cost no ``Fraction``
+arithmetic.  Inside, the tableau is
 fraction-free (Edmonds 1967; Bareiss 1968) and stores only the nonbasic
 columns: a row is its entries there, its rhs and, last, its entry
 ``d > 0`` in its own basic column, as ``int``s held only up to a positive
@@ -25,7 +28,8 @@ system and keeps the feasible basis, so every objective optimized over
 the same polytope pays only for its own phase two.  It is the one LP
 entry point.  ``bounds(c)`` gives the range of ``c . x`` from one pricing
 of ``c``, the maximum's reduced costs being the minimum's negated, and
-builds no point; ``solve(c)`` gives one end with a witness point.
+builds no point; ``solve(c)`` gives one end with a witness point.  The
+phase-one ``point`` is built the first time it is read.
 
 :func:`enumerate_vertices_eq` lists the vertices of a bounded system's
 polytope by breadth-first search over its feasible bases, starting from
@@ -38,6 +42,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, NamedTuple, Sequence
@@ -45,7 +50,6 @@ from typing import Iterable, NamedTuple, Sequence
 from .errors import CapExceededError, InfeasibleError, UnboundedError
 from .rational import numerators
 
-Row = list[Fraction]
 IntRow = list[int]  # a tableau row, held only up to a positive factor
 
 
@@ -57,7 +61,6 @@ class Constraint(NamedTuple):
 DEFAULT_BASIS_CAP = 200_000
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -155,22 +158,19 @@ class _Tableau:
         return tuple(point)
 
 
-def _phase_one(rows: list[Row], nreal: int) -> _Tableau:
+def _phase_one(rows: list[IntRow], nreal: int) -> _Tableau:
     """A tableau on a feasible basis of the real variables; may drop redundant rows.
 
-    ``rows`` holds ``Fraction`` equality rows with non-negative
-    right-hand sides over ``nreal`` columns plus the rhs.  They are
-    scaled to integers by one common factor ``den``, so the phase-one
-    objective (minus their sum) weighs them as it would in fractions.
-    Row ``r`` is basic in artificial ``nreal + r`` with ``d = 1``: that
-    artificial is ``den`` times the ``Fraction`` tableau's, a positive
-    scale that no pivot choice sees.  The kept rows are made coprime.
+    ``rows`` holds :func:`_standardize`'s integer equality rows over
+    ``nreal`` columns plus the rhs.  Row ``r`` is basic in artificial
+    ``nreal + r`` with ``d = 1``: that artificial is ``den`` times the
+    ``Fraction`` tableau's, for the rows' common factor ``den``, a
+    positive scale that no pivot choice sees.  The kept rows are made
+    coprime.
     """
     m = len(rows)
-    den = lcm(*(v.denominator for row in rows for v in row))
-    ints = [[v.numerator * (den // v.denominator) for v in row] for row in rows]
-    obj = _coprime([-sum(col) for col in zip(*ints, [0] * (nreal + 1))])
-    tab = _Tableau([row + [1] for row in ints], list(range(nreal, nreal + m)), list(range(nreal)), obj)
+    obj = _coprime([-sum(col) for col in zip(*rows, [0] * (nreal + 1))])
+    tab = _Tableau([row + [1] for row in rows], list(range(nreal, nreal + m)), list(range(nreal)), obj)
     tab.minimize()
     if tab.obj[-1] != 0:
         raise InfeasibleError("no feasible point")
@@ -187,24 +187,33 @@ def _phase_one(rows: list[Row], nreal: int) -> _Tableau:
     return _Tableau(rows, [tab.basis[r] for r in keep], [tab.cols[k] for k in real], [])
 
 
-def _standardize(n: int, constraints: Iterable[Constraint]) -> tuple[list[Row], int]:
-    """Equality rows with slack columns appended and non-negative rhs."""
+def _standardize(n: int, constraints: Iterable[Constraint]) -> tuple[list[IntRow], int]:
+    """Equality rows with slack columns appended and non-negative rhs, as integers.
+
+    Coefficients and right-hand sides may be ``int``s or ``Fraction``s.
+    Every row is scaled by one common factor ``den``, the lcm of all their
+    denominators, so the phase-one objective (minus the rows' sum) weighs
+    them as it would in fractions; a slack's entry is ``±den``.
+    """
     cons = []
     for coeffs, rel, rhs in constraints:
         if rel not in ("<=", "==", ">="):
             raise ValueError(f"unknown relation {rel!r}")
-        coeffs = list(coeffs)
         if len(coeffs) != n:
             raise ValueError(f"constraint has {len(coeffs)} coefficients, expected {n}")
-        cons.append((coeffs, rel, Fraction(rhs)))
-    nslack = sum(rel != "==" for _, rel, _ in cons)
+        cons.append((*numerators(coeffs), rel, rhs))
+    den = lcm(*(d for _, d, _, _ in cons), *(rhs.denominator for *_, rhs in cons))
+    nslack = sum(rel != "==" for _, _, rel, _ in cons)
     slacks = iter(range(n, n + nslack))
-    rows: list[Row] = []
-    for coeffs, rel, rhs in cons:
-        row = coeffs + [_ZERO] * nslack + [rhs]  # as given: phase one reads numerators and denominators
+    rows: list[IntRow] = []
+    for nums, d, rel, rhs in cons:
+        scale = den // d
+        row = [v * scale for v in nums] if scale > 1 else nums
+        row += [0] * nslack
+        row.append(rhs.numerator * (den // rhs.denominator))
         if rel != "==":
-            row[next(slacks)] = _ONE if rel == "<=" else -_ONE
-        rows.append([-v for v in row] if rhs < 0 else row)
+            row[next(slacks)] = den if rel == "<=" else -den
+        rows.append([-v for v in row] if row[-1] < 0 else row)
     return rows, n + nslack
 
 
@@ -212,10 +221,9 @@ class FeasibleSystem:
     """A constraint system over ``x >= 0`` brought to a feasible basis once.
 
     The constructor standardizes the constraints and runs phase one,
-    raising :class:`InfeasibleError` when there is no feasible point;
-    ``point`` is the phase-one basic solution.  :meth:`bounds` and
-    :meth:`solve` run phase two on copies of the kept tableau, so one
-    system answers any number of objectives, in any order.
+    raising :class:`InfeasibleError` when there is no feasible point.
+    :meth:`bounds` and :meth:`solve` run phase two on copies of the kept
+    tableau, so one system answers any number of objectives, in any order.
     """
 
     def __init__(self, n: int, constraints: Iterable[Constraint]):
@@ -223,7 +231,11 @@ class FeasibleSystem:
         rows, self._ncols = _standardize(n, constraints)
         self._tab = _phase_one(rows, self._ncols)
         self._lcm_d = lcm(*(row[-1] for row in self._tab.rows))
-        self.point = self._tab.point(n)
+
+    @cached_property
+    def point(self) -> tuple[Fraction, ...]:
+        """The phase-one basic solution, built on first read."""
+        return self._tab.point(self.n)
 
     def _priced(self, objective: Sequence[Fraction]) -> tuple[list[int], int, IntRow]:
         """``objective`` as integer costs over a denominator, and its coprime reduced costs at the kept basis."""

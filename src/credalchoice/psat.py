@@ -31,13 +31,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
+from math import lcm
 from typing import Iterable, Sequence
 
 from . import lp
 from .errors import CapExceededError, InfeasibleError
 from .inference import IntervalResult, marginal_polytope, query_table
 from .logic import Atom, GroundProgram, Literal
-from .rational import format_fraction
+from .rational import format_fraction, numerators
 from .theory import CCLTheory, Query
 from .worlds import WorldSpace, build_world_space
 
@@ -356,8 +358,8 @@ def build_psat_instance(t: CCLTheory, q: Query, alpha: Fraction) -> PSATInstance
     return PSATInstance(tuple(assessments))
 
 
-def _indicator(f: Formula, models: Sequence[frozenset[Atom]]) -> list[Fraction]:
-    return [_ONE if f.evaluate(m) else _ZERO for m in models]
+def _indicator(f: Formula, models: Sequence[frozenset[Atom]]) -> list[int]:
+    return [int(f.evaluate(m)) for m in models]
 
 
 def psat_decide(inst: PSATInstance) -> bool:
@@ -366,7 +368,7 @@ def psat_decide(inst: PSATInstance) -> bool:
     Hard assessments get no row: every model satisfies them.
     """
     models = enumerate_models(inst.hard_formulas(), inst.variables())
-    rows = [lp.Constraint([_ONE] * len(models), "==", _ONE)]
+    rows = [lp.Constraint([1] * len(models), "==", 1)]
     rows += [lp.Constraint(_indicator(a.formula, models), "==", a.prob) for a in inst.assessments if a.prob != 1]
     try:
         lp.FeasibleSystem(len(models), rows)
@@ -400,7 +402,8 @@ def _query_system(ws: WorldSpace, q: Query) -> tuple[lp.FeasibleSystem, list[int
     classes, and the row's value at the system's phase-one point."""
     system = marginal_polytope(ws, 0).feasible_system()
     row = query_table(ws, q)  # one space: its classes are the worlds
-    return system, row, sum((v for v, r in zip(system.point, row) if r), _ZERO)
+    nums, den = numerators(system.point)
+    return system, row, Fraction(sum(compress(nums, row)), den)
 
 
 def inner_point(t: CCLTheory, q: Query, *, world_space: WorldSpace | None = None) -> Fraction:
@@ -420,7 +423,10 @@ def _bracket(
 
     Probes 0 and 1 first (a satisfiable boundary is an exact endpoint),
     then two independent bisections between ``mid`` and the nearest
-    unsatisfiable probe, each to within ``epsilon``.
+    unsatisfiable probe, each to within ``epsilon``.  Every value is an
+    integer numerator over ``den << t``, for ``den`` the least common
+    denominator of the four inputs and ``t`` the bisection depth; only the
+    probes a given ``state`` records and the ends become ``Fraction``s.
     """
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
@@ -428,34 +434,34 @@ def _bracket(
     st = state if state is not None else BracketState(epsilon)
     st.epsilon = epsilon
     st.sat_low = st.sat_high = mid
+    den = lcm(mid.denominator, lo.denominator, hi.denominator, epsilon.denominator)
+    m, low, high, eps = (v.numerator * (den // v.denominator) for v in (mid, lo, hi, epsilon))
 
-    def probe(alpha: Fraction) -> bool:
-        result = lo <= alpha <= hi
-        st.probes.append((alpha, result))
+    def probe(alpha: int, t: int) -> bool:
+        result = low << t <= alpha <= high << t
+        if state is not None:
+            st.probes.append((Fraction(alpha, den << t), result))
         return result
 
-    if probe(_ZERO):
+    def bisect(sat: int, unsat: int) -> tuple[Fraction, Fraction]:
+        """Halve between a satisfiable and an unsatisfiable numerator over ``den`` until they are within ``epsilon``."""
+        t = 0
+        while abs(sat - unsat) > eps << t:
+            t += 1
+            alpha = sat + unsat  # their midpoint over den << t
+            sat, unsat = (alpha, unsat << 1) if probe(alpha, t) else (sat << 1, alpha)
+        return Fraction(sat, den << t), Fraction(unsat, den << t)
+
+    if probe(0, 0):
         st.sat_low = lower = _ZERO
     else:
-        st.unsat_low = _ZERO
-        while st.sat_low - st.unsat_low > epsilon:
-            alpha = (st.sat_low + st.unsat_low) / 2
-            if probe(alpha):
-                st.sat_low = alpha
-            else:
-                st.unsat_low = alpha
+        st.sat_low, st.unsat_low = bisect(m, 0)
         lower = st.unsat_low
 
-    if probe(_ONE):
+    if probe(den, 0):
         st.sat_high = upper = _ONE
     else:
-        st.unsat_high = _ONE
-        while st.unsat_high - st.sat_high > epsilon:
-            alpha = (st.sat_high + st.unsat_high) / 2
-            if probe(alpha):
-                st.sat_high = alpha
-            else:
-                st.unsat_high = alpha
+        st.sat_high, st.unsat_high = bisect(m, den)
         upper = st.unsat_high
 
     return IntervalResult(lower, upper, "psat_bisect", epsilon)

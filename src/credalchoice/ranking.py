@@ -44,7 +44,6 @@ from .psat import _bracket
 from .rational import format_fraction, numerators
 from .theory import Alternative, CCLTheory, ChoiceSpace, Query, validate_theory
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -127,13 +126,17 @@ class MarginalMatrix:
 
     def __post_init__(self):
         n = len(self.objects)
-        for row in self.alpha:
-            if sum(row, _ZERO) != _ONE:
+        # the entries as integer numerators over one denominator: one is ``den``
+        nums, den = numerators([v for row in self.alpha for v in row])
+        it = iter(nums)
+        rows = [list(itertools.islice(it, len(row))) for row in self.alpha]
+        for row in rows:
+            if sum(row) != den:
                 raise ValueError("marginal rows must sum to 1")
-            if any(not (0 < v < 1) for v in row):
+            if any(not (0 < v < den) for v in row):
                 raise ValueError("marginal entries must lie strictly between 0 and 1")
         for j in range(n):
-            if sum((row[j] for row in self.alpha), _ZERO) != _ONE:
+            if sum(row[j] for row in rows) != den:
                 raise ValueError("marginal columns must sum to 1")
 
 
@@ -142,6 +145,8 @@ def smooth_marginals(c: CountMatrix, equivalent_size: Fraction = Fraction(2)) ->
 
     ``alpha[i][j] = (counts[j][i] + s/n) / (N + s)``; the uniform prior
     keeps the matrix exactly doubly stochastic and every entry positive.
+    For ``s = p/q`` that is ``(n*q*counts[j][i] + p) / (n*(N*q + p))``,
+    computed in integers.
     """
     s = Fraction(equivalent_size)
     if s <= 0:
@@ -149,10 +154,10 @@ def smooth_marginals(c: CountMatrix, equivalent_size: Fraction = Fraction(2)) ->
     n = len(c.objects)
     if n < 2:
         raise ValueError("need at least two objects")
-    denom = c.total + s
-    prior = s / n
+    p, q = s.numerator, s.denominator
+    nq, denom = n * q, n * (c.total * q + p)
     alpha = tuple(
-        tuple((c.counts[j][i] + prior) / denom for j in range(n)) for i in range(n)
+        tuple(Fraction(nq * c.counts[j][i] + p, denom) for j in range(n)) for i in range(n)
     )
     return MarginalMatrix(c.objects, alpha)
 
@@ -184,20 +189,26 @@ def build_ranking_theory(m: MarginalMatrix) -> CCLTheory:
     return theory
 
 
-def permutation_polytope(m: MarginalMatrix) -> tuple[list[tuple[int, ...]], MarginalPolytope, list[Fraction]]:
+def permutation_polytope(m: MarginalMatrix) -> tuple[list[tuple[int, ...]], MarginalPolytope, list[int]]:
     """The ranking theory's classes, marginal polytope and proxy, without building the theory.
 
     Permutation ``pos`` puts object ``i`` at position ``pos[i]``; the rows
     are the all-ones row, then ``pos[i] == j`` for each ``(i, j)``.  Its
-    weight over ``sum(weights)`` is its :func:`proxy_mass_function` value.
+    weight, the product of its ``alpha`` numerators over their common
+    denominator, over ``sum(weights)`` is its :func:`proxy_mass_function`
+    value.
     """
     n = len(m.objects)
     perms = list(itertools.permutations(range(n)))
-    cells = [(i, j) for i in range(n) for j in range(n)]
-    rows = [(1,) * len(perms)] + [tuple(int(pos[i] == j) for pos in perms) for i, j in cells]
-    rhs = [_ONE] + [m.alpha[i][j] for i, j in cells]
-    weights = [prod(m.alpha[i][p] for i, p in enumerate(pos)) for pos in perms]
-    return perms, MarginalPolytope(0, tuple(rows), tuple(rhs)), weights
+    rows = [[0] * len(perms) for _ in range(n * n)]  # row i*n + j: pos[i] == j
+    for c, pos in enumerate(perms):
+        for i, j in enumerate(pos):
+            rows[i * n + j][c] = 1
+    rhs = [v for row in m.alpha for v in row]
+    nums = numerators(rhs)[0]
+    alpha = [nums[i * n:(i + 1) * n] for i in range(n)]
+    weights = [prod(map(list.__getitem__, alpha, pos)) for pos in perms]
+    return perms, MarginalPolytope(0, ((1,) * len(perms), *map(tuple, rows)), (_ONE, *rhs)), weights
 
 
 def pairwise_query(
@@ -248,13 +259,17 @@ def decide_preference(
 ) -> PreferenceDecision:
     """Dominance at the threshold; a touching endpoint stays indeterminate."""
     threshold = Fraction(threshold)
-    if interval.lower > threshold:
-        verdict = "first"
-    elif interval.upper < threshold:
-        verdict = "second"
-    else:
-        verdict = "indeterminate"
+    verdict = _verdict(interval.lower, interval.upper, threshold)
     return PreferenceDecision((pair[0], pair[1]), interval, threshold, verdict)
+
+
+def _verdict(lower: Fraction, upper: Fraction, threshold: Fraction) -> str:
+    """``decide_preference``'s verdict for the interval ``[lower, upper]``."""
+    if lower > threshold:
+        return "first"
+    if upper < threshold:
+        return "second"
+    return "indeterminate"
 
 
 # ---------------------------------------------------------------------------
@@ -324,13 +339,10 @@ def _rate_json(x: Fraction | None):
     return {"value": format_fraction(x), "dec": float(x)}
 
 
-def _majority_truth(rankings: Sequence[tuple[int, ...]], first: int, second: int) -> str | None:
-    wins = losses = 0
-    for r in rankings:
-        if r.index(first) < r.index(second):
-            wins += 1
-        else:
-            losses += 1
+def _majority_truth(positions: Sequence[Sequence[int]], first: int, second: int) -> str | None:
+    """The majority verdict over rankings given as position tuples (``pos[i]`` is object ``i``'s place)."""
+    wins = sum(pos[first] < pos[second] for pos in positions)
+    losses = len(positions) - wins
     if wins > losses:
         return "first"
     if losses > wins:
@@ -355,13 +367,16 @@ def report_from_marginals(
     """
     if backend not in ("lp", "psat"):
         raise ValueError(f"unknown backend {backend!r}")
+    threshold = Fraction(threshold)
     n = len(marginals.objects)
     perms, polytope, weights = permutation_polytope(marginals)
     system = polytope.feasible_system()
-    # the proxy weights and the phase-one point as integers, so a pair's value is one integer sum
-    weights = numerators(weights)[0]
+    # the proxy weights and, for psat, the phase-one point as integers, so a pair's value is one integer sum
     total = sum(weights)
-    start_nums, start_den = numerators(system.point)
+    if backend == "psat":
+        start_nums, start_den = numerators(system.point)
+    if truth_rankings is not None:  # each ranking inverted once: positions[k][i] is object i's place
+        positions = [sorted(range(n), key=r.__getitem__) for r in truth_rankings]
     outcomes: list[PairOutcome] = []
     for i in range(n):
         for j in range(i + 1, n):
@@ -371,15 +386,14 @@ def report_from_marginals(
                 interval = IntervalResult(lo, hi, "lp")
             else:
                 interval = _bracket(Fraction(sum(itertools.compress(start_nums, ahead)), start_den), lo, hi, epsilon)
-            decision = decide_preference(interval, threshold, (i, j))
             point = Fraction(sum(itertools.compress(weights, ahead)), total)
-            icl_verdict = decide_preference(IntervalResult(point, point, "proxy"), threshold).verdict
-            truth = _majority_truth(truth_rankings, i, j) if truth_rankings is not None else None
+            icl_verdict = _verdict(point, point, threshold)
+            truth = _majority_truth(positions, i, j) if truth_rankings is not None else None
             outcomes.append(
                 PairOutcome(
                     (marginals.objects[i], marginals.objects[j]),
                     interval,
-                    decision.verdict,
+                    _verdict(interval.lower, interval.upper, threshold),
                     point,
                     None if icl_verdict == "indeterminate" else icl_verdict,
                     truth,

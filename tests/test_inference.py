@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import compress
 
 import pytest
 from conftest import (
@@ -32,7 +33,7 @@ from credalchoice.inference import (
     proxy_in_credal_set,
     proxy_mass_function,
     proxy_query_value,
-    query_profiles,
+    query_table,
 )
 from credalchoice.logic import Literal, Program, atom
 from credalchoice.ranking import (
@@ -325,7 +326,7 @@ def test_strong_extension_equals_vertex_product_oracle(shape):
         ws = build_world_space(t)
         if shape == "multispace":
             # the derived atom holding in closest to half of the worlds
-            q = min(map(query, derived), key=lambda q: abs(2 * len(query_profiles(ws, q)) - len(ws.profiles)))
+            q = min(map(query, derived), key=lambda q: abs(2 * len(list(compress(ws.profiles, query_table(ws, q)))) - len(ws.profiles)))
         iv = credal_bounds_strong_extension(t, q, world_space=ws)
         assert (iv.lower, iv.upper) == vertex_product_bounds(t, q, ws), f"trial {trial}"
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import random_query, random_single_space_theory, with_derived_atom
 from credalchoice import psat
 from credalchoice.errors import CapExceededError, InfeasibleError
-from credalchoice.inference import credal_bounds_single_space
+from credalchoice.inference import IntervalResult, credal_bounds_single_space
 from credalchoice.logic import Program, atom, parse_program, ground
 from credalchoice.psat import (
     Assessment,
@@ -474,6 +474,66 @@ def test_bisect_builds_one_world_space_and_never_decides(data_dir, monkeypatch):
     bisect_bounds(doc.theory, doc.queries[0], state=state)
     assert state.calls > 2
     assert calls == {"build_world_space": 1, "enumerate_models": 0, "psat_decide": 0}
+
+
+def reference_bracket(mid, lo, hi, epsilon, st):
+    """The bisection of ``psat._bracket`` in ``Fraction`` arithmetic, recording into ``st``."""
+    st.epsilon = epsilon
+    st.sat_low = st.sat_high = mid
+
+    def probe(alpha):
+        result = lo <= alpha <= hi
+        st.probes.append((alpha, result))
+        return result
+
+    if probe(F(0)):
+        st.sat_low = lower = F(0)
+    else:
+        st.unsat_low = F(0)
+        while st.sat_low - st.unsat_low > epsilon:
+            alpha = (st.sat_low + st.unsat_low) / 2
+            if probe(alpha):
+                st.sat_low = alpha
+            else:
+                st.unsat_low = alpha
+        lower = st.unsat_low
+    if probe(F(1)):
+        st.sat_high = upper = F(1)
+    else:
+        st.unsat_high = F(1)
+        while st.unsat_high - st.sat_high > epsilon:
+            alpha = (st.sat_high + st.unsat_high) / 2
+            if probe(alpha):
+                st.sat_high = alpha
+            else:
+                st.unsat_high = alpha
+        upper = st.unsat_high
+    return IntervalResult(lower, upper, "psat_bisect", epsilon)
+
+
+def test_integer_bracket_matches_the_fraction_bisection():
+    rng = random.Random(1024)
+    epsilons = [F(1, 1024), F(1, 64), F(1, 3), F(2, 7), F(1), F(3, 2), F(1, 1000)]
+    shapes = set()
+    for trial in range(400):
+        den = rng.choice([1, 2, 3, 7, 10, 12, 97, 360, 1024])
+        lo, mid, hi = sorted(F(rng.randint(0, den), den) for _ in range(3))
+        shape = trial % 4
+        if shape == 1:
+            lo = F(0)
+        elif shape == 2:
+            hi = F(1)
+        elif shape == 3:
+            lo = hi = mid
+        eps = rng.choice(epsilons) if trial % 5 else F(rng.randint(1, 9), rng.randint(1, 9))
+        shapes.add((lo == 0, hi == 1, lo == hi, eps >= 1))
+        want = BracketState()
+        expected = reference_bracket(mid, lo, hi, eps, want)
+        got = BracketState()
+        assert psat._bracket(mid, lo, hi, eps, got) == expected, (trial, mid, lo, hi, eps)
+        assert got == want, (trial, mid, lo, hi, eps)
+        assert psat._bracket(mid, lo, hi, eps) == expected, (trial, mid, lo, hi, eps)
+    assert len(shapes) >= 10, shapes
 
 
 def test_bisect_rejects_nonpositive_epsilon(data_dir):

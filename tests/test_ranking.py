@@ -146,10 +146,26 @@ def test_smoothed_matrix_is_doubly_stochastic(perms):
 
 
 def test_marginal_matrix_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="rows must sum to 1"):
         MarginalMatrix(("a", "b"), ((F(1, 2), F(1, 3)), (F(1, 2), F(2, 3))))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="strictly between 0 and 1"):
         MarginalMatrix(("a", "b"), ((F(1), F(0)), (F(0), F(1))))  # not interior
+    with pytest.raises(ValueError, match="columns must sum to 1"):
+        MarginalMatrix(("a", "b"), ((F(1, 3), F(2, 3)), (F(1, 3), F(2, 3))))  # rows sum to one, columns do not
+    MarginalMatrix(("a", "b"), ((F(1, 3), F(2, 3)), (F(2, 3), F(1, 3))))
+
+
+@pytest.mark.parametrize("s", [F(2), F(1, 3), F(5, 2)])
+def test_smoothing_matches_the_fraction_formula(s):
+    rng = random.Random(7)
+    for trial in range(30):
+        n = rng.randint(2, 5)
+        rankings = tuple(tuple(rng.sample(range(n), n)) for _ in range(rng.randint(0, 40)))
+        c = counts_from_rankings(RankingDataset(tuple(f"o{i}" for i in range(n)), rankings))
+        m = smooth_marginals(c, s)
+        want = tuple(tuple((c.counts[j][i] + s / n) / (c.total + s) for j in range(n)) for i in range(n))
+        assert m.alpha == want, (trial, s)
+        assert all(type(v) is Fraction for row in m.alpha for v in row)
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +498,7 @@ def test_permutation_polytope_matches_the_generic_path(n):
         # the first n alternatives are the per-object ones: class c puts object i at perms[c][i]
         assert perms == [tuple(position_of[a] for a in cls.partial.selected[:n]) for cls in ws.classes_by_space[0]]
         assert polytope == marginal_polytope(ws, 0)
-        assert tuple(w / sum(weights) for w in weights) == proxy_mass_function(t, world_space=ws).values
+        assert tuple(F(w, sum(weights)) for w in weights) == proxy_mass_function(t, world_space=ws).values
 
 
 def count_calls(monkeypatch, targets) -> dict[str, int]:

@@ -4,12 +4,13 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from itertools import compress
 
 import pytest
 from conftest import naive_stable_model, random_base_query, random_product_theory, with_derived_atoms
 
 from credalchoice import logic, worlds
-from credalchoice.inference import query_profiles
+from credalchoice.inference import query_table
 from credalchoice.errors import CapExceededError
 from credalchoice.logic import Clause, Literal, Program, atom
 from credalchoice.theory import (
@@ -211,7 +212,7 @@ def test_world_space_builds_no_world_until_read(data_dir, monkeypatch):
     ws = build_world_space(t)
     # one evaluator pass over all eight worlds at once
     assert evaluated == [2**8 - 1] and built == []
-    assert len(query_profiles(ws, query(atom("h")))) == 1 and built == []
+    assert len(list(compress(ws.profiles, query_table(ws, query(atom("h")))))) == 1 and built == []
     first = ws.worlds
     assert len(first) == 8 and built == list(range(8))
     assert ws.worlds is first and len(built) == 8
@@ -243,7 +244,7 @@ def test_world_models_and_query_filter_match_naive_oracle():
         for _ in range(3):
             q = random_base_query(rng, t)
             want = [ws.profiles[w.index] for w in ws.worlds if satisfies(w, q)]
-            assert query_profiles(ws, q) == want, f"trial {trial}: {q}"
+            assert list(compress(ws.profiles, query_table(ws, q))) == want, f"trial {trial}: {q}"
     assert shapes == {0, 1, 2, 3, 4}
 
 
