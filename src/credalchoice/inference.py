@@ -12,8 +12,9 @@ Queries are then bounded in three ways:
   brought to a feasible basis by one phase one: the vertices of spaces
   0..k-2 are walked from that basis, and each combination sums the
   query out space by space into an integer objective over the last
-  space's classes, whose range its system's ``bounds`` gives; each
-  space's vertices share one denominator, so the walk divides once;
+  space's classes, whose range its system's ``bound_numerators`` gives
+  as integers; the walk compares them by cross-multiplying, and each
+  space's vertices share one denominator, so it divides once, at the end;
 * ``credal_bounds_single_space`` - the same bound for a one-space
   theory, where no vertex is enumerated and it is a pair of LPs;
 * ``outer_bound`` - a cheap factorized relaxation: per-world products of
@@ -262,21 +263,23 @@ def credal_bounds_strong_extension(
         den *= d
     last = marginal_polytope(ws, k - 1).feasible_system()
 
-    lo = hi = None
+    lo = hi = None  # each a numerator and its denominator, compared by cross-multiplying
 
     def walk(i: int, table: list[int]) -> None:
         # the query summed out against the vertices chosen for spaces before i, over the spaces' denominators
         nonlocal lo, hi
         if i == k - 1:
-            low, high = last.bounds(table)
-            lo = low if lo is None else min(lo, low)
-            hi = high if hi is None else max(hi, high)
+            low, high, d = last.bound_numerators(table)
+            if lo is None or low * lo[1] < lo[0] * d:
+                lo = (low, d)
+            if hi is None or high * hi[1] > hi[0] * d:
+                hi = (high, d)
             return
         for nums in scaled[i]:
             walk(i + 1, _sum_out(table, nums))
 
     walk(0, table)
-    return IntervalResult(lo / den, hi / den, "vertex_product")
+    return IntervalResult(Fraction(lo[0], lo[1] * den), Fraction(hi[0], hi[1] * den), "vertex_product")
 
 
 def outer_bound(t: CCLTheory, q: Query, *, world_space: WorldSpace | None = None) -> IntervalResult:

@@ -2,8 +2,9 @@
 
 A small two-phase simplex.  All variables are implicitly non-negative;
 constraints are ``(coefficients, relation, rhs)`` triples with relation
-one of ``<=``, ``==``, ``>=``.  Bland's rule picks the pivots, so the
-method terminates even on degenerate problems.
+one of ``<=``, ``==``, ``>=``.  Bland's rule picks the pivots of phase
+one and of ``solve``; ``bounds`` uses Dantzig's rule, and Bland's on
+degenerate stretches, so every method terminates on degenerate problems.
 
 Constraints and objectives come in as ``int``s or ``Fraction``s, and
 points and optima go out as exact ``Fraction``s.  The constraints are
@@ -14,8 +15,9 @@ fraction-free (Edmonds 1967; Bareiss 1968) and stores only the nonbasic
 columns: a row is its entries there, its rhs and, last, its entry
 ``d > 0`` in its own basic column, as ``int``s held only up to a positive
 factor.  Every Bland decision is a sign test or a cross-multiplied ratio
-comparison, which no such factor changes, so the pivots are exactly those
-of a ``Fraction`` tableau.  A pivot combines rows over the gcd of the two
+comparison, and Dantzig's rule compares the reduced costs, which share
+one factor; no such factor changes a decision, so the pivots are exactly
+those of a ``Fraction`` tableau.  A pivot combines rows over the gcd of the two
 multipliers and divides a row by the gcd of its entries only when its
 ``d`` has grown past the pivot, so most rows are built in one pass; the
 reduced costs are always kept coprime.  A pivot moves the leaving column
@@ -26,10 +28,12 @@ which scales its column by a positive factor and changes no pivot.
 ``FeasibleSystem`` is the core: it runs phase one once per constraint
 system and keeps the feasible basis, so every objective optimized over
 the same polytope pays only for its own phase two.  It is the one LP
-entry point.  ``bounds(c)`` gives the range of ``c . x`` from one pricing
-of ``c``, the maximum's reduced costs being the minimum's negated, and
-builds no point; ``solve(c)`` gives one end with a witness point.  The
-phase-one ``point`` is built the first time it is read.
+entry point.  It also keeps every distinct basis at which an end of
+``bounds(c)`` finished, with its basic values over one integer; each end
+starts at the kept basis where ``c . x`` is best, and pivots on a copy
+only if a reduced cost is negative there.  ``bounds`` builds no point;
+``solve(c)`` gives one end with a witness point, from the phase-one
+basis.  The phase-one ``point`` is built the first time it is read.
 
 :func:`enumerate_vertices_eq` lists the vertices of a bounded system's
 polytope by breadth-first search over its feasible bases, starting from
@@ -45,6 +49,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import CapExceededError, InfeasibleError, UnboundedError
@@ -99,13 +104,32 @@ class _Tableau:
     Pivots replace rows rather than editing them, so copies may share rows.
     """
 
-    __slots__ = ("rows", "basis", "cols", "obj")
+    __slots__ = ("rows", "basis", "cols", "obj", "big", "values")
 
     def __init__(self, rows: list[IntRow], basis: list[int], cols: list[int], obj: IntRow):
         self.rows, self.basis, self.cols, self.obj = rows, basis, cols, obj
 
     def copy(self, obj: IntRow) -> _Tableau:
         return _Tableau(list(self.rows), list(self.basis), list(self.cols), obj)
+
+    def valued(self) -> _Tableau:
+        """``self``, given ``big``, the lcm of its rows' ``d``s, and its basic ``values`` as numerators over ``big``."""
+        self.big = big = lcm(*(row[-1] for row in self.rows))
+        self.values = [row[-2] * (big // row[-1]) for row in self.rows]
+        return self
+
+    def value(self, costs: list[int]) -> int:
+        """``costs . x`` at the basic solution of a :meth:`valued` tableau, over ``big``."""
+        return sum(map(mul, map(costs.__getitem__, self.basis), self.values))
+
+    def priced(self, costs: list[int]) -> IntRow:
+        """The coprime reduced costs of ``costs`` at the basis of a :meth:`valued` tableau."""
+        big, obj = self.big, [self.big * costs[c] for c in self.cols]
+        for row, b in zip(self.rows, self.basis):  # each basic cost eliminated by its row at weight big / d
+            if costs[b]:
+                w = costs[b] * (big // row[-1])
+                obj = [o - w * v for o, v in zip(obj, row)]
+        return _coprime(obj)
 
     def pivot(self, r: int, k: int) -> None:
         """``cols[k]`` enters at row ``r``, and ``basis[r]`` leaves into position ``k``.
@@ -118,36 +142,57 @@ class _Tableau:
         times its old one.  Only a row whose new ``d`` exceeds ``p`` is
         divided by the gcd of its entries; the objective always is.
         """
-        rows, obj = self.rows, self.obj
+        rows = self.rows
         row = rows[r]
         prow = rows[r] = row[:] if row[k] > 0 else [-v for v in row]
         prow[k], prow[-1] = prow[-1], prow[k]
-        p = prow[-1]
-        for i, row in enumerate(rows + [obj]):
+        p, leave = prow[-1], prow[k]
+        for i, row in enumerate(rows):
             f = row[k]
             if f and i != r:
                 g = gcd(p, f)
                 a, b = p // g, f // g
-                new = [a * v - b * w for v, w in zip(row, prow)]  # ``zip`` stops at the objective's end
-                new[k] = -b * prow[k]
-                if row is obj:
-                    self.obj = _coprime(new)
-                else:
-                    new[-1] = d = a * row[-1]
-                    rows[i] = _coprime(new) if d > p else new
+                new = [v - b * w for v, w in zip(row, prow)] if a == 1 else [a * v - b * w for v, w in zip(row, prow)]
+                new[k] = -b * leave
+                new[-1] = d = a * row[-1]
+                rows[i] = _coprime(new) if d > p else new
+        f = self.obj[k]
+        if f:
+            g = gcd(p, f)
+            a, b = p // g, f // g
+            new = [a * v - b * w for v, w in zip(self.obj, prow)]  # ``zip`` stops at the objective's end
+            new[k] = -b * leave
+            self.obj = _coprime(new)
         self.basis[r], self.cols[k] = self.cols[k], self.basis[r]
 
-    def minimize(self) -> None:
-        """Bland's rule: the least variable with a negative reduced cost enters, the tied row with the least basic variable leaves."""
+    def minimize(self, dantzig: bool = False) -> None:
+        """Bland's rule: the least variable with a negative reduced cost enters, the tied row with the least basic variable leaves.
+
+        With ``dantzig``, the most negative reduced cost enters (the least
+        variable among ties), except that Bland's rule chooses from a
+        degenerate pivot to the next non-degenerate one: a cycle, all
+        degenerate pivots, would be Bland's, which cannot cycle.
+        """
+        rows, basis, cols = self.rows, self.basis, self.cols
+        bland = not dantzig
         while True:
-            enter = min((c for c, v in zip(self.cols, self.obj) if v < 0), default=None)
-            if enter is None:
+            obj = self.obj
+            least = min(obj[:len(cols)], default=0)  # phase one's objective ends in an rhs entry
+            if least >= 0:
                 return
-            k = self.cols.index(enter)
-            ties = _min_ratio_rows(self.rows, k)
-            if not ties:
+            enter = min(c for c, v in zip(cols, obj) if v < 0 and (bland or v == least))
+            k, r = cols.index(enter), -1
+            for i, row in enumerate(rows):
+                a = row[k]
+                if a > 0:
+                    # the sign of rhs/a - num/den, the least ratio so far
+                    diff = row[-2] * den - num * a if r >= 0 else -1
+                    if diff < 0 or diff == 0 and basis[i] < basis[r]:
+                        r, num, den = i, row[-2], a
+            if r < 0:
                 raise UnboundedError("objective improves without bound")
-            self.pivot(min(ties, key=self.basis.__getitem__), k)
+            self.pivot(r, k)
+            bland = not dantzig or num == 0
 
     def point(self, n: int) -> tuple[Fraction, ...]:
         """The basic solution, restricted to the first ``n`` variables."""
@@ -222,53 +267,69 @@ class FeasibleSystem:
 
     The constructor standardizes the constraints and runs phase one,
     raising :class:`InfeasibleError` when there is no feasible point.
-    :meth:`bounds` and :meth:`solve` run phase two on copies of the kept
-    tableau, so one system answers any number of objectives, in any order.
+    :meth:`bounds` and :meth:`solve` run phase two on copies of kept
+    tableaux, so one system answers any number of objectives, in any order.
     """
 
     def __init__(self, n: int, constraints: Iterable[Constraint]):
         self.n = n
         rows, self._ncols = _standardize(n, constraints)
-        self._tab = _phase_one(rows, self._ncols)
-        self._lcm_d = lcm(*(row[-1] for row in self._tab.rows))
+        self._tab = _phase_one(rows, self._ncols).valued()
+        # the phase-one tableau, then one for every distinct basis at which a ``bounds`` end finished, by sorted basis
+        self._pool = {tuple(sorted(self._tab.basis)): self._tab}
 
     @cached_property
     def point(self) -> tuple[Fraction, ...]:
         """The phase-one basic solution, built on first read."""
         return self._tab.point(self.n)
 
-    def _priced(self, objective: Sequence[Fraction]) -> tuple[list[int], int, IntRow]:
-        """``objective`` as integer costs over a denominator, and its coprime reduced costs at the kept basis."""
-        n, tab, big = self.n, self._tab, self._lcm_d
-        if len(objective) != n:
-            raise ValueError(f"objective has {len(objective)} coefficients, expected {n}")
+    def _costs(self, objective: Sequence[Fraction]) -> tuple[list[int], int]:
+        """``objective`` as integer costs over every column, and their denominator."""
+        if len(objective) != self.n:
+            raise ValueError(f"objective has {len(objective)} coefficients, expected {self.n}")
         costs, den = numerators(objective)
-        costs += [0] * (self._ncols - n)
-        obj = [big * costs[c] for c in tab.cols]
-        for row, b in zip(tab.rows, tab.basis):  # each basic cost eliminated by its row at weight lcm(d) / d
-            if costs[b]:
-                w = costs[b] * (big // row[-1])
-                obj = [o - w * v for o, v in zip(obj, row)]
-        return costs, den, _coprime(obj)
+        return costs + [0] * (self._ncols - self.n), den
 
-    def _optimum(self, costs: list[int], den: int, obj: IntRow) -> tuple[Fraction, _Tableau]:
-        """Phase two from the kept tableau under reduced costs ``obj``: the least ``costs . x / den`` and its tableau."""
-        tab = self._tab.copy(obj)
-        tab.minimize()
-        big = lcm(*(row[-1] for row in tab.rows))
-        value = sum(costs[b] * row[-2] * (big // row[-1]) for row, b in zip(tab.rows, tab.basis))
-        return Fraction(value, big * den), tab
+    def bound_numerators(self, objective: Sequence[Fraction]) -> tuple[int, int, int]:
+        """The least and greatest ``objective . x`` as two numerators over one positive denominator.
+
+        Each end starts at the kept basis where its value is best, the
+        earliest among ties, and pivots only on a copy, keeping its final
+        basis.  :class:`UnboundedError` if either end has no optimum.
+        """
+        costs, den = self._costs(objective)
+        lo = hi = (self._tab.value(costs), self._tab)
+        for tab in self._pool.values():  # values compared as cross-multiplied integers
+            value = tab.value(costs)
+            if value * lo[1].big < lo[0] * tab.big:
+                lo = (value, tab)
+            elif value * hi[1].big > hi[0] * tab.big:
+                hi = (value, tab)
+        down = lo[1].priced(costs)
+        ends = []
+        for (value, tab), obj in ((lo, down), (hi, [-v for v in (down if hi is lo else hi[1].priced(costs))])):
+            if min(obj, default=0) < 0:
+                tab = tab.copy(obj)
+                tab.minimize(dantzig=True)
+                tab = self._pool.setdefault(tuple(sorted(tab.basis)), tab.valued())
+                value = tab.value(costs)
+            ends.append((value, tab.big))
+        (low, low_big), (high, high_big) = ends
+        big = lcm(low_big, high_big)
+        return low * (big // low_big), high * (big // high_big), big * den
 
     def bounds(self, objective: Sequence[Fraction]) -> tuple[Fraction, Fraction]:
-        """The least and greatest ``objective . x``, priced once; :class:`UnboundedError` if either has no optimum."""
-        costs, den, obj = self._priced(objective)
-        return self._optimum(costs, den, obj)[0], self._optimum(costs, den, [-v for v in obj])[0]
+        """The least and greatest ``objective . x``; :class:`UnboundedError` if either has no optimum."""
+        low, high, den = self.bound_numerators(objective)
+        return Fraction(low, den), Fraction(high, den)
 
     def solve(self, objective: Sequence[Fraction], *, maximize: bool = False) -> LPSolution:
-        """Optimize ``objective . x``: the exact optimum and a witness point, or :class:`UnboundedError`."""
-        costs, den, obj = self._priced(objective)
-        value, tab = self._optimum(costs, den, [-v for v in obj] if maximize else obj)
-        return LPSolution(value, tab.point(self.n))
+        """Optimize ``objective . x`` from the phase-one basis by Bland's rule: the exact optimum and a witness point, or :class:`UnboundedError`."""
+        costs, den = self._costs(objective)
+        obj = self._tab.priced(costs)
+        tab = self._tab.copy([-v for v in obj] if maximize else obj)
+        tab.minimize()
+        return LPSolution(Fraction(tab.valued().value(costs), tab.big * den), tab.point(self.n))
 
 
 # ---------------------------------------------------------------------------

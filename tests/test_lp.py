@@ -13,7 +13,13 @@ from conftest import solve_affine_system
 from credalchoice import lp
 from credalchoice.errors import CapExceededError, InfeasibleError, UnboundedError
 from credalchoice.lp import Constraint, FeasibleSystem, LPSolution, enumerate_vertices_eq
-from credalchoice.ranking import counts_from_rankings, parse_rankings, permutation_polytope, smooth_marginals
+from credalchoice.ranking import (
+    counts_from_rankings,
+    parse_rankings,
+    permutation_polytope,
+    report_from_marginals,
+    smooth_marginals,
+)
 
 F = Fraction
 
@@ -600,6 +606,88 @@ def test_condensed_tableau_matches_fraction_reference():
     assert min(outcomes.values()) >= 30, outcomes
 
 
+def reference_ends(reference, n, objective):
+    """The reference minimum and maximum, or None when either is unbounded."""
+    try:
+        return tuple(reference_solve(reference, n, objective, maximize).value for maximize in (False, True))
+    except ReferenceUnbounded:
+        return None
+
+
+def bounds_or_none(system, objective):
+    try:
+        return system.bounds(objective)
+    except UnboundedError:
+        return None
+
+
+def test_warm_started_bounds_do_not_depend_on_the_order_of_objectives():
+    rng = random.Random(1977)
+    outcomes = {"unbounded": 0, "optimum": 0, "several kept bases": 0}
+    for trial in range(150):
+        if trial % 2:
+            n = rng.randint(2, 5)
+            cons = random_bounded_system(rng, n)
+        else:
+            n = rng.randint(4, 8)
+            cons = degenerate_system(rng, n)
+        reference = reference_phase_one(n, cons)
+        if reference is None:
+            continue
+        objectives = [
+            [F(rng.randint(-3, 3), rng.choice([1, 2, 3])) if trial % 2 else F(rng.randint(0, 1)) for _ in range(n)]
+            for _ in range(rng.randint(6, 9))
+        ]
+        expected = [reference_ends(reference, n, objective) for objective in objectives]
+        forward, backward = FeasibleSystem(n, cons), FeasibleSystem(n, cons)
+        in_order = [bounds_or_none(forward, objective) for objective in objectives]
+        in_reverse = [bounds_or_none(backward, objective) for objective in reversed(objectives)][::-1]
+        fresh = [bounds_or_none(FeasibleSystem(n, cons), objective) for objective in objectives]
+        assert in_order == in_reverse == fresh == expected, f"trial {trial}"
+        outcomes["unbounded"] += expected.count(None)
+        outcomes["optimum"] += len(expected) - expected.count(None)
+        outcomes["several kept bases"] += len(forward._pool) > 2  # later objectives had a choice of start
+    assert min(outcomes.values()) >= 30, outcomes
+
+
+def beale(box: bool, slacks_first: bool) -> tuple[int, list[Constraint], list[Fraction]]:
+    """Beale's LP: min -3/4 x1 + 150 x2 - 1/50 x3 + 6 x4, optionally with the box row x1 + x2 + x3 + x4 <= 10.
+
+    With ``slacks_first`` the slacks are explicit variables ahead of x, so
+    phase one ends on the slack basis, from which the most negative
+    reduced cost, taken at every step, cycles.
+    """
+    rows = [[F(1, 4), F(-60), F(-1, 25), F(9)], [F(1, 2), F(-90), F(-1, 50), F(3)], [F(0), F(0), F(1), F(0)]]
+    rows += [[F(1)] * 4] * box
+    rhs = [F(0), F(0), F(1)] + [F(10)] * box
+    costs = [F(-3, 4), F(150), F(-1, 50), F(6)]
+    if not slacks_first:
+        return 4, [Constraint(row, "<=", b) for row, b in zip(rows, rhs)], costs
+    m = len(rows)
+    cons = [Constraint([F(int(i == r)) for i in range(m)] + row, "==", b) for r, (row, b) in enumerate(zip(rows, rhs))]
+    return m + 4, cons, [F(0)] * m + costs
+
+
+def test_beale_cycling_lp(monkeypatch):
+    pivot, pivots = lp._Tableau.pivot, itertools.count()
+
+    def limited_pivot(tab, r, k):
+        assert next(pivots) < 1000, "cycling"
+        pivot(tab, r, k)
+
+    monkeypatch.setattr(lp._Tableau, "pivot", limited_pivot)
+    for slacks_first in (False, True):
+        n, cons, costs = beale(True, slacks_first)
+        system = FeasibleSystem(n, cons)
+        if slacks_first:
+            assert system.point == (0, 0, 1, 10, 0, 0, 0, 0)  # the slack basis
+        assert system.bounds(costs) == (F(-1, 20), F(1500)) == reference_ends(reference_phase_one(n, cons), n, costs)
+        n, cons, costs = beale(False, slacks_first)
+        with pytest.raises(UnboundedError):
+            FeasibleSystem(n, cons).bounds(costs)
+        assert FeasibleSystem(n, cons).solve(costs).value == F(-1, 20)
+
+
 # ---------------------------------------------------------------------------
 # Entry growth: rows are divided by their gcd only when their scale outgrows
 # the pivot, which must keep the integers machine-sized on a real polytope.
@@ -613,9 +701,13 @@ def load_benchmark_generators():
     return module
 
 
-def test_phase_one_entries_stay_within_64_bits_on_the_six_object_ranking_polytope(monkeypatch):
-    text = load_benchmark_generators().rankings_text(1, n=6, count=50)
-    polytope = permutation_polytope(smooth_marginals(counts_from_rankings(parse_rankings(text))))[1]
+def ranking_marginals(seed: int, n: int):
+    text = load_benchmark_generators().rankings_text(seed, n=n, count=50)
+    return smooth_marginals(counts_from_rankings(parse_rankings(text)))
+
+
+def measure_pivots(monkeypatch) -> list[int]:
+    """The bit width of the widest tableau entry after each pivot from now on, one entry per pivot."""
     pivot, widths = lp._Tableau.pivot, []
 
     def measured_pivot(tab, r, k):
@@ -623,6 +715,35 @@ def test_phase_one_entries_stay_within_64_bits_on_the_six_object_ranking_polytop
         widths.append(max(max(max(row), -min(row)).bit_length() for row in tab.rows + [tab.obj]))
 
     monkeypatch.setattr(lp._Tableau, "pivot", measured_pivot)
+    return widths
+
+
+def test_phase_one_entries_stay_within_64_bits_on_the_six_object_ranking_polytope(monkeypatch):
+    polytope = permutation_polytope(ranking_marginals(1, 6))[1]
+    widths = measure_pivots(monkeypatch)
     system = polytope.feasible_system()  # 720 permutation columns, 37 marginal rows
     assert len(widths) > 100 and max(widths) <= 64, (len(widths), max(widths))
     assert sum(system.point) == 1
+
+
+def test_ranking_bounds_take_few_pivots_within_64_bits_on_six_objects(monkeypatch):
+    marginals = ranking_marginals(1, 6)
+    widths = measure_pivots(monkeypatch)
+    report = report_from_marginals(marginals, backend="lp")
+    # phase one and both ends of 15 pairs: 952 pivots warm-started by Dantzig's rule, 4375 by Bland's rule alone
+    assert len(report.pairs) == 15
+    assert len(widths) <= 1200 and max(widths) <= 64, (len(widths), max(widths))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_ranking_intervals_equal_bland_optima_from_the_phase_one_basis(seed):
+    marginals = ranking_marginals(seed, 5)
+    perms, polytope, _ = permutation_polytope(marginals)
+    system = polytope.feasible_system()
+    report = report_from_marginals(marginals, backend="lp")
+    pairs = list(itertools.combinations(range(5), 2))
+    assert [p.pair for p in report.pairs] == [(marginals.objects[i], marginals.objects[j]) for i, j in pairs]
+    for outcome, (i, j) in zip(report.pairs, pairs):
+        ahead = [int(pos[i] < pos[j]) for pos in perms]
+        ends = system.solve(ahead).value, system.solve(ahead, maximize=True).value
+        assert (outcome.interval.lower, outcome.interval.upper) == ends, (i, j)
