@@ -36,15 +36,16 @@ only if a reduced cost is negative there.  ``bounds`` builds no point;
 basis.  The phase-one ``point`` is built the first time it is read.
 
 :func:`enumerate_vertices_eq` lists the vertices of a bounded system's
-polytope by breadth-first search over its feasible bases, starting from
-the system's phase-one basis and leaving by the simplex's own ratio
-test; the same pivot brings the kept tableau to each basis.  Degenerate
-vertices are reached through multiple bases; points are deduplicated.
+polytope by a depth-first walk over its feasible bases on one copy of
+the phase-one tableau.  It leaves each basis by the simplex's own ratio
+test, and comes back by pivoting at the same position again, which
+undoes the pivot: each basis costs two pivots, and the walk keeps only
+the pivot back and the next move per level.  Degenerate vertices are
+reached through multiple bases; points are deduplicated.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -59,9 +60,9 @@ IntRow = list[int]  # a tableau row, held only up to a positive factor
 
 
 class Constraint(NamedTuple):
-    coeffs: Sequence[Fraction]
+    coeffs: Sequence[int | Fraction]
     sense: str  # "<=" | "==" | ">="
-    rhs: Fraction
+    rhs: int | Fraction
 
 DEFAULT_BASIS_CAP = 200_000
 
@@ -336,49 +337,41 @@ class FeasibleSystem:
 # Vertex enumeration over a system's feasible bases.
 
 
-def _tableau_for_basis(tab: _Tableau, basis: Sequence[int]) -> _Tableau:
-    """``tab`` pivoted onto the non-singular sorted ``basis``, row ``k`` on ``basis[k]``.
-
-    A nonbasic target column enters at a row whose basic variable leaves the target: the basis is independent.
-    """
-    t = tab.copy([0] * len(tab.cols))  # a zero objective row; pivots leave it
-    wanted = set(basis)
-    for j in basis:
-        if j in t.cols:
-            k = t.cols.index(j)
-            t.pivot(next(r for r, row in enumerate(t.rows) if row[k] and t.basis[r] not in wanted), k)
-    order = sorted(range(len(basis)), key=t.basis.__getitem__)
-    t.rows, t.basis = [t.rows[r] for r in order], list(basis)
-    return t
-
-
 def enumerate_vertices_eq(system: FeasibleSystem, *, cap: int = DEFAULT_BASIS_CAP) -> list[tuple[Fraction, ...]]:
     """All vertices of a bounded system's polytope, sorted.
 
-    Walks the graph of feasible bases breadth first by single pivots,
-    starting from the phase-one basis, so the polytope must be bounded
-    (unbounded edge directions are ignored).  Every tied leaving row is
+    Walks the graph of feasible bases depth first on one tableau, starting
+    from the phase-one basis, so the polytope must be bounded (unbounded
+    edge directions are ignored).  A move is a min-ratio pivot ``(r, k)``;
+    the same pivot leads back, restoring the basis, and every row up to a
+    positive factor, which changes no ratio tie, so a basis's moves are
+    recomputed, unchanged, on each return to it.  Every tied leaving row is
     followed, so degenerate vertices are reached through several bases;
     points are deduplicated.  Raises :class:`CapExceededError` when more
     than ``cap`` bases are visited.
     """
     n = system.n
-    first = tuple(sorted(system._tab.basis))
-    seen: set[tuple[int, ...]] = {first}
-    queue: deque[tuple[int, ...]] = deque([first])
-    points: dict[tuple[Fraction, ...], None] = {}
-    while queue:
-        basis = queue.popleft()
-        tab = _tableau_for_basis(system._tab, basis)
-        points.setdefault(tab.point(n))
-        basic = set(basis)
-        for j, k in sorted(zip(tab.cols, range(len(tab.cols)))):
-            # a min-ratio pivot on a positive entry: the new basis is feasible and non-singular
-            for r in _min_ratio_rows(tab.rows, k):
-                nb = tuple(sorted(basic - {basis[r]} | {j}))
-                if nb not in seen:
-                    seen.add(nb)
-                    if len(seen) > cap:
-                        raise CapExceededError(f"more than {cap} feasible bases")
-                    queue.append(nb)
-    return sorted(points)
+    tab = system._tab.copy([0] * len(system._tab.cols))  # a zero objective row; pivots leave it
+    seen = {tuple(sorted(tab.basis))}
+    points = {tab.point(n): None}
+    back: list[tuple[int, int, int]] = []  # per level: the pivot back down, and the next move there
+    i = 0
+    while True:
+        moves = [(r, k) for _, k in sorted(zip(tab.cols, range(len(tab.cols)))) for r in _min_ratio_rows(tab.rows, k)]
+        for i in range(i, len(moves)):
+            r, k = moves[i]
+            basis = tuple(sorted(tab.basis[:r] + tab.basis[r + 1:] + [tab.cols[k]]))
+            if basis not in seen:
+                seen.add(basis)
+                if len(seen) > cap:
+                    raise CapExceededError(f"more than {cap} feasible bases")
+                tab.pivot(r, k)
+                points.setdefault(tab.point(n))
+                back.append((r, k, i + 1))
+                i = 0
+                break
+        else:
+            if not back:
+                return sorted(points)
+            r, k, i = back.pop()
+            tab.pivot(r, k)

@@ -344,6 +344,14 @@ def test_rank_malformed_rankings_exits_2(tmp_path, capsys, name, text):
     assert "error" in err
 
 
+def test_rank_on_ten_objects_exits_1_at_the_cap(tmp_path, capsys):
+    p = tmp_path / "ten.rankings"
+    p.write_text("a,b,c,d,e,f,g,h,i,j\nj,i,h,g,f,e,d,c,b,a\n")
+    code, out, err = run(["rank", str(p)], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "cap" in err
+
+
 def test_rank_bad_holdout_exits_1(data_dir, capsys):
     code, _, _ = run(
         ["rank", str(data_dir / "abc.rankings"), "--holdout", "2"], capsys

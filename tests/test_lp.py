@@ -170,10 +170,13 @@ def test_vertex_enumeration_redundant_rows():
 
 
 def test_vertex_cap():
-    rows = [(F(1),) * 6]
-    rhs = [F(1)]
+    system = equality_system([(F(1),) * 6], [F(1)])
     with pytest.raises(CapExceededError):
-        enumerate_vertices_eq(equality_system(rows, rhs), cap=3)
+        enumerate_vertices_eq(system, cap=3)
+    # the simplex has exactly 6 feasible bases, one per unit vertex: the cap counts visited bases
+    assert enumerate_vertices_eq(system, cap=6) == sorted(tuple(F(int(i == j)) for j in range(6)) for i in range(6))
+    with pytest.raises(CapExceededError, match="more than 5 feasible bases"):
+        enumerate_vertices_eq(system, cap=5)
 
 
 def random_transportation(rng: random.Random, m: int, n: int):
@@ -716,6 +719,15 @@ def measure_pivots(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(lp._Tableau, "pivot", measured_pivot)
     return widths
+
+
+def test_vertex_walk_takes_two_pivots_per_basis_within_64_bits_on_four_objects(monkeypatch):
+    system = permutation_polytope(ranking_marginals(1, 4))[1].feasible_system()
+    widths = measure_pivots(monkeypatch)
+    vertices = enumerate_vertices_eq(system)
+    # 8010 feasible bases: each of the 8009 reached from another takes one pivot out and one back
+    assert len(vertices) == 4081
+    assert len(widths) <= 2 * 8009 and max(widths) <= 64, (len(widths), max(widths))
 
 
 def test_phase_one_entries_stay_within_64_bits_on_the_six_object_ranking_polytope(monkeypatch):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from credalchoice.errors import ParseError
+from credalchoice.errors import CapExceededError, ParseError
 from credalchoice.inference import (
     IntervalResult,
     credal_bounds_single_space,
@@ -411,6 +411,12 @@ def test_evaluate_psat_backend_brackets_lp_on_five_objects():
     assert_psat_brackets_lp(
         RankingDataset(tuple("abcde"), tuple(tuple(rng.sample(range(5), 5)) for _ in range(30))), F(1, 64)
     )
+
+
+def test_evaluate_on_ten_objects_exceeds_the_cap_before_listing_rankings():
+    # 10! = 3 628 800 rankings exceed the 2**20 cap; listing them would take minutes and gigabytes
+    with pytest.raises(CapExceededError, match="3628800 rankings"):
+        evaluate(parse_rankings("a,b,c,d,e,f,g,h,i,j\nj,i,h,g,f,e,d,c,b,a\n"))
 
 
 def test_evaluate_holdout_split_determinism():
