@@ -123,16 +123,12 @@ class MarginalPolytope:
 def marginal_polytope(ws: WorldSpace, space_index: int) -> MarginalPolytope:
     """Constraint system for the classes of one space: 0/1 ``int`` rows, one per atomic choice."""
     atoms = ws.theory.spaces[space_index].atomic_choices
-    classes = ws.classes_by_space[space_index]
-    row_of = {a: r for r, a in enumerate(atoms)}
-    rows = [[0] * len(classes) for _ in atoms]
-    for c, cls in enumerate(classes):
-        for a in cls.partial.image:
-            rows[row_of[a]][c] = 1
-    mu = ws.theory.mu
-    return MarginalPolytope(
-        space_index, ((1,) * len(classes), *map(tuple, rows)), (_ONE, *(mu[a] for a in atoms))
-    )
+    sels = ws.selections[space_index]
+    rows = [[0] * len(sels) for _ in atoms]
+    for c, sel in enumerate(sels):
+        for a in sel:
+            rows[a][c] = 1
+    return MarginalPolytope(space_index, ((1,) * len(sels), *map(tuple, rows)), (_ONE, *map(ws.theory.mu.__getitem__, atoms)))
 
 
 def enumerate_vertices(p: MarginalPolytope, *, cap: int = lp.DEFAULT_BASIS_CAP) -> list[MassFunction]:
@@ -150,7 +146,7 @@ def query_table(ws: WorldSpace, q: Query) -> list[int]:
     """
     q.check_against(ws.theory)
     index = ws.theory.ground_program.index
-    n = len(ws.profiles)
+    n = ws.n_worlds
     hits = (1 << n) - 1
     for lit in q.literals:
         column = ws.columns[index[lit.atom]]
@@ -166,8 +162,8 @@ def _class_weights(ws: WorldSpace) -> list[list[Fraction]]:
     """
     mu = ws.theory.mu
     return [
-        [prod((mu[a] for a in cls.partial.image), start=_ONE) for cls in classes]
-        for classes in ws.classes_by_space
+        [prod((mu[sp.atomic_choices[a]] for a in set(sel)), start=_ONE) for sel in sels]
+        for sp, sels in zip(ws.theory.spaces, ws.selections)
     ]
 
 

@@ -40,8 +40,8 @@ polytope by a depth-first walk over its feasible bases on one copy of
 the phase-one tableau.  It leaves each basis by the simplex's own ratio
 test, and comes back by pivoting at the same position again, which
 undoes the pivot: each basis costs two pivots, and the walk keeps only
-the pivot back and the next move per level.  Degenerate vertices are
-reached through multiple bases; points are deduplicated.
+the pivot back per level, where its scan of moves resumes.  Degenerate
+vertices are reached through several bases; points are deduplicated.
 """
 
 from __future__ import annotations
@@ -342,36 +342,42 @@ def enumerate_vertices_eq(system: FeasibleSystem, *, cap: int = DEFAULT_BASIS_CA
 
     Walks the graph of feasible bases depth first on one tableau, starting
     from the phase-one basis, so the polytope must be bounded (unbounded
-    edge directions are ignored).  A move is a min-ratio pivot ``(r, k)``;
-    the same pivot leads back, restoring the basis, and every row up to a
-    positive factor, which changes no ratio tie, so a basis's moves are
-    recomputed, unchanged, on each return to it.  Every tied leaving row is
-    followed, so degenerate vertices are reached through several bases;
-    points are deduplicated.  Raises :class:`CapExceededError` when more
-    than ``cap`` bases are visited.
+    edge directions are ignored).  A move is a min-ratio pivot ``(r, k)``,
+    ordered by ``cols[k]``, then by ``r``; the same pivot leads back,
+    restoring the basis, and every row up to a positive factor, which
+    changes no ratio tie, so the scan of moves resumes just after it.
+    Every tied leaving row is followed, so degenerate vertices are reached
+    through several bases; points are deduplicated as integers.  Raises
+    :class:`CapExceededError` when more than ``cap`` bases are visited.
     """
     n = system.n
     tab = system._tab.copy([0] * len(system._tab.cols))  # a zero objective row; pivots leave it
     seen = {tuple(sorted(tab.basis))}
-    points = {tab.point(n): None}
-    back: list[tuple[int, int, int]] = []  # per level: the pivot back down, and the next move there
-    i = 0
+    points = set()  # each vertex's first ``n`` coordinates as integers over their least denominator, which comes first
+    back: list[tuple[int, int]] = []  # per level: the pivot back down
+    var = row = -1  # the scan resumes past the move of variable ``var`` entering at ``row``
     while True:
-        moves = [(r, k) for _, k in sorted(zip(tab.cols, range(len(tab.cols)))) for r in _min_ratio_rows(tab.rows, k)]
-        for i in range(i, len(moves)):
-            r, k = moves[i]
+        if var < 0:  # a basis reached for the first time
+            x = dict(zip(tab.basis, tab.valued().values))
+            g = gcd(tab.big, *x.values())  # the slacks' values are fixed by the point's, so this key is canonical too
+            points.add((tab.big // g, *(x.get(j, 0) // g for j in range(n))))
+        moves = ((r, k) for k in sorted(range(len(tab.cols)), key=tab.cols.__getitem__) if tab.cols[k] >= var
+                 for r in _min_ratio_rows(tab.rows, k) if tab.cols[k] > var or r > row)
+        for r, k in moves:  # the moves are computed only until the first unseen basis
             basis = tuple(sorted(tab.basis[:r] + tab.basis[r + 1:] + [tab.cols[k]]))
             if basis not in seen:
                 seen.add(basis)
                 if len(seen) > cap:
                     raise CapExceededError(f"more than {cap} feasible bases")
                 tab.pivot(r, k)
-                points.setdefault(tab.point(n))
-                back.append((r, k, i + 1))
-                i = 0
+                back.append((r, k))
+                var = row = -1
                 break
         else:
-            if not back:
-                return sorted(points)
-            r, k, i = back.pop()
-            tab.pivot(r, k)
+            if not back:  # sorted as integers over one denominator, the walk's sets dropped before the output is built
+                den = lcm(*(p[0] for p in points))
+                ints, seen, points = sorted([v * (den // p[0]) for v in p[1:]] for p in points), None, None
+                return [tuple(Fraction(v, den) if v else _ZERO for v in x) for x in ints]
+            row, k = back.pop()
+            tab.pivot(row, k)
+            var = tab.cols[k]

@@ -15,19 +15,19 @@ identical indices, which the textual world tables rely on.
 The worlds are the product of the spaces' coherent selections, last
 space fastest.  A world's class profile is its digit tuple in that
 product: its selection's index in each space, which is also the index
-of its class there.  A world space keeps each world's profile and, per
-atom, a column: the set of worlds holding the atom, as the bits of an
-``int``.  So every world is evaluated in one bit-sliced pass, a query is
-an AND of columns, and ``World`` objects are decoded only when first read.
+of its class there.  A world space keeps each selection as atom indices
+and, per atom, a column: the set of worlds holding the atom, as the bits
+of an ``int``.  So every world is evaluated in one bit-sliced pass, a
+query is an AND of columns, and profiles, classes and worlds are decoded
+only when first read.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from math import prod
-from operator import or_
 from typing import Sequence
 
 from .errors import CapExceededError
@@ -47,10 +47,6 @@ class PartialChoice:
 
     def __str__(self) -> str:
         return "{" + ", ".join(str(a) for a in sorted(self.image)) + "}"
-
-
-def partial_choice(space_index: int, selected: Sequence[Atom]) -> PartialChoice:
-    return PartialChoice(space_index, tuple(selected), frozenset(selected))
 
 
 @dataclass(frozen=True)
@@ -90,15 +86,31 @@ class WorldClass:
 class WorldSpace:
     """Every world of a theory plus, per space, its partition into classes.
 
-    ``profiles[i]`` is world ``i``'s class profile: its class index in
-    each space.  ``columns[a]`` is the set of worlds (bit ``i`` for world
+    ``selections[s][j]`` is class ``j`` of space ``s``, as indices into its ``atomic_choices``; no
+    class is kept when ``n_worlds`` is 0.  ``columns[a]`` is the set of worlds (bit ``i`` for world
     ``i``) whose stable model holds the atom of slot ``a`` in ``GroundProgram.index``.
     """
 
     theory: CCLTheory
-    classes_by_space: tuple[tuple[WorldClass, ...], ...]
-    profiles: tuple[tuple[int, ...], ...]
+    selections: tuple[tuple[tuple[int, ...], ...], ...]
+    n_worlds: int
     columns: tuple[int, ...]
+
+    @cached_property
+    def profiles(self) -> tuple[tuple[int, ...], ...]:
+        """``profiles[i]`` is world ``i``'s class profile: its class index in each space."""
+        return tuple(itertools.product(*(range(len(sels)) for sels in self.selections)))
+
+    @cached_property
+    def classes_by_space(self) -> tuple[tuple[WorldClass, ...], ...]:
+        """Per space, its classes in selection order: world ``i`` is in class ``profiles[i][s]`` of space ``s``."""
+        classes, period = [], self.n_worlds
+        for s, (space, sels) in enumerate(zip(self.theory.spaces, self.selections)):
+            stride = period // len(sels) if sels else 0
+            classes.append(tuple(WorldClass(pc, range(j * stride, self.n_worlds, period), stride)
+                                 for j, pc in enumerate(_decode(space, s, sels))))
+            period = stride
+        return tuple(classes)
 
     @cached_property
     def worlds(self) -> tuple[World, ...]:
@@ -120,30 +132,29 @@ def set_bits(mask: int) -> list[int]:
     return [i for i, b in enumerate(bin(mask)[:1:-1]) if b == "1"]
 
 
-def coherent_partial_choices(
-    space: ChoiceSpace, space_index: int = 0, cap: int = DEFAULT_WORLD_CAP
-) -> list[PartialChoice]:
-    """All coherent selections of one space, in canonical order, checked on atom-index bit sets."""
-    atoms = space.atomic_choices
-    index = {a: i for i, a in enumerate(atoms)}
+def coherent_selections(space: ChoiceSpace, space_index: int = 0, cap: int = DEFAULT_WORLD_CAP) -> list[tuple[int, ...]]:
+    """All coherent selections of one space, in canonical order, as indices into ``space.atomic_choices``."""
+    index = {a: i for i, a in enumerate(space.atomic_choices)}
     alts = [[index[a] for a in alt.atoms] for alt in space.alternatives]
     masks = [sum(1 << a for a in ids) for ids in alts]
     # conflict[i][a]: every later holder of a must pick a too, so no other atom of i or of them may be picked
-    conflict = [{a: reduce(or_, (m for m in masks[i + 1:] if m >> a & 1), masks[i]) & ~(1 << a) for a in ids}
-                for i, ids in enumerate(alts)]
-    out: list[PartialChoice] = []
+    later, conflict = [0] * len(index), [{}] * len(alts)  # later[a]: the atoms of the alternatives after i that hold a
+    for i in reversed(range(len(alts))):
+        conflict[i] = {a: (masks[i] | later[a]) & ~(1 << a) for a in alts[i]}
+        for a in alts[i]:
+            later[a] |= masks[i]
+    out: list[tuple[int, ...]] = []
     chosen: list[int] = []
 
     def walk(i: int, picked: int, banned: int) -> None:
         # banned: the atoms an earlier alternative holds but did not pick
         if i == len(alts):
-            out.append(partial_choice(space_index, [atoms[a] for a in chosen]))
+            out.append(tuple(chosen))
             if len(out) > cap:
-                raise CapExceededError(
-                    f"more than {cap} coherent selections in choice space {space_index}"
-                )
+                raise CapExceededError(f"more than {cap} coherent selections in choice space {space_index}")
             return
-        for a in alts[i]:
+        held = picked & masks[i]  # a picked atom that alternative i holds is its only candidate
+        for a in (held.bit_length() - 1,) if held else alts[i]:
             if not (picked & conflict[i][a] or banned >> a & 1):
                 chosen.append(a)
                 walk(i + 1, picked | 1 << a, banned | masks[i] & ~(1 << a))
@@ -153,44 +164,51 @@ def coherent_partial_choices(
     return out
 
 
-def _selections_by_space(t: CCLTheory, cap: int) -> list[list[PartialChoice]]:
-    """Each space's coherent selections, checking that their product fits the cap."""
-    per_space = [coherent_partial_choices(sp, i, cap) for i, sp in enumerate(t.spaces)]
+def coherent_partial_choices(space: ChoiceSpace, space_index: int = 0, cap: int = DEFAULT_WORLD_CAP) -> list[PartialChoice]:
+    """All coherent selections of one space, in canonical order."""
+    return _decode(space, space_index, coherent_selections(space, space_index, cap))
+
+
+def _decode(space: ChoiceSpace, space_index: int, sels: Sequence[tuple[int, ...]]) -> list[PartialChoice]:
+    """Selections given as indices into ``space.atomic_choices``, as ``PartialChoice``s."""
+    picks = [tuple(map(space.atomic_choices.__getitem__, sel)) for sel in sels]
+    return [PartialChoice(space_index, p, frozenset(p)) for p in picks]
+
+
+def _selections_by_space(t: CCLTheory, cap: int) -> tuple[tuple[tuple[tuple[int, ...], ...], ...], int]:
+    """Each space's coherent selections (none if some space has none) and the world count, checked against the cap."""
+    per_space = [coherent_selections(sp, i, cap) for i, sp in enumerate(t.spaces)]
     total = prod(len(lst) for lst in per_space)
     if total > cap:
         raise CapExceededError(f"theory has {total} total choices, more than the cap of {cap}")
-    return per_space
+    return tuple(tuple(lst) if total else () for lst in per_space), total
 
 
 def enumerate_total_choices(t: CCLTheory, cap: int = DEFAULT_WORLD_CAP) -> list[TotalChoice]:
     """All total choices of a theory, in canonical order."""
-    return [TotalChoice(parts) for parts in itertools.product(*_selections_by_space(t, cap))]
+    per_space = map(_decode, t.spaces, itertools.count(), _selections_by_space(t, cap)[0])
+    return [TotalChoice(parts) for parts in itertools.product(*per_space)]
 
 
 def build_world_space(t: CCLTheory, cap: int = DEFAULT_WORLD_CAP) -> WorldSpace:
-    """Every world's stable model, evaluated on all worlds at once, and the per-space classes.
+    """Every world's stable model, evaluated on all worlds at once, and the per-space selections.
 
     World ``i`` is its profile as a mixed-radix number, so class ``j`` of a space with ``c`` classes and
     stride ``s`` (the later spaces' world count) is the block ``((1 << s) - 1) << j*s`` every ``s*c`` worlds.
     """
     gp = t.ground_program
-    per_space = _selections_by_space(t, cap)
-    profiles = tuple(itertools.product(*(range(len(lst)) for lst in per_space)))
-    n = len(profiles)
-    columns = [0] * len(gp.index)
-    classes: list[tuple[WorldClass, ...]] = []
-    period = n
-    for lst in per_space:
-        # with no world at all (a space without coherent selections) no class is kept
-        stride = period // len(lst) if n else 0
-        repunit = ((1 << n) - 1) // ((1 << period) - 1) if n else 0  # one bit at the start of each period
-        for j, pc in enumerate(lst):
+    selections, n = _selections_by_space(t, cap)
+    columns, period = [0] * len(gp.index), n
+    for sp, lst in zip(t.spaces, selections if n else ()):  # with no world at all nothing is set
+        stride = period // len(lst)
+        repunit = ((1 << n) - 1) // ((1 << period) - 1)  # one bit at the start of each period
+        slots = [gp.index[a] for a in sp.atomic_choices]  # one lookup per atom, not per selection
+        for j, sel in enumerate(lst):
             worlds = repunit * ((1 << stride) - 1) << j * stride
-            for a in pc.image:
-                columns[gp.index[a]] |= worlds
-        classes.append(tuple(WorldClass(pc, range(j * stride, n, period), stride) for j, pc in enumerate(lst) if n))
+            for a in sel:
+                columns[slots[a]] |= worlds
         period = stride
-    return WorldSpace(t, tuple(classes), profiles, tuple(gp.evaluate(columns, (1 << n) - 1)))
+    return WorldSpace(t, selections, n, tuple(gp.evaluate(columns, (1 << n) - 1)))
 
 
 def satisfies(world: World, q: Query) -> bool:

@@ -10,7 +10,8 @@ import pytest
 from conftest import naive_stable_model, random_base_query, random_product_theory, with_derived_atoms
 
 from credalchoice import logic, worlds
-from credalchoice.inference import query_table
+from credalchoice.inference import credal_bounds_single_space, credal_bounds_strong_extension, outer_bound, query_table
+from credalchoice.psat import bisect_bounds
 from credalchoice.errors import CapExceededError
 from credalchoice.logic import Clause, Literal, Program, atom
 from credalchoice.theory import (
@@ -151,6 +152,16 @@ def test_coherent_choice_image_consistency():
     assert selections == set(brute_force_coherent(space))
 
 
+def test_forced_picks_leave_out_an_alternative_holding_two_picked_atoms():
+    # {a, c} holds the picks of both earlier alternatives when they pick a and c: no selection does
+    space = ChoiceSpace((alternative("a", "b"), alternative("c", "d"), alternative("a", "c")))
+    a, b, c, d = map(atom, "abcd")
+    got = [pc.selected for pc in coherent_partial_choices(space)]
+    assert got == [(a, d, a), (b, c, c)]
+    assert not any(a in sel and c in sel for sel in got)
+    assert got == brute_force_coherent(space)
+
+
 def test_classes_partition_worlds(data_dir):
     doc = load_ccl(data_dir / "friends.ccl")
     ws = build_world_space(doc.theory)
@@ -218,6 +229,37 @@ def test_world_space_builds_no_world_until_read(data_dir, monkeypatch):
     assert ws.worlds is first and len(built) == 8
     build_world_space(t)
     assert len(evaluated) == 2
+
+
+def test_bounds_decode_no_partial_choice_or_class(data_dir, monkeypatch):
+    built = []
+
+    def counting(cls):
+        real = cls.__init__
+
+        def init(self, *args):
+            built.append(cls.__name__)
+            real(self, *args)
+
+        return init
+
+    for cls in (worlds.PartialChoice, worlds.WorldClass):
+        monkeypatch.setattr(cls, "__init__", counting(cls))
+    doc, merged = load_ccl(data_dir / "friends.ccl"), load_ccl(data_dir / "friends-merged.ccl")
+    t, q = doc.theory, doc.queries[0]
+    ws = build_world_space(t)
+    credal_bounds_strong_extension(t, q, world_space=ws)
+    outer_bound(t, q, world_space=ws)
+    credal_bounds_strong_extension(t, q)
+    outer_bound(t, q)
+    bisect_bounds(merged.theory, merged.queries[0])
+    credal_bounds_single_space(merged.theory, merged.queries[0])
+    assert built == []
+    # decoded on first read, equal to the public enumeration
+    parts = [[cls.partial for cls in classes] for classes in ws.classes_by_space]
+    assert parts == [coherent_partial_choices(sp, i) for i, sp in enumerate(t.spaces)]
+    assert ws.profiles == tuple(itertools.product(*(range(len(classes)) for classes in ws.classes_by_space)))
+    assert built.count("WorldClass") == sum(map(len, parts)) == 6
 
 
 def test_world_models_and_query_filter_match_naive_oracle():
