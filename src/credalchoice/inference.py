@@ -7,14 +7,18 @@ Queries are then bounded in three ways:
 
 * ``credal_bounds_strong_extension`` - exact bounds for any number of
   spaces.  The query mass is linear in each space's class masses, so
-  its extremes are attained with every space but the last at a vertex
-  of its polytope.  Every space's polytope is one ``lp.FeasibleSystem``,
-  brought to a feasible basis by one phase one: the vertices of spaces
-  0..k-2 are walked from that basis, and each combination sums the
-  query out space by space into an integer objective over the last
-  space's classes, whose range its system's ``bound_numerators`` gives
-  as integers; the walk compares them by cross-multiplying, and each
-  space's vertices share one denominator, so it divides once, at the end;
+  its extremes are attained with every space but one at a vertex of its
+  polytope.  It depends on a space only through its group sums: two
+  classes are in one group when the query holds in alike worlds of
+  theirs, whatever the other spaces' classes.  The space with the most
+  classes (then groups, then the last declared) is solved by its
+  ``lp.FeasibleSystem``'s ``bound_numerators``; the other spaces'
+  vertices, projected to group sums and deduplicated, are walked, and
+  each combination sums the query out of a table with one entry per
+  profile of group representatives into an integer objective over the
+  LP space's groups, read back over its classes.  Leaf optima are
+  compared by cross-multiplying, and each space's vertices share one
+  denominator, so the walk divides once, at the end;
 * ``credal_bounds_single_space`` - the same bound for a one-space
   theory, where no vertex is enumerated and it is a pair of LPs;
 * ``outer_bound`` - a cheap factorized relaxation: per-world products of
@@ -22,9 +26,10 @@ Queries are then bounded in three ways:
   query (upper end clipped to one).  Always contains the exact interval.
 
 A query is the AND of its literals' world sets (complemented when
-negated), read out as a dense 0/1 ``int`` table in world order.  Space 0
-is its most significant digit: both multi-space bounds sum it out as one
-weighted sum of slices, one per class of non-zero mass, and repeat.
+negated), the bits of an ``int``, read out as a dense 0/1 ``int`` table
+in world order.  Space 0 is its most significant digit: both multi-space
+bounds sum it out of their table as one weighted sum of slices, one per
+class (or group) of non-zero mass, and repeat.
 
 When every space holds exactly one alternative the theory reads as a
 fully independent one and ``icl_probability`` returns the point value.
@@ -35,7 +40,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, product
 from math import prod
 from typing import Sequence
 
@@ -139,20 +144,21 @@ def enumerate_vertices(p: MarginalPolytope, *, cap: int = lp.DEFAULT_BASIS_CAP) 
 _BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
 
 
-def query_table(ws: WorldSpace, q: Query) -> list[int]:
-    """The query's 0/1 indicator over the worlds, in world order (space 0 the most significant digit).
-
-    Its worlds are the AND of its literals' columns (complemented if negated).
-    """
+def _query_hits(ws: WorldSpace, q: Query) -> int:
+    """The query's worlds as the bits of an ``int``: the AND of its literals' columns (complemented if negated)."""
     q.check_against(ws.theory)
     index = ws.theory.ground_program.index
-    n = ws.n_worlds
-    hits = (1 << n) - 1
+    hits = (1 << ws.n_worlds) - 1
     for lit in q.literals:
         column = ws.columns[index[lit.atom]]
         hits &= column if lit.positive else ~column
+    return hits
+
+
+def query_table(ws: WorldSpace, q: Query) -> list[int]:
+    """The query's 0/1 indicator over the worlds, in world order (space 0 the most significant digit)."""
     # the binary digits below a sentinel bit n, least significant first, read as bytes
-    return list(bin(hits | 1 << n)[:2:-1].encode().translate(_BIT_VALUES))
+    return list(bin(_query_hits(ws, q) | 1 << ws.n_worlds)[:2:-1].encode().translate(_BIT_VALUES))
 
 
 def _class_weights(ws: WorldSpace) -> list[list[Fraction]]:
@@ -231,48 +237,64 @@ def credal_bounds_strong_extension(
     vertex_cap: int = lp.DEFAULT_BASIS_CAP,
     combo_cap: int = DEFAULT_COMBO_CAP,
 ) -> IntervalResult:
-    """Exact bounds over products of per-space admissible masses.
+    """Exact bounds over products of per-space admissible masses, on the query's grouped table.
 
-    Walks every combination of vertices of spaces 0..k-2 (``vertex_cap``
-    bounds each enumeration, ``combo_cap`` the combinations) and solves
-    the last space by LP at each one.
+    The space with the most classes (then groups, then the last declared)
+    is solved by LP at each combination of the other spaces' vertices,
+    projected to group sums and deduplicated.  ``vertex_cap`` bounds each
+    enumeration, ``combo_cap`` the vertex combinations before projection.
     """
     ws = world_space or build_world_space(t)
-    table = query_table(ws, q)
+    hits = _query_hits(ws, q)
     k = len(t.spaces)
     if k == 0:
-        value = Fraction(table[0])
-        return IntervalResult(value, value, "vertex_product")
+        return IntervalResult(Fraction(hits), Fraction(hits), "vertex_product")
+    # every system first: a space with no coherent selection raises InfeasibleError here, before a stride is 0 / 0
+    systems = [marginal_polytope(ws, i).feasible_system() for i in range(k)]
+    group_of, offsets, period = [], [], ws.n_worlds
+    for sels in ws.selections:
+        stride = period // len(sels)
+        block = ((1 << ws.n_worlds) - 1) // ((1 << period) - 1) * ((1 << stride) - 1)  # class 0's worlds
+        keys: dict[int, int] = {}  # the query's bits over a class's worlds, shifted onto class 0's: its group
+        group_of.append([keys.setdefault(hits >> j * stride & block, len(keys)) for j in range(len(sels))])
+        offsets.append([group_of[-1].index(g) * stride for g in range(len(keys))])  # each group's first class
+        period = stride
+    last = max(range(k), key=lambda i: (len(ws.selections[i]), len(offsets[i]), i))
+    walked = [i for i in range(k) if i != last]
+    # one entry per profile of group representatives, the LP space the least significant digit
+    table = [hits >> sum(p) & 1 for p in product(*(offsets[i] for i in walked), offsets[last])]
 
-    vertex_sets = [
-        lp.enumerate_vertices_eq(marginal_polytope(ws, i).feasible_system(), cap=vertex_cap) for i in range(k - 1)
-    ]
+    vertex_sets = [lp.enumerate_vertices_eq(systems[i], cap=vertex_cap) for i in walked]
     combos = prod(len(vs) for vs in vertex_sets)
     if combos > combo_cap:
         raise CapExceededError(f"{combos} vertex combinations, more than the cap of {combo_cap}")
-    # each space's vertices as integer numerators over one denominator for all of them
+    # each space's vertices as integer group sums over one denominator for all of them, the repeats dropped
     scaled, den = [], 1
-    for vs in vertex_sets:
+    for i, vs in zip(walked, vertex_sets):
         nums, d = numerators([x for v in vs for x in v])
-        size = len(vs[0])
-        scaled.append([nums[j:j + size] for j in range(0, len(nums), size)])
+        size, projected = len(vs[0]), {}
+        for j in range(0, len(nums), size):
+            sums = [0] * len(offsets[i])
+            for g, x in zip(group_of[i], nums[j:j + size]):
+                sums[g] += x
+            projected[tuple(sums)] = None
+        scaled.append(list(projected))
         den *= d
-    last = marginal_polytope(ws, k - 1).feasible_system()
 
     lo = hi = None  # each a numerator and its denominator, compared by cross-multiplying
 
-    def walk(i: int, table: list[int]) -> None:
-        # the query summed out against the vertices chosen for spaces before i, over the spaces' denominators
+    def walk(depth: int, table: list[int]) -> None:
+        # the table summed out against the group sums chosen for the first ``depth`` walked spaces
         nonlocal lo, hi
-        if i == k - 1:
-            low, high, d = last.bound_numerators(table)
+        if depth == len(scaled):
+            low, high, d = systems[last].bound_numerators([table[g] for g in group_of[last]])
             if lo is None or low * lo[1] < lo[0] * d:
                 lo = (low, d)
             if hi is None or high * hi[1] > hi[0] * d:
                 hi = (high, d)
             return
-        for nums in scaled[i]:
-            walk(i + 1, _sum_out(table, nums))
+        for nums in scaled[depth]:
+            walk(depth + 1, _sum_out(table, nums))
 
     walk(0, table)
     return IntervalResult(Fraction(lo[0], lo[1] * den), Fraction(hi[0], hi[1] * den), "vertex_product")

@@ -2,7 +2,8 @@
 
 import random
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, permutations
+from math import prod
 
 import pytest
 from conftest import (
@@ -260,8 +261,8 @@ def test_friends_strong_extension_bounds(data_dir):
 
 def test_combo_cap_bounds_the_vertex_combinations(data_dir):
     t = load_ccl(data_dir / "friends.ccl").theory
-    # two spaces: the combinations are the vertices of the first
-    v = len(enumerate_vertices(marginal_polytope(build_world_space(t), 0)))
+    # two spaces, with 4 and 2 classes: space 0 goes to the LP, so the combinations are the vertices of space 1
+    v = len(enumerate_vertices(marginal_polytope(build_world_space(t), 1)))
     with pytest.raises(CapExceededError, match=f"^{v} vertex combinations, more than the cap of {v - 1}$"):
         credal_bounds_strong_extension(t, query("h"), combo_cap=v - 1)
     assert credal_bounds_strong_extension(t, query("h"), combo_cap=v) == credal_bounds_strong_extension(t, query("h"))
@@ -364,6 +365,85 @@ def test_bounds_do_not_depend_on_the_space_order():
             assert (outer.lower, outer.upper) == outer_bound_oracle(theory, q, ws), f"trial {trial}: {order}"
             seen.add((strong.lower, strong.upper, outer.lower, outer.upper))
         assert len(seen) == 1, f"trial {trial}: {seen}"
+
+
+def _walked_leaves(ws, q):
+    """The product, over every space but the LP one, of its vertices' distinct projections to query-distinct groups.
+
+    Two classes of a space share a group when the query holds in both alike, whatever the other spaces'
+    classes; the LP space has the most classes, then the most groups, then the greatest index.
+    """
+    truth = dict(zip(ws.profiles, query_table(ws, q)))
+    spaces = []
+    for i, sels in enumerate(ws.selections):
+        rest = [p for p in ws.profiles if p[i] == 0]
+        keys = {}
+        group = [keys.setdefault(tuple(truth[p[:i] + (j,) + p[i + 1:]] for p in rest), len(keys)) for j in range(len(sels))]
+        projected = {
+            tuple(sum(x for x, g in zip(v.values, group) if g == h) for h in range(len(keys)))
+            for v in enumerate_vertices(marginal_polytope(ws, i))
+        }
+        spaces.append((len(sels), len(keys), i, len(projected)))
+    lp_space = max(spaces)
+    return prod(s[3] for s in spaces if s is not lp_space), min(s[1] for s in spaces)
+
+
+def test_query_blind_classes_and_spaces(monkeypatch):
+    # the query reads only some alternatives of some spaces: the others' classes fall into one group
+    import credalchoice.lp as lp
+
+    calls = []
+    original = lp.FeasibleSystem.bound_numerators
+    monkeypatch.setattr(lp.FeasibleSystem, "bound_numerators", lambda self, c: calls.append(1) or original(self, c))
+    rng = random.Random(29)
+    blind = branching = 0
+    for trial in range(12):
+        k = 3 if trial % 3 else rng.randrange(2, 5)
+        t = multispace_theory(rng, k) if trial % 3 else random_product_theory(rng, k)
+        hidden = rng.randrange(2 * k)  # hide one space half of the time, and each other alternative a fifth of the time
+        seen = [ChoiceSpace(alts) for i, sp in enumerate(t.spaces) if i != hidden and (alts := tuple(a for a in sp.alternatives if rng.random() < 0.8))]
+        visible, derived = with_derived_atoms(rng, CCLTheory(Program(), tuple(seen) or t.spaces[:1], t.mu), 12)
+        ws = build_world_space(CCLTheory(visible.program, t.spaces, t.mu))
+        # the derived atom holding in closest to half of the worlds
+        q = min(map(query, derived), key=lambda q: abs(2 * sum(query_table(ws, q)) - ws.n_worlds))
+        for order in permutations(range(k)):
+            theory = CCLTheory(visible.program, tuple(t.spaces[i] for i in order), t.mu)
+            ws = build_world_space(theory)
+            leaves, fewest_groups = _walked_leaves(ws, q)
+            blind, branching = blind + (fewest_groups == 1), branching + (leaves > 1)
+            calls.clear()
+            iv = credal_bounds_strong_extension(theory, q, world_space=ws)
+            assert (iv.lower, iv.upper) == vertex_product_bounds(theory, q, ws), f"trial {trial}: {order}"
+            assert len(calls) == leaves, f"trial {trial}: {order}"
+    assert blind and branching
+
+
+def test_two_space_ranking_theory_finishes_in_either_order():
+    # n = 5 rankings: the ranking space has 120 classes and goes to the LP, declared first or last
+    from test_ranking import mallows_text
+
+    m = smooth_marginals(counts_from_rankings(parse_rankings(mallows_text(random.Random(1), 5, 50))))
+    t, q = pairwise_query(build_ranking_theory(m), m, 0, 1)
+    w, nw = atom("w"), atom("nw")
+    extra = ChoiceSpace((Alternative((w, nw)),))
+    mu = {**t.mu, w: F(1, 3), nw: F(2, 3)}
+    q = Query(q.literals | {Literal(w)})
+    first, last = (credal_bounds_strong_extension(CCLTheory(t.program, spaces, mu), q) for spaces in ((*t.spaces, extra), (extra, *t.spaces)))
+    assert first == last
+    assert (first.lower, first.upper) == (F(59, 260), F(81, 260))
+
+
+def test_space_without_coherent_selection_is_infeasible():
+    # {a}, {b}, {a, b}: the third alternative cannot pick both a and b, so the space has no class and no world exists
+    a, b = atom("a"), atom("b")
+    empty = ChoiceSpace((Alternative((a,)), Alternative((b,)), Alternative((a, b))))
+    other = random_product_theory(random.Random(3), 1)
+    for spaces in ((empty,), (empty, *other.spaces), (*other.spaces, empty)):
+        t = CCLTheory(Program(), spaces, {a: F(1), b: F(1), **other.mu})
+        bounds = [credal_bounds_strong_extension, outer_bound] + [credal_bounds_single_space] * (len(spaces) == 1)
+        for bound in bounds:
+            with pytest.raises(InfeasibleError):
+                bound(t, query("a"))
 
 
 def test_theory_without_spaces_has_one_world():
