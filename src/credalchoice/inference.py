@@ -41,12 +41,12 @@ import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import compress, product
-from math import prod
+from math import lcm, prod
 from typing import Sequence
 
 from . import lp
 from .errors import CapExceededError
-from .rational import format_fraction, numerators
+from .rational import format_fraction
 from .theory import CCLTheory, Query
 from .worlds import WorldSpace, build_world_space
 
@@ -264,18 +264,17 @@ def credal_bounds_strong_extension(
     # one entry per profile of group representatives, the LP space the least significant digit
     table = [hits >> sum(p) & 1 for p in product(*(offsets[i] for i in walked), offsets[last])]
 
-    vertex_sets = [lp.enumerate_vertices_eq(systems[i], cap=vertex_cap) for i in walked]
-    combos = prod(len(vs) for vs in vertex_sets)
+    vertex_sets = [lp.vertex_numerators(systems[i], cap=vertex_cap) for i in walked]
+    combos = prod(len(vs) for vs, _ in vertex_sets)
     if combos > combo_cap:
         raise CapExceededError(f"{combos} vertex combinations, more than the cap of {combo_cap}")
-    # each space's vertices as integer group sums over one denominator for all of them, the repeats dropped
+    # each space's vertices as integer group sums over their one denominator, the repeats dropped
     scaled, den = [], 1
-    for i, vs in zip(walked, vertex_sets):
-        nums, d = numerators([x for v in vs for x in v])
-        size, projected = len(vs[0]), {}
-        for j in range(0, len(nums), size):
+    for i, (vs, d) in zip(walked, vertex_sets):
+        projected = {}
+        for v in vs:
             sums = [0] * len(offsets[i])
-            for g, x in zip(group_of[i], nums[j:j + size]):
+            for g, x in zip(group_of[i], v):
                 sums[g] += x
             projected[tuple(sums)] = None
         scaled.append(list(projected))
@@ -304,14 +303,14 @@ def outer_bound(t: CCLTheory, q: Query, *, world_space: WorldSpace | None = None
     """Factorized relaxation: products of classwise bounds, summed."""
     ws = world_space or build_world_space(t)
     lo = hi = query_table(ws, q)
-    lo_den = hi_den = 1
+    den = 1
     for i in range(len(t.spaces)):
         system = marginal_polytope(ws, i).feasible_system()
-        ranges = [system.bounds([int(jj == j) for jj in range(system.n)]) for j in range(system.n)]
-        (lo_nums, d), (hi_nums, e) = (numerators(ends) for ends in zip(*ranges))
-        lo, hi, lo_den, hi_den = _sum_out(lo, lo_nums), _sum_out(hi, hi_nums), lo_den * d, hi_den * e
+        ranges = [system.bound_numerators([int(jj == j) for jj in range(system.n)]) for j in range(system.n)]
+        d = lcm(*(e for *_, e in ranges))  # every class's range over one denominator
+        lo, hi, den = _sum_out(lo, [r[0] * (d // r[2]) for r in ranges]), _sum_out(hi, [r[1] * (d // r[2]) for r in ranges]), den * d
     # every space is summed out: each table holds one entry
-    return IntervalResult(Fraction(lo[0], lo_den), min(Fraction(hi[0], hi_den), _ONE), "outer_bound")
+    return IntervalResult(Fraction(lo[0], den), min(Fraction(hi[0], den), _ONE), "outer_bound")
 
 
 # ---------------------------------------------------------------------------

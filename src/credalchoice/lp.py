@@ -10,17 +10,17 @@ Constraints and objectives come in as ``int``s or ``Fraction``s, and
 points and optima go out as exact ``Fraction``s.  The constraints are
 scaled to integers once, by one common denominator, before phase one, so
 0/1 rows with ``Fraction`` right-hand sides cost no ``Fraction``
-arithmetic.  Inside, the tableau is
-fraction-free (Edmonds 1967; Bareiss 1968) and stores only the nonbasic
-columns: a row is its entries there, its rhs and, last, its entry
-``d > 0`` in its own basic column, as ``int``s held only up to a positive
-factor.  Every Bland decision is a sign test or a cross-multiplied ratio
-comparison, and Dantzig's rule compares the reduced costs, which share
-one factor; no such factor changes a decision, so the pivots are exactly
-those of a ``Fraction`` tableau.  A pivot combines rows over the gcd of the two
-multipliers and divides a row by the gcd of its entries only when its
-``d`` has grown past the pivot, so most rows are built in one pass; the
-reduced costs are always kept coprime.  A pivot moves the leaving column
+arithmetic.  Inside, the tableau is fraction-free (Edmonds 1967; Bareiss
+1968) and stores only the nonbasic columns: a row is its entries there,
+its rhs and, last, its entry ``d > 0`` in its own basic column, as
+``int``s held only up to a positive factor.  Every Bland decision is a
+sign test or a cross-multiplied ratio comparison, and Dantzig's rule
+compares the reduced costs, which share one factor; no such factor
+changes a decision, so the pivots are exactly those of a ``Fraction``
+tableau.  A pivot combines rows over the gcd of the two multipliers, by
+``row - (f/p)*prow`` when the pivot ``p`` divides the row's entry ``f``,
+and reduces a row only when its ``d`` has grown past the pivot, and the
+reduced costs only when they were scaled.  A pivot moves the leaving column
 into the entering one's place, so phase one stores an artificial column
 only once it has left the basis; each artificial has entry 1 in its row,
 which scales its column by a positive factor and changes no pivot.
@@ -32,16 +32,17 @@ entry point.  It also keeps every distinct basis at which an end of
 ``bounds(c)`` finished, with its basic values over one integer; each end
 starts at the kept basis where ``c . x`` is best, and pivots on a copy
 only if a reduced cost is negative there.  ``bounds`` builds no point;
-``solve(c)`` gives one end with a witness point, from the phase-one
-basis.  The phase-one ``point`` is built the first time it is read.
+``solve(c)`` gives one end with a witness point, from the phase-one basis.
+The phase-one point is ``point_numerators()`` in integers, ``point`` in ``Fraction``s.
 
-:func:`enumerate_vertices_eq` lists the vertices of a bounded system's
-polytope by a depth-first walk over its feasible bases on one copy of
-the phase-one tableau.  It leaves each basis by the simplex's own ratio
-test, and comes back by pivoting at the same position again, which
-undoes the pivot: each basis costs two pivots, and the walk keeps only
-the pivot back per level, where its scan of moves resumes.  Degenerate
-vertices are reached through several bases; points are deduplicated.
+:func:`vertex_numerators` lists the vertices of a bounded system's
+polytope as integers over one denominator (:func:`enumerate_vertices_eq`
+as ``Fraction``s) by a depth-first walk over its feasible bases on one
+copy of the phase-one tableau.  It leaves each basis by the simplex's own
+ratio test, and comes back by pivoting at the same position again, which
+undoes the pivot: each basis costs two pivots, and the walk keeps only the
+pivot back per level, where its scan of moves resumes.  Degenerate vertices
+are reached through several bases; points are deduplicated.
 """
 
 from __future__ import annotations
@@ -100,7 +101,8 @@ class _Tableau:
     """Row ``r`` for basic variable ``basis[r]``, ``cols[k]`` the variable at position ``k``, and ``obj`` the reduced costs.
 
     Rows need not be coprime: a row's scale is bounded by the reduction
-    rule of :meth:`pivot`.  ``obj`` is coprime and has no ``d``; it has an
+    rule of :meth:`pivot`, and ``obj``'s by being made coprime when built
+    and after each pivot that scales it.  ``obj`` has no ``d``; it has an
     rhs entry only in phase one, which reads the infeasibility off it.
     Pivots replace rows rather than editing them, so copies may share rows.
     """
@@ -140,8 +142,10 @@ class _Tableau:
         the objective, with entry ``f`` at ``k`` becomes
         ``(p/g)*row - (f/g)*prow`` for ``g = gcd(p, f)``: its leaving entry
         is ``-(f/g)`` times the pivot row's, and its new ``d`` is ``p/g``
-        times its old one.  Only a row whose new ``d`` exceeds ``p`` is
-        divided by the gcd of its entries; the objective always is.
+        times its old one.  If ``p`` divides ``f`` (the unit multiplier) that
+        is ``row - (f/p)*prow``, keeping ``d``.  Only a row whose
+        new ``d`` exceeds ``p`` is reduced by the gcd of its entries, and
+        the objective only when it was scaled.
         """
         rows = self.rows
         row = rows[r]
@@ -158,12 +162,12 @@ class _Tableau:
                 new[-1] = d = a * row[-1]
                 rows[i] = _coprime(new) if d > p else new
         f = self.obj[k]
-        if f:
+        if f:  # ``zip`` stops at the objective's end
             g = gcd(p, f)
             a, b = p // g, f // g
-            new = [a * v - b * w for v, w in zip(self.obj, prow)]  # ``zip`` stops at the objective's end
+            new = [v - b * w for v, w in zip(self.obj, prow)] if a == 1 else [a * v - b * w for v, w in zip(self.obj, prow)]
             new[k] = -b * leave
-            self.obj = _coprime(new)
+            self.obj = new if a == 1 else _coprime(new)
         self.basis[r], self.cols[k] = self.cols[k], self.basis[r]
 
     def minimize(self, dantzig: bool = False) -> None:
@@ -195,13 +199,14 @@ class _Tableau:
             self.pivot(r, k)
             bland = not dantzig or num == 0
 
-    def point(self, n: int) -> tuple[Fraction, ...]:
-        """The basic solution, restricted to the first ``n`` variables."""
-        point = [_ZERO] * n
-        for row, b in zip(self.rows, self.basis):
-            if b < n:
-                point[b] = Fraction(row[-2], row[-1])
-        return tuple(point)
+    def point(self, n: int) -> IntRow:
+        """The first ``n`` variables' basic values in a :meth:`valued` tableau, as numerators over ``big``."""
+        x = dict(zip(self.basis, self.values))
+        return [x.get(j, 0) for j in range(n)]
+
+
+def _fractions(nums: IntRow, den: int) -> tuple[Fraction, ...]:
+    return tuple(Fraction(v, den) if v else _ZERO for v in nums)
 
 
 def _phase_one(rows: list[IntRow], nreal: int) -> _Tableau:
@@ -279,10 +284,14 @@ class FeasibleSystem:
         # the phase-one tableau, then one for every distinct basis at which a ``bounds`` end finished, by sorted basis
         self._pool = {tuple(sorted(self._tab.basis)): self._tab}
 
+    def point_numerators(self) -> tuple[IntRow, int]:
+        """The phase-one basic solution as integer numerators over one positive denominator."""
+        return self._tab.point(self.n), self._tab.big
+
     @cached_property
     def point(self) -> tuple[Fraction, ...]:
         """The phase-one basic solution, built on first read."""
-        return self._tab.point(self.n)
+        return _fractions(*self.point_numerators())
 
     def _costs(self, objective: Sequence[Fraction]) -> tuple[list[int], int]:
         """``objective`` as integer costs over every column, and their denominator."""
@@ -330,7 +339,7 @@ class FeasibleSystem:
         obj = self._tab.priced(costs)
         tab = self._tab.copy([-v for v in obj] if maximize else obj)
         tab.minimize()
-        return LPSolution(Fraction(tab.valued().value(costs), tab.big * den), tab.point(self.n))
+        return LPSolution(Fraction(tab.valued().value(costs), tab.big * den), _fractions(tab.point(self.n), tab.big))
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +347,13 @@ class FeasibleSystem:
 
 
 def enumerate_vertices_eq(system: FeasibleSystem, *, cap: int = DEFAULT_BASIS_CAP) -> list[tuple[Fraction, ...]]:
-    """All vertices of a bounded system's polytope, sorted.
+    """All vertices of a bounded system's polytope, sorted: :func:`vertex_numerators` as ``Fraction``s."""
+    ints, den = vertex_numerators(system, cap=cap)
+    return [_fractions(x, den) for x in ints]
+
+
+def vertex_numerators(system: FeasibleSystem, *, cap: int = DEFAULT_BASIS_CAP) -> tuple[list[IntRow], int]:
+    """All vertices of a bounded system's polytope, sorted, as integer numerators over one positive denominator.
 
     Walks the graph of feasible bases depth first on one tableau, starting
     from the phase-one basis, so the polytope must be bounded (unbounded
@@ -374,10 +389,9 @@ def enumerate_vertices_eq(system: FeasibleSystem, *, cap: int = DEFAULT_BASIS_CA
                 var = row = -1
                 break
         else:
-            if not back:  # sorted as integers over one denominator, the walk's sets dropped before the output is built
+            if not back:  # over one denominator, sorted; the walk's sets go before a caller builds any ``Fraction``
                 den = lcm(*(p[0] for p in points))
-                ints, seen, points = sorted([v * (den // p[0]) for v in p[1:]] for p in points), None, None
-                return [tuple(Fraction(v, den) if v else _ZERO for v in x) for x in ints]
+                return sorted([v * (den // p[0]) for v in p[1:]] for p in points), den
             row, k = back.pop()
             tab.pivot(row, k)
             var = tab.cols[k]

@@ -39,7 +39,7 @@ from . import lp
 from .errors import CapExceededError, InfeasibleError
 from .inference import IntervalResult, marginal_polytope, query_table
 from .logic import Atom, GroundProgram, Literal
-from .rational import format_fraction, numerators
+from .rational import format_fraction
 from .theory import CCLTheory, Query
 from .worlds import WorldSpace, build_world_space
 
@@ -402,7 +402,7 @@ def _query_system(ws: WorldSpace, q: Query) -> tuple[lp.FeasibleSystem, list[int
     classes, and the row's value at the system's phase-one point."""
     system = marginal_polytope(ws, 0).feasible_system()
     row = query_table(ws, q)  # one space: its classes are the worlds
-    nums, den = numerators(system.point)
+    nums, den = system.point_numerators()
     return system, row, Fraction(sum(compress(nums, row)), den)
 
 

@@ -378,7 +378,7 @@ def report_from_marginals(
     # the proxy weights and, for psat, the phase-one point as integers, so a pair's value is one integer sum
     total = sum(weights)
     if backend == "psat":
-        start_nums, start_den = numerators(system.point)
+        start_nums, start_den = system.point_numerators()
     if truth_rankings is not None:  # each ranking inverted once: positions[k][i] is object i's place
         positions = [sorted(range(n), key=r.__getitem__) for r in truth_rankings]
     outcomes: list[PairOutcome] = []

@@ -12,6 +12,7 @@ from conftest import solve_affine_system
 
 from credalchoice import lp
 from credalchoice.errors import CapExceededError, InfeasibleError, UnboundedError
+from credalchoice.inference import marginal_polytope
 from credalchoice.lp import Constraint, FeasibleSystem, LPSolution, enumerate_vertices_eq
 from credalchoice.ranking import (
     counts_from_rankings,
@@ -20,6 +21,8 @@ from credalchoice.ranking import (
     report_from_marginals,
     smooth_marginals,
 )
+from credalchoice.theory import parse_ccl
+from credalchoice.worlds import build_world_space
 
 F = Fraction
 
@@ -759,3 +762,60 @@ def test_ranking_intervals_equal_bland_optima_from_the_phase_one_basis(seed):
         ahead = [int(pos[i] < pos[j]) for pos in perms]
         ends = system.solve(ahead).value, system.solve(ahead, maximize=True).value
         assert (outcome.interval.lower, outcome.interval.upper) == ends, (i, j)
+
+
+# ---------------------------------------------------------------------------
+# The pivot path on the benchmark's shapes: the psat bracket starts at the
+# phase-one point, so phase one must take exactly the reference's pivots.
+
+
+def workload_systems() -> list[tuple[int, list[Constraint]]]:
+    """The class-mass systems of the benchmark's one-space theories and of each space of its four-space theories, and ranking polytopes at n = 3 and 4."""
+    gen = load_benchmark_generators()
+    texts = [gen.one_space_ccl(seed, worlds=24, atoms=9, derived=7) for seed in range(6)]
+    texts += [gen.multi_space_ccl(seed, spaces=4, derived=20, vertices=4) for seed in range(2)]
+    polytopes = []
+    for text in texts:
+        ws = build_world_space(parse_ccl(text).theory)
+        polytopes += [marginal_polytope(ws, i) for i in range(len(ws.selections))]
+    polytopes += [permutation_polytope(ranking_marginals(seed, n))[1] for n in (3, 4) for seed in (1, 2, 3)]
+    return [(p.n_classes, [Constraint(row, "==", b) for row, b in zip(p.rows, p.rhs)]) for p in polytopes]
+
+
+def test_phase_one_takes_the_reference_pivots_on_workload_shaped_systems(monkeypatch):
+    pivot, fraction_pivot, taken, expected = lp._Tableau.pivot, reference_pivot, [], []
+
+    def logged_pivot(tab, r, k):
+        taken.append((r, tab.cols[k]))
+        assert len(taken) < 1000, "cycling"
+        pivot(tab, r, k)
+
+    def logged_reference_pivot(rows, obj, basis, r, c):
+        expected.append((r, c))
+        fraction_pivot(rows, obj, basis, r, c)
+
+    monkeypatch.setattr(lp._Tableau, "pivot", logged_pivot)
+    monkeypatch.setitem(globals(), "reference_pivot", logged_reference_pivot)
+    systems = workload_systems()
+    total = 0
+    for trial, (n, cons) in enumerate(systems):
+        taken.clear()
+        expected.clear()
+        system = FeasibleSystem(n, cons)
+        rows, basis, _ = reference_phase_one(n, [Constraint([F(v) for v in c.coeffs], c.sense, c.rhs) for c in cons])
+        # every pivot, by its row and entering variable: the count and each Bland decision
+        assert taken == expected, f"system {trial}"
+        assert system.point == reference_point(rows, basis, n), f"system {trial}"
+        assert sorted(system._tab.basis) == sorted(basis), f"system {trial}"
+        total += len(taken)
+    assert (len(systems), total) == (20, 183)
+
+
+def test_warm_started_bounds_keep_their_pivot_count_on_ranking_polytopes(monkeypatch):
+    widths = measure_pivots(monkeypatch)
+    for n in (3, 4, 5):
+        for seed in (1, 2, 3):
+            report_from_marginals(ranking_marginals(seed, n), backend="lp")
+    # phase one and both ends of every pair, by Bland's and Dantzig's rules: a count pinned so that no change
+    # to the pivot loop moves a decision unnoticed
+    assert len(widths) == 604
