@@ -123,6 +123,8 @@ def cmd_rank(args: argparse.Namespace) -> int:
     epsilon = parse_fraction(args.epsilon)
     if args.counts or args.data.endswith(".csv"):
         # counts carry no individual rankings, so no ground truth
+        if args.holdout:
+            raise ValueError("--holdout needs a rankings file: a counts CSV has no rankings to hold out")
         counts = parse_counts_csv(text)
         report = report_from_marginals(
             smooth_marginals(counts, parse_fraction(args.smoothing)),
@@ -205,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", default="1/2")
     p.add_argument("--smoothing", default="2", help="prior weight for marginal smoothing")
     p.add_argument("--epsilon", default="1/1024")
-    p.add_argument("--holdout", help="fraction of rankings held out as ground truth")
+    p.add_argument("--holdout", help="fraction of rankings held out as ground truth (rankings files only)")
     p.add_argument("--seed", type=int, default=0, help="shuffle seed for the holdout split")
     p.add_argument("--format", choices=["json", "table"], default="json")
     p.set_defaults(fn=cmd_rank)

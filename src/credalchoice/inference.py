@@ -138,7 +138,8 @@ def marginal_polytope(ws: WorldSpace, space_index: int) -> MarginalPolytope:
 
 def enumerate_vertices(p: MarginalPolytope, *, cap: int = lp.DEFAULT_BASIS_CAP) -> list[MassFunction]:
     """All extreme points of the class-mass polytope, exact and deduplicated."""
-    return [MassFunction(v) for v in lp.enumerate_vertices_eq(p.feasible_system(), cap=cap)]
+    vertices, den = lp.vertex_numerators(p.feasible_system(), cap=cap)
+    return [MassFunction(tuple(Fraction(v, den) for v in x)) for x in vertices]
 
 
 _BIT_VALUES = bytes.maketrans(b"01", b"\0\1")

@@ -1,13 +1,15 @@
-"""Exact linear programming over the rationals.
+"""Exact linear programming in integers.
 
 A small two-phase simplex.  All variables are implicitly non-negative;
 constraints are ``(coefficients, relation, rhs)`` triples with relation
 one of ``<=``, ``==``, ``>=``.  Bland's rule picks the pivots of phase
-one and of ``solve``; ``bounds`` uses Dantzig's rule, and Bland's on
-degenerate stretches, so every method terminates on degenerate problems.
+one; ``bound_numerators`` uses Dantzig's rule, and Bland's on degenerate
+stretches, so every method terminates on degenerate problems.
 
 Constraints and objectives come in as ``int``s or ``Fraction``s, and
-points and optima go out as exact ``Fraction``s.  The constraints are
+points, optima and vertices go out as ``int`` numerators over one
+positive ``int`` denominator: ``lp`` builds no ``Fraction``, and callers
+build one only where it makes a public result.  The constraints are
 scaled to integers once, by one common denominator, before phase one, so
 0/1 rows with ``Fraction`` right-hand sides cost no ``Fraction``
 arithmetic.  Inside, the tableau is fraction-free (Edmonds 1967; Bareiss
@@ -29,17 +31,15 @@ which scales its column by a positive factor and changes no pivot.
 system and keeps the feasible basis, so every objective optimized over
 the same polytope pays only for its own phase two.  It is the one LP
 entry point.  It also keeps every distinct basis at which an end of
-``bounds(c)`` finished, with its basic values over one integer; each end
-starts at the kept basis where ``c . x`` is best, and pivots on a copy
-only if a reduced cost is negative there.  ``bounds`` builds no point;
-``solve(c)`` gives one end with a witness point, from the phase-one basis.
-The phase-one point is ``point_numerators()`` in integers, ``point`` in ``Fraction``s.
+``bound_numerators(c)`` finished, with its basic values over one integer;
+each end starts at the kept basis where ``c . x`` is best, and pivots on
+a copy only if a reduced cost is negative there.  ``bound_numerators``
+builds no point; the phase-one point is ``point_numerators()``.
 
 :func:`vertex_numerators` lists the vertices of a bounded system's
-polytope as integers over one denominator (:func:`enumerate_vertices_eq`
-as ``Fraction``s) by a depth-first walk over its feasible bases on one
-copy of the phase-one tableau.  It leaves each basis by the simplex's own
-ratio test, and comes back by pivoting at the same position again, which
+polytope by a depth-first walk over its feasible bases on one copy of
+the phase-one tableau.  It leaves each basis by the simplex's own ratio
+test, and comes back by pivoting at the same position again, which
 undoes the pivot: each basis costs two pivots, and the walk keeps only the
 pivot back per level, where its scan of moves resumes.  Degenerate vertices
 are reached through several bases; points are deduplicated.
@@ -47,8 +47,6 @@ are reached through several bases; points are deduplicated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -66,14 +64,6 @@ class Constraint(NamedTuple):
     rhs: int | Fraction
 
 DEFAULT_BASIS_CAP = 200_000
-
-_ZERO = Fraction(0)
-
-
-@dataclass(frozen=True)
-class LPSolution:
-    value: Fraction
-    point: tuple[Fraction, ...]
 
 
 def _coprime(row: IntRow) -> IntRow:
@@ -199,15 +189,6 @@ class _Tableau:
             self.pivot(r, k)
             bland = not dantzig or num == 0
 
-    def point(self, n: int) -> IntRow:
-        """The first ``n`` variables' basic values in a :meth:`valued` tableau, as numerators over ``big``."""
-        x = dict(zip(self.basis, self.values))
-        return [x.get(j, 0) for j in range(n)]
-
-
-def _fractions(nums: IntRow, den: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(v, den) if v else _ZERO for v in nums)
-
 
 def _phase_one(rows: list[IntRow], nreal: int) -> _Tableau:
     """A tableau on a feasible basis of the real variables; may drop redundant rows.
@@ -273,41 +254,33 @@ class FeasibleSystem:
 
     The constructor standardizes the constraints and runs phase one,
     raising :class:`InfeasibleError` when there is no feasible point.
-    :meth:`bounds` and :meth:`solve` run phase two on copies of kept
-    tableaux, so one system answers any number of objectives, in any order.
+    :meth:`bound_numerators` runs phase two on copies of kept tableaux, so
+    one system answers any number of objectives, in any order.
     """
 
     def __init__(self, n: int, constraints: Iterable[Constraint]):
         self.n = n
         rows, self._ncols = _standardize(n, constraints)
         self._tab = _phase_one(rows, self._ncols).valued()
-        # the phase-one tableau, then one for every distinct basis at which a ``bounds`` end finished, by sorted basis
+        # the phase-one tableau, then one for every distinct basis at which an end finished, by sorted basis
         self._pool = {tuple(sorted(self._tab.basis)): self._tab}
 
     def point_numerators(self) -> tuple[IntRow, int]:
         """The phase-one basic solution as integer numerators over one positive denominator."""
-        return self._tab.point(self.n), self._tab.big
+        x = dict(zip(self._tab.basis, self._tab.values))
+        return [x.get(j, 0) for j in range(self.n)], self._tab.big
 
-    @cached_property
-    def point(self) -> tuple[Fraction, ...]:
-        """The phase-one basic solution, built on first read."""
-        return _fractions(*self.point_numerators())
-
-    def _costs(self, objective: Sequence[Fraction]) -> tuple[list[int], int]:
-        """``objective`` as integer costs over every column, and their denominator."""
-        if len(objective) != self.n:
-            raise ValueError(f"objective has {len(objective)} coefficients, expected {self.n}")
-        costs, den = numerators(objective)
-        return costs + [0] * (self._ncols - self.n), den
-
-    def bound_numerators(self, objective: Sequence[Fraction]) -> tuple[int, int, int]:
+    def bound_numerators(self, objective: Sequence[int | Fraction]) -> tuple[int, int, int]:
         """The least and greatest ``objective . x`` as two numerators over one positive denominator.
 
         Each end starts at the kept basis where its value is best, the
         earliest among ties, and pivots only on a copy, keeping its final
         basis.  :class:`UnboundedError` if either end has no optimum.
         """
-        costs, den = self._costs(objective)
+        if len(objective) != self.n:
+            raise ValueError(f"objective has {len(objective)} coefficients, expected {self.n}")
+        costs, den = numerators(objective)
+        costs += [0] * (self._ncols - self.n)
         lo = hi = (self._tab.value(costs), self._tab)
         for tab in self._pool.values():  # values compared as cross-multiplied integers
             value = tab.value(costs)
@@ -328,28 +301,9 @@ class FeasibleSystem:
         big = lcm(low_big, high_big)
         return low * (big // low_big), high * (big // high_big), big * den
 
-    def bounds(self, objective: Sequence[Fraction]) -> tuple[Fraction, Fraction]:
-        """The least and greatest ``objective . x``; :class:`UnboundedError` if either has no optimum."""
-        low, high, den = self.bound_numerators(objective)
-        return Fraction(low, den), Fraction(high, den)
-
-    def solve(self, objective: Sequence[Fraction], *, maximize: bool = False) -> LPSolution:
-        """Optimize ``objective . x`` from the phase-one basis by Bland's rule: the exact optimum and a witness point, or :class:`UnboundedError`."""
-        costs, den = self._costs(objective)
-        obj = self._tab.priced(costs)
-        tab = self._tab.copy([-v for v in obj] if maximize else obj)
-        tab.minimize()
-        return LPSolution(Fraction(tab.valued().value(costs), tab.big * den), _fractions(tab.point(self.n), tab.big))
-
 
 # ---------------------------------------------------------------------------
 # Vertex enumeration over a system's feasible bases.
-
-
-def enumerate_vertices_eq(system: FeasibleSystem, *, cap: int = DEFAULT_BASIS_CAP) -> list[tuple[Fraction, ...]]:
-    """All vertices of a bounded system's polytope, sorted: :func:`vertex_numerators` as ``Fraction``s."""
-    ints, den = vertex_numerators(system, cap=cap)
-    return [_fractions(x, den) for x in ints]
 
 
 def vertex_numerators(system: FeasibleSystem, *, cap: int = DEFAULT_BASIS_CAP) -> tuple[list[IntRow], int]:
@@ -389,7 +343,7 @@ def vertex_numerators(system: FeasibleSystem, *, cap: int = DEFAULT_BASIS_CAP) -
                 var = row = -1
                 break
         else:
-            if not back:  # over one denominator, sorted; the walk's sets go before a caller builds any ``Fraction``
+            if not back:  # over one denominator, sorted
                 den = lcm(*(p[0] for p in points))
                 return sorted([v * (den // p[0]) for v in p[1:]] for p in points), den
             row, k = back.pop()

@@ -483,7 +483,8 @@ def bisect_bounds(
     """
     t.require_one_space("the psat method")
     system, row, mid = _query_system(build_world_space(t), q)
-    return _bracket(mid, *system.bounds(row), epsilon, state)
+    low, high, den = system.bound_numerators(row)
+    return _bracket(mid, Fraction(low, den), Fraction(high, den), epsilon, state)
 
 
 # ---------------------------------------------------------------------------

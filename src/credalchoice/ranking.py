@@ -385,7 +385,8 @@ def report_from_marginals(
     for i in range(n):
         for j in range(i + 1, n):
             ahead = [1 if pos[i] < pos[j] else 0 for pos in perms]
-            lo, hi = system.bounds(ahead)
+            low, high, den = system.bound_numerators(ahead)
+            lo, hi = Fraction(low, den), Fraction(high, den)
             if backend == "lp":
                 interval = IntervalResult(lo, hi, "lp")
             else:

@@ -378,14 +378,15 @@ def outer_bound_oracle(t, q, ws):
     one.  Returns the exact (lower, upper).
     """
     from credalchoice.inference import marginal_polytope
+    from credalchoice.lp import vertex_numerators
     from credalchoice.worlds import satisfies
 
     class_lo, class_hi = [], []
     for i in range(len(t.spaces)):
-        system = marginal_polytope(ws, i).feasible_system()
-        units = [[Fraction(int(jj == j)) for jj in range(system.n)] for j in range(system.n)]
-        class_lo.append([system.solve(u).value for u in units])
-        class_hi.append([system.solve(u, maximize=True).value for u in units])
+        # each class's range over the polytope's vertices, which attain both ends of any linear objective
+        vertices, den = vertex_numerators(marginal_polytope(ws, i).feasible_system())
+        class_lo.append([Fraction(min(column), den) for column in zip(*vertices)])
+        class_hi.append([Fraction(max(column), den) for column in zip(*vertices)])
     lo = hi = Fraction(0)
     for w, profile in zip(ws.worlds, ws.profiles):
         if satisfies(w, q):

@@ -359,6 +359,17 @@ def test_rank_bad_holdout_exits_1(data_dir, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("flag", [[], ["--counts"]])
+def test_rank_counts_with_holdout_exits_1(data_dir, tmp_path, capsys, flag):
+    path = data_dir / "abc-counts.csv"
+    if flag:  # the same counts under a name that only ``--counts`` marks as a CSV
+        path = tmp_path / "abc.data"
+        path.write_text((data_dir / "abc-counts.csv").read_text())
+    code, out, err = run(["rank", str(path), *flag, "--holdout", "1/2"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: --holdout needs a rankings file: a counts CSV has no rankings to hold out\n"
+
+
 # ---------------------------------------------------------------------------
 # worlds
 

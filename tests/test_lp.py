@@ -1,4 +1,4 @@
-"""Exact rational simplex and vertex enumeration."""
+"""Exact integer simplex and vertex enumeration."""
 
 import importlib.util
 import itertools
@@ -13,7 +13,7 @@ from conftest import solve_affine_system
 from credalchoice import lp
 from credalchoice.errors import CapExceededError, InfeasibleError, UnboundedError
 from credalchoice.inference import marginal_polytope
-from credalchoice.lp import Constraint, FeasibleSystem, LPSolution, enumerate_vertices_eq
+from credalchoice.lp import Constraint, FeasibleSystem, vertex_numerators
 from credalchoice.ranking import (
     counts_from_rankings,
     parse_rankings,
@@ -27,13 +27,37 @@ from credalchoice.worlds import build_world_space
 F = Fraction
 
 
+# The integer forms read as ``Fraction``s, each denominator checked positive.
+
+
+def fractions_over(nums, den) -> tuple[Fraction, ...]:
+    assert den > 0 and all(isinstance(v, int) for v in (*nums, den))
+    return tuple(F(v, den) for v in nums)
+
+
+def point(system) -> tuple[Fraction, ...]:
+    """The phase-one point, from ``point_numerators()``."""
+    return fractions_over(*system.point_numerators())
+
+
+def ends(system, objective) -> tuple[Fraction, Fraction]:
+    """The least and greatest ``objective . x``, from ``bound_numerators``."""
+    low, high, den = system.bound_numerators(objective)
+    return fractions_over((low, high), den)
+
+
+def vertices(system, **cap) -> list[tuple[Fraction, ...]]:
+    """The sorted vertex list, from ``vertex_numerators``."""
+    nums, den = vertex_numerators(system, **cap)
+    return [fractions_over(x, den) for x in nums]
+
+
 def test_one_dimensional_box():
     cons = [
         Constraint((F(1),), "<=", F(7, 10)),
         Constraint((F(1),), ">=", F(1, 2)),
     ]
-    assert FeasibleSystem(1, cons).solve((F(1),), maximize=True).value == F(7, 10)
-    assert FeasibleSystem(1, cons).solve((F(1),), maximize=False).value == F(1, 2)
+    assert ends(FeasibleSystem(1, cons), (F(1),)) == (F(1, 2), F(7, 10))
 
 
 def test_solution_point_attains_value():
@@ -41,9 +65,10 @@ def test_solution_point_attains_value():
         Constraint((F(1), F(1)), "<=", F(1)),
         Constraint((F(1), F(-1)), "<=", F(0)),
     ]
-    sol = FeasibleSystem(2, cons).solve((F(2), F(1)), maximize=True)
-    assert sum(c * x for c, x in zip((F(2), F(1)), sol.point)) == sol.value
-    assert sol.value == F(3, 2)
+    objective = (F(2), F(1))
+    values = {v: sum(c * x for c, x in zip(objective, v)) for v in vertices(FeasibleSystem(2, cons))}
+    assert ends(FeasibleSystem(2, cons), objective) == (F(0), F(3, 2)) == (min(values.values()), max(values.values()))
+    assert [v for v, value in values.items() if value == F(3, 2)] == [(F(1, 2), F(1, 2))]
 
 
 def test_infeasible_detected():
@@ -52,20 +77,19 @@ def test_infeasible_detected():
         Constraint((F(1),), ">=", F(2, 3)),
     ]
     with pytest.raises(InfeasibleError):
-        FeasibleSystem(1, cons).solve((F(1),))
+        FeasibleSystem(1, cons)
 
 
 def test_unbounded_detected():
     cons = [Constraint((F(-1), F(1)), "<=", F(1))]
     with pytest.raises(UnboundedError):
-        FeasibleSystem(2, cons).solve((F(1), F(0)), maximize=True)
+        FeasibleSystem(2, cons).bound_numerators((F(1), F(0)))
 
 
 def test_equality_constraints():
     cons = [Constraint((F(1), F(1)), "==", F(1))]
-    sol = FeasibleSystem(2, cons).solve((F(1), F(0)), maximize=True)
-    assert sol.value == F(1)
-    assert sol.point == (F(1), F(0))
+    assert ends(FeasibleSystem(2, cons), (F(1), F(0))) == (F(0), F(1))
+    assert vertices(FeasibleSystem(2, cons)) == [(F(0), F(1)), (F(1), F(0))]
 
 
 def test_feasible_point_satisfies_constraints():
@@ -73,7 +97,7 @@ def test_feasible_point_satisfies_constraints():
         Constraint((F(1), F(1), F(1)), "==", F(1)),
         Constraint((F(1), F(0), F(0)), ">=", F(1, 4)),
     ]
-    pt = FeasibleSystem(3, cons).point
+    pt = point(FeasibleSystem(3, cons))
     assert sum(pt) == F(1)
     assert pt[0] >= F(1, 4)
     assert all(x >= 0 for x in pt)
@@ -120,9 +144,7 @@ def test_urn_joint_lp_bounds():
     objective = tuple(
         F(1) if (i != 1 and j != 0) else F(0) for i in range(3) for j in range(3)
     )
-    lo = FeasibleSystem(9, cons).solve(objective, maximize=False).value
-    hi = FeasibleSystem(9, cons).solve(objective, maximize=True).value
-    assert (lo, hi) == (F(1, 2), F(7, 10))
+    assert ends(FeasibleSystem(9, cons), objective) == (F(1, 2), F(7, 10))
 
 
 def equality_system(rows, rhs) -> FeasibleSystem:
@@ -132,7 +154,7 @@ def equality_system(rows, rhs) -> FeasibleSystem:
 
 def test_urn_joint_vertices_bracket_lp():
     rows, rhs = urn_joint_constraints()
-    verts = enumerate_vertices_eq(equality_system(rows, rhs))
+    verts = vertices(equality_system(rows, rhs))
     objective = tuple(
         F(1) if (i != 1 and j != 0) else F(0) for i in range(3) for j in range(3)
     )
@@ -144,8 +166,7 @@ def test_urn_joint_vertices_bracket_lp():
 def test_vertex_enumeration_on_unit_simplex():
     rows = [(F(1), F(1), F(1))]
     rhs = [F(1)]
-    verts = enumerate_vertices_eq(equality_system(rows, rhs))
-    assert sorted(verts) == [
+    assert vertices(equality_system(rows, rhs)) == [
         (F(0), F(0), F(1)),
         (F(0), F(1), F(0)),
         (F(1), F(0), F(0)),
@@ -155,31 +176,30 @@ def test_vertex_enumeration_on_unit_simplex():
 def test_vertex_enumeration_point_polytope():
     rows = [(F(1), F(0)), (F(0), F(1))]
     rhs = [F(1, 3), F(2, 3)]
-    assert enumerate_vertices_eq(equality_system(rows, rhs)) == [(F(1, 3), F(2, 3))]
+    assert vertex_numerators(equality_system(rows, rhs)) == ([[1, 2]], 3)
 
 
 def test_vertex_enumeration_infeasible():
     rows = [(F(1), F(1)), (F(1), F(1))]
     rhs = [F(1), F(2)]
     with pytest.raises(InfeasibleError):
-        enumerate_vertices_eq(equality_system(rows, rhs))
+        equality_system(rows, rhs)
 
 
 def test_vertex_enumeration_redundant_rows():
     rows = [(F(1), F(1)), (F(2), F(2))]
     rhs = [F(1), F(2)]
-    verts = enumerate_vertices_eq(equality_system(rows, rhs))
-    assert sorted(verts) == [(F(0), F(1)), (F(1), F(0))]
+    assert vertices(equality_system(rows, rhs)) == [(F(0), F(1)), (F(1), F(0))]
 
 
 def test_vertex_cap():
     system = equality_system([(F(1),) * 6], [F(1)])
     with pytest.raises(CapExceededError):
-        enumerate_vertices_eq(system, cap=3)
+        vertex_numerators(system, cap=3)
     # the simplex has exactly 6 feasible bases, one per unit vertex: the cap counts visited bases
-    assert enumerate_vertices_eq(system, cap=6) == sorted(tuple(F(int(i == j)) for j in range(6)) for i in range(6))
+    assert vertex_numerators(system, cap=6) == (sorted([int(i == j) for j in range(6)] for i in range(6)), 1)
     with pytest.raises(CapExceededError, match="more than 5 feasible bases"):
-        enumerate_vertices_eq(system, cap=5)
+        vertex_numerators(system, cap=5)
 
 
 def random_transportation(rng: random.Random, m: int, n: int):
@@ -217,32 +237,27 @@ def test_lp_matches_vertex_brute_force_on_random_transportation():
         cons = [Constraint(r, "==", b) for r, b in zip(rows, rhs)]
         # one phase one serves the vertex walk and every objective, minimized and maximized in turn
         system = FeasibleSystem(m * n, cons)
-        verts = enumerate_vertices_eq(system)
+        verts = vertices(system)
         for _ in range(3):
             objective = tuple(F(rng.randrange(-5, 6)) for _ in range(m * n))
             values = [sum(c * x for c, x in zip(objective, v)) for v in verts]
-            senses = [(False, min(values)), (True, max(values))]
-            if rng.random() < 0.5:
-                senses.reverse()
-            for maximize, best in senses:
-                sol = system.solve(objective, maximize=maximize)
-                assert sol == FeasibleSystem(m * n, cons).solve(objective, maximize=maximize), f"trial {trial}"
-                assert sol.value == best, f"trial {trial}"
+            expected = (min(values), max(values))
+            assert ends(system, objective) == ends(FeasibleSystem(m * n, cons), objective) == expected, f"trial {trial}"
 
 
 def test_feasible_system_point_and_objective_length():
     cons = [Constraint((F(1), F(1), F(1)), "==", F(1))]
     system = FeasibleSystem(3, cons)
-    assert system.point == FeasibleSystem(3, cons).point
-    assert sum(system.point) == F(1) and all(x >= 0 for x in system.point)
+    assert system.point_numerators() == FeasibleSystem(3, cons).point_numerators()
+    assert sum(point(system)) == F(1) and all(x >= 0 for x in point(system))
     with pytest.raises(ValueError):
-        system.solve((F(1), F(1)))
+        system.bound_numerators((F(1), F(1)))
 
 
 def test_vertices_satisfy_their_system():
     rng = random.Random(5)
     rows, rhs = random_transportation(rng, 3, 3)
-    for v in enumerate_vertices_eq(equality_system(rows, rhs)):
+    for v in vertices(equality_system(rows, rhs)):
         assert all(x >= 0 for x in v)
         for r, b in zip(rows, rhs):
             assert sum(c * x for c, x in zip(r, v)) == b
@@ -337,21 +352,18 @@ def test_lp_matches_basic_solution_brute_force_on_random_systems():
             outcomes["infeasible"] += 1
             continue
         system = FeasibleSystem(n, cons)
-        assert satisfies_exactly(cons, system.point), f"trial {trial}"
+        assert satisfies_exactly(cons, point(system)), f"trial {trial}"
         for _ in range(3):
             objective = [F(rng.randint(-3, 3)) for _ in range(n)]
-            maximize = rng.random() < 0.5
-            costs = [-c if maximize else c for c in objective] + [F(0)] * (len(a[0]) - n)
-            best = brute_force_min(a, b, costs)
-            if best is None:
+            slacks = [F(0)] * (len(a[0]) - n)
+            low = brute_force_min(a, b, objective + slacks)
+            high = brute_force_min(a, b, [-c for c in objective] + slacks)
+            if low is None or high is None:
                 with pytest.raises(UnboundedError):
-                    system.solve(objective, maximize=maximize)
+                    system.bound_numerators(objective)
                 outcomes["unbounded"] += 1
                 continue
-            sol = system.solve(objective, maximize=maximize)
-            assert satisfies_exactly(cons, sol.point), f"trial {trial}"
-            assert sol.value == sum(c * x for c, x in zip(objective, sol.point)), f"trial {trial}"
-            assert sol.value == (-best if maximize else best), f"trial {trial}"
+            assert ends(system, objective) == (low, -high), f"trial {trial}"
             outcomes["optimum"] += 1
     assert min(outcomes.values()) >= 20, outcomes
 
@@ -359,26 +371,27 @@ def test_lp_matches_basic_solution_brute_force_on_random_systems():
 def test_int_and_fraction_objectives_give_equal_solutions():
     rng = random.Random(77)
     solved = 0
-    for trial in range(200):
+    for trial in range(400):
         n = rng.randint(1, 3)
+        cons = random_constraints(rng, n)
         try:
-            system = FeasibleSystem(n, random_constraints(rng, n))
+            system = FeasibleSystem(n, cons)
         except InfeasibleError:
             continue
         objective = [F(rng.randint(-3, 3), rng.choice([1, 2, 3])) for _ in range(n)]
         den = math.lcm(*(c.denominator for c in objective))
         ints = [int(c * den) for c in objective]
-        maximize = rng.random() < 0.5
         try:
-            sol = system.solve(objective, maximize=maximize)
+            low, high = ends(system, objective)
         except UnboundedError:
             with pytest.raises(UnboundedError):
-                system.solve(ints, maximize=maximize)
+                FeasibleSystem(n, cons).bound_numerators(ints)
             continue
-        # the same pivots: a scaled objective gives the same point and a scaled optimum
-        assert system.solve(ints, maximize=maximize) == LPSolution(sol.value * den, sol.point), f"trial {trial}"
-        assert system.solve([F(c) for c in ints], maximize=maximize) == system.solve(ints, maximize=maximize)
-        assert sol.value == sum(c * x for c, x in zip(objective, sol.point)), f"trial {trial}"
+        # the same integer costs, so the same pivots from a fresh system: the same numerators over ``den`` times less
+        low_num, high_num, over = FeasibleSystem(n, cons).bound_numerators(objective)
+        assert FeasibleSystem(n, cons).bound_numerators(ints) == (low_num, high_num, over // den), f"trial {trial}"
+        assert ends(system, [F(c) for c in ints]) == ends(system, ints) == (low * den, high * den), f"trial {trial}"
+        assert low <= sum(c * x for c, x in zip(objective, point(system))) <= high, f"trial {trial}"
         solved += 1
     assert solved >= 50, solved
 
@@ -419,10 +432,10 @@ def test_vertex_walk_matches_basic_solution_brute_force():
         expected = sorted({tuple(x[:n]) for x in basic_feasible_solutions(a, b)})
         if not expected:
             with pytest.raises(InfeasibleError):
-                enumerate_vertices_eq(FeasibleSystem(n, cons))
+                FeasibleSystem(n, cons)
             outcomes["infeasible"] += 1
             continue
-        assert enumerate_vertices_eq(FeasibleSystem(n, cons)) == expected, f"trial {trial}"
+        assert vertices(FeasibleSystem(n, cons)) == expected, f"trial {trial}"
         outcomes["one vertex" if len(expected) == 1 else "several vertices"] += 1
         outcomes["with slacks"] += len(a[0]) > n
     assert min(outcomes.values()) >= 10, outcomes
@@ -431,7 +444,7 @@ def test_vertex_walk_matches_basic_solution_brute_force():
 # ---------------------------------------------------------------------------
 # A reference that shares no code with the condensed integer tableau: a plain
 # Fraction tableau over every column, artificial ones included, pivoting under
-# the same Bland rule.  Points, optima and vertex lists must agree exactly.
+# Bland's rule.  Points, optima and vertex lists must agree exactly.
 
 
 class ReferenceUnbounded(Exception):
@@ -501,15 +514,15 @@ def reference_phase_one(n, cons):
     return [rows[r][:ncols] + rows[r][-1:] for r in keep], [basis[r] for r in keep], ncols
 
 
-def reference_solve(tableau, n, objective, maximize):
+def reference_optimum(tableau, n, objective, maximize):
+    """The optimum by Bland's rule from the phase-one basis; :class:`ReferenceUnbounded` if there is none."""
     rows, basis, ncols = tableau
     rows, basis = list(rows), list(basis)
     obj = [-c if maximize else c for c in objective] + [F(0)] * (ncols - n + 1)
     for row, b in zip(rows, basis):
         obj = reference_subtract(obj, obj[b], row) if obj[b] else obj
     reference_bland(rows, obj, basis)
-    point = reference_point(rows, basis, n)
-    return LPSolution(sum(c * x for c, x in zip(objective, point)), point)
+    return sum(c * x for c, x in zip(objective, reference_point(rows, basis, n)))
 
 
 def reference_vertices(tableau, n, cap):
@@ -575,39 +588,34 @@ def test_condensed_tableau_matches_fraction_reference():
             outcomes["infeasible"] += 1
             continue
         system = FeasibleSystem(n, cons)
-        assert system.point == reference_point(reference[0], reference[1], n), f"trial {trial}"
+        assert point(system) == reference_point(reference[0], reference[1], n), f"trial {trial}"
         for _ in range(2):
             if kind == 2:  # 0/1 objectives, as for ranking pairs: optima are often attained on a whole face
                 objective = [F(rng.randint(0, 1)) for _ in range(n)]
             else:
                 objective = [F(rng.randint(-3, 3), rng.choice([1, 2, 3])) for _ in range(n)]
-            ends = []
+            expected = []
             for maximize in (False, True):
                 try:
-                    expected = reference_solve(reference, n, objective, maximize)
+                    expected.append(reference_optimum(reference, n, objective, maximize))
+                    outcomes["optimum"] += 1
                 except ReferenceUnbounded:
-                    with pytest.raises(UnboundedError):
-                        system.solve(objective, maximize=maximize)
                     outcomes["unbounded"] += 1
-                    continue
-                assert system.solve(objective, maximize=maximize) == expected, f"trial {trial}"
-                ends.append(expected.value)
-                outcomes["optimum"] += 1
-            if len(ends) == 2:  # both ends from one pricing
-                assert system.bounds(objective) == tuple(ends), f"trial {trial}"
+            if len(expected) == 2:  # both ends from one pricing
+                assert ends(system, objective) == tuple(expected), f"trial {trial}"
             else:
                 with pytest.raises(UnboundedError):
-                    system.bounds(objective)
+                    system.bound_numerators(objective)
         if kind and any(c.sense == "==" and set(c.coeffs) == {1} for c in cons):  # bounded: the walk applies
             cap = rng.choice([3, 10_000])
             try:
                 expected = reference_vertices(reference, n, cap)
             except CapExceededError:
                 with pytest.raises(CapExceededError):
-                    enumerate_vertices_eq(system, cap=cap)
+                    vertex_numerators(system, cap=cap)
                 outcomes["cap"] += 1
                 continue
-            assert enumerate_vertices_eq(system, cap=cap) == expected, f"trial {trial}"
+            assert vertices(system, cap=cap) == expected, f"trial {trial}"
             outcomes["vertices"] += 1
     assert min(outcomes.values()) >= 30, outcomes
 
@@ -615,14 +623,14 @@ def test_condensed_tableau_matches_fraction_reference():
 def reference_ends(reference, n, objective):
     """The reference minimum and maximum, or None when either is unbounded."""
     try:
-        return tuple(reference_solve(reference, n, objective, maximize).value for maximize in (False, True))
+        return tuple(reference_optimum(reference, n, objective, maximize) for maximize in (False, True))
     except ReferenceUnbounded:
         return None
 
 
 def bounds_or_none(system, objective):
     try:
-        return system.bounds(objective)
+        return ends(system, objective)
     except UnboundedError:
         return None
 
@@ -686,12 +694,11 @@ def test_beale_cycling_lp(monkeypatch):
         n, cons, costs = beale(True, slacks_first)
         system = FeasibleSystem(n, cons)
         if slacks_first:
-            assert system.point == (0, 0, 1, 10, 0, 0, 0, 0)  # the slack basis
-        assert system.bounds(costs) == (F(-1, 20), F(1500)) == reference_ends(reference_phase_one(n, cons), n, costs)
+            assert point(system) == (0, 0, 1, 10, 0, 0, 0, 0)  # the slack basis
+        assert ends(system, costs) == (F(-1, 20), F(1500)) == reference_ends(reference_phase_one(n, cons), n, costs)
         n, cons, costs = beale(False, slacks_first)
-        with pytest.raises(UnboundedError):
-            FeasibleSystem(n, cons).bounds(costs)
-        assert FeasibleSystem(n, cons).solve(costs).value == F(-1, 20)
+        with pytest.raises(UnboundedError):  # the least end, -1/20, is reached without cycling first
+            FeasibleSystem(n, cons).bound_numerators(costs)
 
 
 # ---------------------------------------------------------------------------
@@ -727,9 +734,9 @@ def measure_pivots(monkeypatch) -> list[int]:
 def test_vertex_walk_takes_two_pivots_per_basis_within_64_bits_on_four_objects(monkeypatch):
     system = permutation_polytope(ranking_marginals(1, 4))[1].feasible_system()
     widths = measure_pivots(monkeypatch)
-    vertices = enumerate_vertices_eq(system)
+    points, _ = vertex_numerators(system)
     # 8010 feasible bases: each of the 8009 reached from another takes one pivot out and one back
-    assert len(vertices) == 4081
+    assert len(points) == 4081
     assert len(widths) <= 2 * 8009 and max(widths) <= 64, (len(widths), max(widths))
 
 
@@ -738,7 +745,8 @@ def test_phase_one_entries_stay_within_64_bits_on_the_six_object_ranking_polytop
     widths = measure_pivots(monkeypatch)
     system = polytope.feasible_system()  # 720 permutation columns, 37 marginal rows
     assert len(widths) > 100 and max(widths) <= 64, (len(widths), max(widths))
-    assert sum(system.point) == 1
+    nums, den = system.point_numerators()
+    assert sum(nums) == den
 
 
 def test_ranking_bounds_take_few_pivots_within_64_bits_on_six_objects(monkeypatch):
@@ -754,14 +762,16 @@ def test_ranking_bounds_take_few_pivots_within_64_bits_on_six_objects(monkeypatc
 def test_ranking_intervals_equal_bland_optima_from_the_phase_one_basis(seed):
     marginals = ranking_marginals(seed, 5)
     perms, polytope, _ = permutation_polytope(marginals)
-    system = polytope.feasible_system()
+    # the Fraction reference divides with ``/``, so its coefficients are Fractions
+    cons = [Constraint([F(v) for v in row], "==", b) for row, b in zip(polytope.rows, polytope.rhs)]
+    reference = reference_phase_one(polytope.n_classes, cons)
     report = report_from_marginals(marginals, backend="lp")
     pairs = list(itertools.combinations(range(5), 2))
     assert [p.pair for p in report.pairs] == [(marginals.objects[i], marginals.objects[j]) for i, j in pairs]
     for outcome, (i, j) in zip(report.pairs, pairs):
-        ahead = [int(pos[i] < pos[j]) for pos in perms]
-        ends = system.solve(ahead).value, system.solve(ahead, maximize=True).value
-        assert (outcome.interval.lower, outcome.interval.upper) == ends, (i, j)
+        ahead = [F(int(pos[i] < pos[j])) for pos in perms]
+        expected = reference_ends(reference, polytope.n_classes, ahead)
+        assert (outcome.interval.lower, outcome.interval.upper) == expected, (i, j)
 
 
 # ---------------------------------------------------------------------------
@@ -805,7 +815,7 @@ def test_phase_one_takes_the_reference_pivots_on_workload_shaped_systems(monkeyp
         rows, basis, _ = reference_phase_one(n, [Constraint([F(v) for v in c.coeffs], c.sense, c.rhs) for c in cons])
         # every pivot, by its row and entering variable: the count and each Bland decision
         assert taken == expected, f"system {trial}"
-        assert system.point == reference_point(rows, basis, n), f"system {trial}"
+        assert point(system) == reference_point(rows, basis, n), f"system {trial}"
         assert sorted(system._tab.basis) == sorted(basis), f"system {trial}"
         total += len(taken)
     assert (len(systems), total) == (20, 183)
