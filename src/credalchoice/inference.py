@@ -120,13 +120,11 @@ class MarginalPolytope:
 
     def feasible_system(self) -> lp.FeasibleSystem:
         """The equality system after phase one, ready for any objective."""
-        return lp.FeasibleSystem(
-            self.n_classes, [lp.Constraint(row, "==", b) for row, b in zip(self.rows, self.rhs)]
-        )
+        return lp.FeasibleSystem(self.rows, self.rhs)
 
 
 def marginal_polytope(ws: WorldSpace, space_index: int) -> MarginalPolytope:
-    """Constraint system for the classes of one space: 0/1 ``int`` rows, one per atomic choice."""
+    """The equality system of the classes of one space: 0/1 ``int`` rows, one per atomic choice."""
     atoms = ws.theory.spaces[space_index].atomic_choices
     sels = ws.selections[space_index]
     rows = [[0] * len(sels) for _ in atoms]

@@ -1,18 +1,15 @@
 """Exact linear programming in integers.
 
-A small two-phase simplex.  All variables are implicitly non-negative;
-constraints are ``(coefficients, relation, rhs)`` triples with relation
-one of ``<=``, ``==``, ``>=``.  Bland's rule picks the pivots of phase
-one; ``bound_numerators`` uses Dantzig's rule, and Bland's on degenerate
+A small two-phase simplex over ``{x >= 0 : A x = b}``: a system is the
+rows of ``A`` and ``b``.  Bland's rule picks the pivots of phase one;
+``bound_numerators`` uses Dantzig's rule, and Bland's on degenerate
 stretches, so every method terminates on degenerate problems.
 
-Constraints and objectives come in as ``int``s or ``Fraction``s, and
-points, optima and vertices go out as ``int`` numerators over one
-positive ``int`` denominator: ``lp`` builds no ``Fraction``, and callers
-build one only where it makes a public result.  The constraints are
-scaled to integers once, by one common denominator, before phase one, so
-0/1 rows with ``Fraction`` right-hand sides cost no ``Fraction``
-arithmetic.  Inside, the tableau is fraction-free (Edmonds 1967; Bareiss
+Rows, right-hand sides and objectives come in as ``int``s or
+``Fraction``s; points, optima and vertices go out as ``int`` numerators
+over one positive ``int`` denominator, so ``lp`` builds no ``Fraction``.
+The rows are scaled to integers once, by one common denominator, before
+phase one.  Inside, the tableau is fraction-free (Edmonds 1967; Bareiss
 1968) and stores only the nonbasic columns: a row is its entries there,
 its rhs and, last, its entry ``d > 0`` in its own basic column, as
 ``int``s held only up to a positive factor.  Every Bland decision is a
@@ -22,19 +19,19 @@ changes a decision, so the pivots are exactly those of a ``Fraction``
 tableau.  A pivot combines rows over the gcd of the two multipliers, by
 ``row - (f/p)*prow`` when the pivot ``p`` divides the row's entry ``f``,
 and reduces a row only when its ``d`` has grown past the pivot, and the
-reduced costs only when they were scaled.  A pivot moves the leaving column
-into the entering one's place, so phase one stores an artificial column
-only once it has left the basis; each artificial has entry 1 in its row,
-which scales its column by a positive factor and changes no pivot.
+reduced costs only when they were scaled.  A pivot moves the leaving
+column into the entering one's place, so phase one stores an artificial
+column only once it has left the basis; each artificial has entry 1 in
+its row, which scales its column by a positive factor and changes no
+pivot.
 
-``FeasibleSystem`` is the core: it runs phase one once per constraint
-system and keeps the feasible basis, so every objective optimized over
-the same polytope pays only for its own phase two.  It is the one LP
-entry point.  It also keeps every distinct basis at which an end of
-``bound_numerators(c)`` finished, with its basic values over one integer;
-each end starts at the kept basis where ``c . x`` is best, and pivots on
-a copy only if a reduced cost is negative there.  ``bound_numerators``
-builds no point; the phase-one point is ``point_numerators()``.
+``FeasibleSystem``, the one LP entry point, runs phase one once per
+system and keeps the feasible basis, so every objective over the same
+polytope pays only for its own phase two.  It also keeps every distinct
+basis at which an end of ``bound_numerators(c)`` finished, with its basic
+values over one integer; each end starts at the kept basis where
+``c . x`` is best, and pivots on a copy only if a reduced cost is
+negative there.  The phase-one point is ``point_numerators()``.
 
 :func:`vertex_numerators` lists the vertices of a bounded system's
 polytope by a depth-first walk over its feasible bases on one copy of
@@ -50,18 +47,12 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, NamedTuple, Sequence
+from typing import Sequence
 
 from .errors import CapExceededError, InfeasibleError, UnboundedError
 from .rational import numerators
 
 IntRow = list[int]  # a tableau row, held only up to a positive factor
-
-
-class Constraint(NamedTuple):
-    coeffs: Sequence[int | Fraction]
-    sense: str  # "<=" | "==" | ">="
-    rhs: int | Fraction
 
 DEFAULT_BASIS_CAP = 200_000
 
@@ -219,49 +210,38 @@ def _phase_one(rows: list[IntRow], nreal: int) -> _Tableau:
     return _Tableau(rows, [tab.basis[r] for r in keep], [tab.cols[k] for k in real], [])
 
 
-def _standardize(n: int, constraints: Iterable[Constraint]) -> tuple[list[IntRow], int]:
-    """Equality rows with slack columns appended and non-negative rhs, as integers.
+def _standardize(rows: Sequence[Sequence[int | Fraction]], rhs: Sequence[int | Fraction]) -> list[IntRow]:
+    """Each row with its rhs appended, as integers, negated if the rhs is negative.
 
-    Coefficients and right-hand sides may be ``int``s or ``Fraction``s.
-    Every row is scaled by one common factor ``den``, the lcm of all their
+    Every row is scaled by one common factor ``den``, the lcm of all the
     denominators, so the phase-one objective (minus the rows' sum) weighs
-    them as it would in fractions; a slack's entry is ``±den``.
+    them as it would in fractions.
     """
-    cons = []
-    for coeffs, rel, rhs in constraints:
-        if rel not in ("<=", "==", ">="):
-            raise ValueError(f"unknown relation {rel!r}")
-        if len(coeffs) != n:
-            raise ValueError(f"constraint has {len(coeffs)} coefficients, expected {n}")
-        cons.append((*numerators(coeffs), rel, rhs))
-    den = lcm(*(d for _, d, _, _ in cons), *(rhs.denominator for *_, rhs in cons))
-    nslack = sum(rel != "==" for _, _, rel, _ in cons)
-    slacks = iter(range(n, n + nslack))
-    rows: list[IntRow] = []
-    for nums, d, rel, rhs in cons:
-        scale = den // d
-        row = [v * scale for v in nums] if scale > 1 else nums
-        row += [0] * nslack
-        row.append(rhs.numerator * (den // rhs.denominator))
-        if rel != "==":
-            row[next(slacks)] = den if rel == "<=" else -den
-        rows.append([-v for v in row] if row[-1] < 0 else row)
-    return rows, n + nslack
+    if not rows or len(rhs) != len(rows) or any(len(row) != len(rows[0]) for row in rows):
+        raise ValueError(f"expected rows of one length and one rhs each: {len(rows)} rows, {len(rhs)} rhs")
+    scaled = [numerators(row) for row in rows]
+    den = lcm(*(d for _, d in scaled), *(b.denominator for b in rhs))
+    out: list[IntRow] = []
+    for (row, d), b in zip(scaled, rhs):
+        row = [v * (den // d) for v in row] if d < den else row
+        row.append(b.numerator * (den // b.denominator))
+        out.append([-v for v in row] if row[-1] < 0 else row)
+    return out
 
 
 class FeasibleSystem:
-    """A constraint system over ``x >= 0`` brought to a feasible basis once.
+    """The system ``{x >= 0 : rows . x = rhs}`` brought to a feasible basis once.
 
-    The constructor standardizes the constraints and runs phase one,
+    The constructor scales the rows to integers and runs phase one,
     raising :class:`InfeasibleError` when there is no feasible point.
     :meth:`bound_numerators` runs phase two on copies of kept tableaux, so
     one system answers any number of objectives, in any order.
     """
 
-    def __init__(self, n: int, constraints: Iterable[Constraint]):
-        self.n = n
-        rows, self._ncols = _standardize(n, constraints)
-        self._tab = _phase_one(rows, self._ncols).valued()
+    def __init__(self, rows: Sequence[Sequence[int | Fraction]], rhs: Sequence[int | Fraction]):
+        ints = _standardize(rows, rhs)
+        self.n = len(rows[0])
+        self._tab = _phase_one(ints, self.n).valued()
         # the phase-one tableau, then one for every distinct basis at which an end finished, by sorted basis
         self._pool = {tuple(sorted(self._tab.basis)): self._tab}
 
@@ -280,7 +260,6 @@ class FeasibleSystem:
         if len(objective) != self.n:
             raise ValueError(f"objective has {len(objective)} coefficients, expected {self.n}")
         costs, den = numerators(objective)
-        costs += [0] * (self._ncols - self.n)
         lo = hi = (self._tab.value(costs), self._tab)
         for tab in self._pool.values():  # values compared as cross-multiplied integers
             value = tab.value(costs)
@@ -322,13 +301,13 @@ def vertex_numerators(system: FeasibleSystem, *, cap: int = DEFAULT_BASIS_CAP) -
     n = system.n
     tab = system._tab.copy([0] * len(system._tab.cols))  # a zero objective row; pivots leave it
     seen = {tuple(sorted(tab.basis))}
-    points = set()  # each vertex's first ``n`` coordinates as integers over their least denominator, which comes first
+    points = set()  # each vertex as integers over its least denominator, which comes first
     back: list[tuple[int, int]] = []  # per level: the pivot back down
     var = row = -1  # the scan resumes past the move of variable ``var`` entering at ``row``
     while True:
         if var < 0:  # a basis reached for the first time
             x = dict(zip(tab.basis, tab.valued().values))
-            g = gcd(tab.big, *x.values())  # the slacks' values are fixed by the point's, so this key is canonical too
+            g = gcd(tab.big, *x.values())
             points.add((tab.big // g, *(x.get(j, 0) // g for j in range(n))))
         moves = ((r, k) for k in sorted(range(len(tab.cols)), key=tab.cols.__getitem__) if tab.cols[k] >= var
                  for r in _min_ratio_rows(tab.rows, k) if tab.cols[k] > var or r > row)

@@ -368,10 +368,10 @@ def psat_decide(inst: PSATInstance) -> bool:
     Hard assessments get no row: every model satisfies them.
     """
     models = enumerate_models(inst.hard_formulas(), inst.variables())
-    rows = [lp.Constraint([1] * len(models), "==", 1)]
-    rows += [lp.Constraint(_indicator(a.formula, models), "==", a.prob) for a in inst.assessments if a.prob != 1]
+    soft = [a for a in inst.assessments if a.prob != 1]
+    rows = [[1] * len(models)] + [_indicator(a.formula, models) for a in soft]
     try:
-        lp.FeasibleSystem(len(models), rows)
+        lp.FeasibleSystem(rows, [1] + [a.prob for a in soft])
     except InfeasibleError:
         return False
     return True
@@ -397,13 +397,13 @@ class BracketState:
         return len(self.probes)
 
 
-def _query_system(ws: WorldSpace, q: Query) -> tuple[lp.FeasibleSystem, list[int], Fraction]:
+def _query_system(ws: WorldSpace, q: Query) -> tuple[lp.FeasibleSystem, list[int], tuple[int, int]]:
     """The one space's class-mass system, the query's 0/1 row over its
-    classes, and the row's value at the system's phase-one point."""
+    classes, and the row's value at the phase-one point over its denominator."""
     system = marginal_polytope(ws, 0).feasible_system()
     row = query_table(ws, q)  # one space: its classes are the worlds
     nums, den = system.point_numerators()
-    return system, row, Fraction(sum(compress(nums, row)), den)
+    return system, row, (sum(compress(nums, row)), den)
 
 
 def inner_point(t: CCLTheory, q: Query, *, world_space: WorldSpace | None = None) -> Fraction:
@@ -413,29 +413,29 @@ def inner_point(t: CCLTheory, q: Query, *, world_space: WorldSpace | None = None
     so probing it always answers satisfiable.
     """
     t.require_one_space("inner_point")
-    return _query_system(world_space or build_world_space(t), q)[2]
+    return Fraction(*_query_system(world_space or build_world_space(t), q)[2])
 
 
 def _bracket(
-    mid: Fraction, lo: Fraction, hi: Fraction, epsilon: Fraction, state: BracketState | None = None
+    start: tuple[int, int], ends: tuple[int, int, int], epsilon: Fraction, state: BracketState | None = None
 ) -> IntervalResult:
     """Bracket ``[lo, hi]``, which holds ``mid``, by probes ``lo <= alpha <= hi``.
 
-    Probes 0 and 1 first (a satisfiable boundary is an exact endpoint),
-    then two independent bisections between ``mid`` and the nearest
-    unsatisfiable probe, each to within ``epsilon``.  Every value is an
-    integer numerator over ``den << t``, for ``den`` the least common
-    denominator of the four inputs and ``t`` the bisection depth; only the
-    probes a given ``state`` records and the ends become ``Fraction``s.
+    ``start`` is ``mid`` over a positive denominator, and ``ends`` is ``lo``
+    and ``hi`` as ``bound_numerators`` gives them.  Probes 0 and 1 first (a
+    satisfiable boundary is an exact endpoint), then two independent
+    bisections between ``mid`` and the nearest unsatisfiable probe, each to
+    within ``epsilon > 0``.  Every value is an integer numerator over
+    ``den << t``, for ``den`` the lcm of the three denominators and ``t`` the
+    bisection depth; only the probes a given ``state`` records and the ends
+    become ``Fraction``s.
     """
-    epsilon = Fraction(epsilon)
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
     st = state if state is not None else BracketState(epsilon)
     st.epsilon = epsilon
-    st.sat_low = st.sat_high = mid
-    den = lcm(mid.denominator, lo.denominator, hi.denominator, epsilon.denominator)
-    m, low, high, eps = (v.numerator * (den // v.denominator) for v in (mid, lo, hi, epsilon))
+    (m, m_den), (low, high, ends_den) = start, ends
+    den = lcm(m_den, ends_den, epsilon.denominator)
+    m, low, high = m * (den // m_den), low * (den // ends_den), high * (den // ends_den)
+    eps = epsilon.numerator * (den // epsilon.denominator)
 
     def probe(alpha: int, t: int) -> bool:
         result = low << t <= alpha <= high << t
@@ -479,12 +479,14 @@ def bisect_bounds(
     The probes start from the inner point and are decided against the
     least and greatest query mass of the class-mass system.  The returned
     interval contains the exact one and each endpoint is within
-    ``epsilon`` of it.
+    ``epsilon`` of it; ``epsilon`` must be positive.
     """
+    epsilon = Fraction(epsilon)
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
     t.require_one_space("the psat method")
-    system, row, mid = _query_system(build_world_space(t), q)
-    low, high, den = system.bound_numerators(row)
-    return _bracket(mid, Fraction(low, den), Fraction(high, den), epsilon, state)
+    system, row, start = _query_system(build_world_space(t), q)
+    return _bracket(start, system.bound_numerators(row), epsilon, state)
 
 
 # ---------------------------------------------------------------------------

@@ -371,7 +371,9 @@ def report_from_marginals(
     """
     if backend not in ("lp", "psat"):
         raise ValueError(f"unknown backend {backend!r}")
-    threshold = Fraction(threshold)
+    threshold, epsilon = Fraction(threshold), Fraction(epsilon)
+    if backend == "psat" and epsilon <= 0:  # before any LP work; the lp backend ignores epsilon
+        raise ValueError("epsilon must be positive")
     n = len(marginals.objects)
     perms, polytope, weights = permutation_polytope(marginals)
     system = polytope.feasible_system()
@@ -385,12 +387,11 @@ def report_from_marginals(
     for i in range(n):
         for j in range(i + 1, n):
             ahead = [1 if pos[i] < pos[j] else 0 for pos in perms]
-            low, high, den = system.bound_numerators(ahead)
-            lo, hi = Fraction(low, den), Fraction(high, den)
+            low, high, den = ends = system.bound_numerators(ahead)
             if backend == "lp":
-                interval = IntervalResult(lo, hi, "lp")
+                interval = IntervalResult(Fraction(low, den), Fraction(high, den), "lp")
             else:
-                interval = _bracket(Fraction(sum(itertools.compress(start_nums, ahead)), start_den), lo, hi, epsilon)
+                interval = _bracket((sum(itertools.compress(start_nums, ahead)), start_den), ends, epsilon)
             point = Fraction(sum(itertools.compress(weights, ahead)), total)
             icl_verdict = _verdict(point, point, threshold)
             truth = _majority_truth(positions, i, j) if truth_rankings is not None else None

@@ -370,6 +370,14 @@ def test_rank_counts_with_holdout_exits_1(data_dir, tmp_path, capsys, flag):
     assert err == "error: --holdout needs a rankings file: a counts CSV has no rankings to hold out\n"
 
 
+@pytest.mark.parametrize(
+    "args", [["infer", "urn-merged.ccl", "--method", "psat"], ["rank", "abc.rankings", "--backend", "psat"]]
+)
+def test_nonpositive_psat_epsilon_exits_1(data_dir, capsys, args):
+    code, out, err = run([args[0], str(data_dir / args[1]), *args[2:], "--epsilon", "0"], capsys)
+    assert (code, out, err) == (1, "", "error: epsilon must be positive\n")
+
+
 # ---------------------------------------------------------------------------
 # worlds
 

@@ -6,6 +6,7 @@ import math
 import random
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple, Sequence
 
 import pytest
 from conftest import solve_affine_system
@@ -13,7 +14,7 @@ from conftest import solve_affine_system
 from credalchoice import lp
 from credalchoice.errors import CapExceededError, InfeasibleError, UnboundedError
 from credalchoice.inference import marginal_polytope
-from credalchoice.lp import Constraint, FeasibleSystem, vertex_numerators
+from credalchoice.lp import FeasibleSystem, vertex_numerators
 from credalchoice.ranking import (
     counts_from_rankings,
     parse_rankings,
@@ -27,7 +28,33 @@ from credalchoice.worlds import build_world_space
 F = Fraction
 
 
-# The integer forms read as ``Fraction``s, each denominator checked positive.
+class Constraint(NamedTuple):
+    """``coeffs . x  sense  rhs``, for ``sense`` one of ``<=``, ``==``, ``>=``: input to :func:`standard_form` only."""
+
+    coeffs: Sequence[Fraction]
+    sense: str
+    rhs: Fraction
+
+
+def standard_form(n: int, cons) -> tuple[list[list[Fraction]], list[Fraction]]:
+    """``{x >= 0 : Ax = b}`` with one slack column per inequality, after ``x``, in the order of ``cons``."""
+    slacks = [i for i, c in enumerate(cons) if c.sense != "=="]
+    a = []
+    for i, c in enumerate(cons):
+        row = list(c.coeffs) + [F(0)] * len(slacks)
+        if c.sense != "==":
+            row[n + slacks.index(i)] = F(1) if c.sense == "<=" else F(-1)
+        a.append(row)
+    return a, [c.rhs for c in cons]
+
+
+def feasible_system(n: int, cons) -> FeasibleSystem:
+    """The system of ``cons`` over ``n`` variables, its inequalities given slack columns by :func:`standard_form`."""
+    return FeasibleSystem(*standard_form(n, cons))
+
+
+# The integer forms read as ``Fraction``s, each denominator checked positive.  A system's columns past
+# the first ``n`` are slacks: objectives cost them nothing, and points and vertices leave them out.
 
 
 def fractions_over(nums, den) -> tuple[Fraction, ...]:
@@ -35,21 +62,29 @@ def fractions_over(nums, den) -> tuple[Fraction, ...]:
     return tuple(F(v, den) for v in nums)
 
 
-def point(system) -> tuple[Fraction, ...]:
-    """The phase-one point, from ``point_numerators()``."""
-    return fractions_over(*system.point_numerators())
+def padded(system, objective) -> list:
+    """``objective`` with a zero cost for each of the system's columns past its own."""
+    return [*objective] + [0] * (system.n - len(objective))
+
+
+def point(system, n=None) -> tuple[Fraction, ...]:
+    """The phase-one point, from ``point_numerators()``, on the first ``n`` columns (all by default)."""
+    return fractions_over(*system.point_numerators())[:n]
 
 
 def ends(system, objective) -> tuple[Fraction, Fraction]:
     """The least and greatest ``objective . x``, from ``bound_numerators``."""
-    low, high, den = system.bound_numerators(objective)
+    low, high, den = system.bound_numerators(padded(system, objective))
     return fractions_over((low, high), den)
 
 
-def vertices(system, **cap) -> list[tuple[Fraction, ...]]:
-    """The sorted vertex list, from ``vertex_numerators``."""
+def vertices(system, n=None, **cap) -> list[tuple[Fraction, ...]]:
+    """The sorted vertex list, from ``vertex_numerators``, on the first ``n`` columns (all by default).
+
+    A slack is fixed by the other columns, so projecting drops no vertex and keeps the order.
+    """
     nums, den = vertex_numerators(system, **cap)
-    return [fractions_over(x, den) for x in nums]
+    return [fractions_over(x, den)[:n] for x in nums]
 
 
 def test_one_dimensional_box():
@@ -57,7 +92,7 @@ def test_one_dimensional_box():
         Constraint((F(1),), "<=", F(7, 10)),
         Constraint((F(1),), ">=", F(1, 2)),
     ]
-    assert ends(FeasibleSystem(1, cons), (F(1),)) == (F(1, 2), F(7, 10))
+    assert ends(feasible_system(1, cons), (F(1),)) == (F(1, 2), F(7, 10))
 
 
 def test_solution_point_attains_value():
@@ -66,8 +101,8 @@ def test_solution_point_attains_value():
         Constraint((F(1), F(-1)), "<=", F(0)),
     ]
     objective = (F(2), F(1))
-    values = {v: sum(c * x for c, x in zip(objective, v)) for v in vertices(FeasibleSystem(2, cons))}
-    assert ends(FeasibleSystem(2, cons), objective) == (F(0), F(3, 2)) == (min(values.values()), max(values.values()))
+    values = {v: sum(c * x for c, x in zip(objective, v)) for v in vertices(feasible_system(2, cons), 2)}
+    assert ends(feasible_system(2, cons), objective) == (F(0), F(3, 2)) == (min(values.values()), max(values.values()))
     assert [v for v, value in values.items() if value == F(3, 2)] == [(F(1, 2), F(1, 2))]
 
 
@@ -77,19 +112,31 @@ def test_infeasible_detected():
         Constraint((F(1),), ">=", F(2, 3)),
     ]
     with pytest.raises(InfeasibleError):
-        FeasibleSystem(1, cons)
+        feasible_system(1, cons)
 
 
 def test_unbounded_detected():
     cons = [Constraint((F(-1), F(1)), "<=", F(1))]
     with pytest.raises(UnboundedError):
-        FeasibleSystem(2, cons).bound_numerators((F(1), F(0)))
+        ends(feasible_system(2, cons), (F(1), F(0)))
 
 
 def test_equality_constraints():
-    cons = [Constraint((F(1), F(1)), "==", F(1))]
-    assert ends(FeasibleSystem(2, cons), (F(1), F(0))) == (F(0), F(1))
-    assert vertices(FeasibleSystem(2, cons)) == [(F(0), F(1)), (F(1), F(0))]
+    rows, rhs = [(F(1), F(1))], [F(1)]
+    assert ends(FeasibleSystem(rows, rhs), (F(1), F(0))) == (F(0), F(1))
+    assert vertices(FeasibleSystem(rows, rhs)) == [(F(0), F(1)), (F(1), F(0))]
+
+
+def test_rows_of_unequal_length_or_a_wrong_count_of_right_hand_sides_raise():
+    for rows, rhs in [
+        ([[1, 1], [1]], [1, 1]),  # rows of unequal length
+        ([[1], [1, 1]], [1, 1]),
+        ([[1, 1], [1, 0]], [1]),  # one rhs too few
+        ([[1, 1]], [1, 0]),  # one too many
+        ([], []),  # no row, so no column count
+    ]:
+        with pytest.raises(ValueError):
+            FeasibleSystem(rows, rhs)
 
 
 def test_feasible_point_satisfies_constraints():
@@ -97,7 +144,7 @@ def test_feasible_point_satisfies_constraints():
         Constraint((F(1), F(1), F(1)), "==", F(1)),
         Constraint((F(1), F(0), F(0)), ">=", F(1, 4)),
     ]
-    pt = point(FeasibleSystem(3, cons))
+    pt = point(feasible_system(3, cons), 3)
     assert sum(pt) == F(1)
     assert pt[0] >= F(1, 4)
     assert all(x >= 0 for x in pt)
@@ -109,7 +156,7 @@ def test_feasible_point_infeasible_system():
         Constraint((F(1), F(0)), ">=", F(2)),
     ]
     with pytest.raises(InfeasibleError):
-        FeasibleSystem(2, cons)
+        feasible_system(2, cons)
 
 
 def urn_joint_constraints() -> tuple[list[tuple[Fraction, ...]], list[Fraction]]:
@@ -139,22 +186,16 @@ def urn_joint_constraints() -> tuple[list[tuple[Fraction, ...]], list[Fraction]]
 
 def test_urn_joint_lp_bounds():
     rows, rhs = urn_joint_constraints()
-    cons = [Constraint(r, "==", b) for r, b in zip(rows, rhs)]
     # mass on cells with first draw not green (row 1) and second not red (col 0)
     objective = tuple(
         F(1) if (i != 1 and j != 0) else F(0) for i in range(3) for j in range(3)
     )
-    assert ends(FeasibleSystem(9, cons), objective) == (F(1, 2), F(7, 10))
-
-
-def equality_system(rows, rhs) -> FeasibleSystem:
-    """``{x >= 0 : Ax = b}`` brought to a feasible basis."""
-    return FeasibleSystem(len(rows[0]), [Constraint(r, "==", b) for r, b in zip(rows, rhs)])
+    assert ends(FeasibleSystem(rows, rhs), objective) == (F(1, 2), F(7, 10))
 
 
 def test_urn_joint_vertices_bracket_lp():
     rows, rhs = urn_joint_constraints()
-    verts = vertices(equality_system(rows, rhs))
+    verts = vertices(FeasibleSystem(rows, rhs))
     objective = tuple(
         F(1) if (i != 1 and j != 0) else F(0) for i in range(3) for j in range(3)
     )
@@ -166,7 +207,7 @@ def test_urn_joint_vertices_bracket_lp():
 def test_vertex_enumeration_on_unit_simplex():
     rows = [(F(1), F(1), F(1))]
     rhs = [F(1)]
-    assert vertices(equality_system(rows, rhs)) == [
+    assert vertices(FeasibleSystem(rows, rhs)) == [
         (F(0), F(0), F(1)),
         (F(0), F(1), F(0)),
         (F(1), F(0), F(0)),
@@ -176,24 +217,24 @@ def test_vertex_enumeration_on_unit_simplex():
 def test_vertex_enumeration_point_polytope():
     rows = [(F(1), F(0)), (F(0), F(1))]
     rhs = [F(1, 3), F(2, 3)]
-    assert vertex_numerators(equality_system(rows, rhs)) == ([[1, 2]], 3)
+    assert vertex_numerators(FeasibleSystem(rows, rhs)) == ([[1, 2]], 3)
 
 
 def test_vertex_enumeration_infeasible():
     rows = [(F(1), F(1)), (F(1), F(1))]
     rhs = [F(1), F(2)]
     with pytest.raises(InfeasibleError):
-        equality_system(rows, rhs)
+        FeasibleSystem(rows, rhs)
 
 
 def test_vertex_enumeration_redundant_rows():
     rows = [(F(1), F(1)), (F(2), F(2))]
     rhs = [F(1), F(2)]
-    assert vertices(equality_system(rows, rhs)) == [(F(0), F(1)), (F(1), F(0))]
+    assert vertices(FeasibleSystem(rows, rhs)) == [(F(0), F(1)), (F(1), F(0))]
 
 
 def test_vertex_cap():
-    system = equality_system([(F(1),) * 6], [F(1)])
+    system = FeasibleSystem([(F(1),) * 6], [F(1)])
     with pytest.raises(CapExceededError):
         vertex_numerators(system, cap=3)
     # the simplex has exactly 6 feasible bases, one per unit vertex: the cap counts visited bases
@@ -234,21 +275,20 @@ def test_lp_matches_vertex_brute_force_on_random_transportation():
         m = rng.randrange(2, 4)
         n = rng.randrange(2, 4)
         rows, rhs = random_transportation(rng, m, n)
-        cons = [Constraint(r, "==", b) for r, b in zip(rows, rhs)]
         # one phase one serves the vertex walk and every objective, minimized and maximized in turn
-        system = FeasibleSystem(m * n, cons)
+        system = FeasibleSystem(rows, rhs)
         verts = vertices(system)
         for _ in range(3):
             objective = tuple(F(rng.randrange(-5, 6)) for _ in range(m * n))
             values = [sum(c * x for c, x in zip(objective, v)) for v in verts]
             expected = (min(values), max(values))
-            assert ends(system, objective) == ends(FeasibleSystem(m * n, cons), objective) == expected, f"trial {trial}"
+            assert ends(system, objective) == ends(FeasibleSystem(rows, rhs), objective) == expected, f"trial {trial}"
 
 
 def test_feasible_system_point_and_objective_length():
-    cons = [Constraint((F(1), F(1), F(1)), "==", F(1))]
-    system = FeasibleSystem(3, cons)
-    assert system.point_numerators() == FeasibleSystem(3, cons).point_numerators()
+    rows, rhs = [(F(1), F(1), F(1))], [F(1)]
+    system = FeasibleSystem(rows, rhs)
+    assert system.point_numerators() == FeasibleSystem(rows, rhs).point_numerators()
     assert sum(point(system)) == F(1) and all(x >= 0 for x in point(system))
     with pytest.raises(ValueError):
         system.bound_numerators((F(1), F(1)))
@@ -257,7 +297,7 @@ def test_feasible_system_point_and_objective_length():
 def test_vertices_satisfy_their_system():
     rng = random.Random(5)
     rows, rhs = random_transportation(rng, 3, 3)
-    for v in vertices(equality_system(rows, rhs)):
+    for v in vertices(FeasibleSystem(rows, rhs)):
         assert all(x >= 0 for x in v)
         for r, b in zip(rows, rhs):
             assert sum(c * x for c, x in zip(r, v)) == b
@@ -265,18 +305,6 @@ def test_vertices_satisfy_their_system():
 
 # ---------------------------------------------------------------------------
 # An oracle that shares nothing with the tableau: basic solutions by brute force.
-
-
-def standard_form(n: int, cons) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """``{x >= 0 : Ax = b}`` with one slack column per inequality."""
-    slacks = [i for i, c in enumerate(cons) if c.sense != "=="]
-    a = []
-    for i, c in enumerate(cons):
-        row = list(c.coeffs) + [F(0)] * len(slacks)
-        if c.sense != "==":
-            row[n + slacks.index(i)] = F(1) if c.sense == "<=" else F(-1)
-        a.append(row)
-    return a, [c.rhs for c in cons]
 
 
 def basic_feasible_solutions(a, b) -> list[list[Fraction]]:
@@ -348,11 +376,11 @@ def test_lp_matches_basic_solution_brute_force_on_random_systems():
         a, b = standard_form(n, cons)
         if not basic_feasible_solutions(a, b):
             with pytest.raises(InfeasibleError):
-                FeasibleSystem(n, cons)
+                feasible_system(n, cons)
             outcomes["infeasible"] += 1
             continue
-        system = FeasibleSystem(n, cons)
-        assert satisfies_exactly(cons, point(system)), f"trial {trial}"
+        system = feasible_system(n, cons)
+        assert satisfies_exactly(cons, point(system, n)), f"trial {trial}"
         for _ in range(3):
             objective = [F(rng.randint(-3, 3)) for _ in range(n)]
             slacks = [F(0)] * (len(a[0]) - n)
@@ -360,7 +388,7 @@ def test_lp_matches_basic_solution_brute_force_on_random_systems():
             high = brute_force_min(a, b, [-c for c in objective] + slacks)
             if low is None or high is None:
                 with pytest.raises(UnboundedError):
-                    system.bound_numerators(objective)
+                    ends(system, objective)
                 outcomes["unbounded"] += 1
                 continue
             assert ends(system, objective) == (low, -high), f"trial {trial}"
@@ -375,7 +403,7 @@ def test_int_and_fraction_objectives_give_equal_solutions():
         n = rng.randint(1, 3)
         cons = random_constraints(rng, n)
         try:
-            system = FeasibleSystem(n, cons)
+            system = feasible_system(n, cons)
         except InfeasibleError:
             continue
         objective = [F(rng.randint(-3, 3), rng.choice([1, 2, 3])) for _ in range(n)]
@@ -385,13 +413,14 @@ def test_int_and_fraction_objectives_give_equal_solutions():
             low, high = ends(system, objective)
         except UnboundedError:
             with pytest.raises(UnboundedError):
-                FeasibleSystem(n, cons).bound_numerators(ints)
+                ends(feasible_system(n, cons), ints)
             continue
         # the same integer costs, so the same pivots from a fresh system: the same numerators over ``den`` times less
-        low_num, high_num, over = FeasibleSystem(n, cons).bound_numerators(objective)
-        assert FeasibleSystem(n, cons).bound_numerators(ints) == (low_num, high_num, over // den), f"trial {trial}"
+        costs, int_costs = padded(system, objective), padded(system, ints)
+        low_num, high_num, over = feasible_system(n, cons).bound_numerators(costs)
+        assert feasible_system(n, cons).bound_numerators(int_costs) == (low_num, high_num, over // den), f"trial {trial}"
         assert ends(system, [F(c) for c in ints]) == ends(system, ints) == (low * den, high * den), f"trial {trial}"
-        assert low <= sum(c * x for c, x in zip(objective, point(system))) <= high, f"trial {trial}"
+        assert low <= sum(c * x for c, x in zip(objective, point(system, n))) <= high, f"trial {trial}"
         solved += 1
     assert solved >= 50, solved
 
@@ -432,10 +461,10 @@ def test_vertex_walk_matches_basic_solution_brute_force():
         expected = sorted({tuple(x[:n]) for x in basic_feasible_solutions(a, b)})
         if not expected:
             with pytest.raises(InfeasibleError):
-                FeasibleSystem(n, cons)
+                feasible_system(n, cons)
             outcomes["infeasible"] += 1
             continue
-        assert vertices(FeasibleSystem(n, cons)) == expected, f"trial {trial}"
+        assert vertices(feasible_system(n, cons), n) == expected, f"trial {trial}"
         outcomes["one vertex" if len(expected) == 1 else "several vertices"] += 1
         outcomes["with slacks"] += len(a[0]) > n
     assert min(outcomes.values()) >= 10, outcomes
@@ -584,11 +613,11 @@ def test_condensed_tableau_matches_fraction_reference():
         reference = reference_phase_one(n, cons)
         if reference is None:
             with pytest.raises(InfeasibleError):
-                FeasibleSystem(n, cons)
+                feasible_system(n, cons)
             outcomes["infeasible"] += 1
             continue
-        system = FeasibleSystem(n, cons)
-        assert point(system) == reference_point(reference[0], reference[1], n), f"trial {trial}"
+        system = feasible_system(n, cons)
+        assert point(system, n) == reference_point(reference[0], reference[1], n), f"trial {trial}"
         for _ in range(2):
             if kind == 2:  # 0/1 objectives, as for ranking pairs: optima are often attained on a whole face
                 objective = [F(rng.randint(0, 1)) for _ in range(n)]
@@ -605,7 +634,7 @@ def test_condensed_tableau_matches_fraction_reference():
                 assert ends(system, objective) == tuple(expected), f"trial {trial}"
             else:
                 with pytest.raises(UnboundedError):
-                    system.bound_numerators(objective)
+                    ends(system, objective)
         if kind and any(c.sense == "==" and set(c.coeffs) == {1} for c in cons):  # bounded: the walk applies
             cap = rng.choice([3, 10_000])
             try:
@@ -615,7 +644,7 @@ def test_condensed_tableau_matches_fraction_reference():
                     vertex_numerators(system, cap=cap)
                 outcomes["cap"] += 1
                 continue
-            assert vertices(system, cap=cap) == expected, f"trial {trial}"
+            assert vertices(system, n, cap=cap) == expected, f"trial {trial}"
             outcomes["vertices"] += 1
     assert min(outcomes.values()) >= 30, outcomes
 
@@ -653,10 +682,10 @@ def test_warm_started_bounds_do_not_depend_on_the_order_of_objectives():
             for _ in range(rng.randint(6, 9))
         ]
         expected = [reference_ends(reference, n, objective) for objective in objectives]
-        forward, backward = FeasibleSystem(n, cons), FeasibleSystem(n, cons)
+        forward, backward = feasible_system(n, cons), feasible_system(n, cons)
         in_order = [bounds_or_none(forward, objective) for objective in objectives]
         in_reverse = [bounds_or_none(backward, objective) for objective in reversed(objectives)][::-1]
-        fresh = [bounds_or_none(FeasibleSystem(n, cons), objective) for objective in objectives]
+        fresh = [bounds_or_none(feasible_system(n, cons), objective) for objective in objectives]
         assert in_order == in_reverse == fresh == expected, f"trial {trial}"
         outcomes["unbounded"] += expected.count(None)
         outcomes["optimum"] += len(expected) - expected.count(None)
@@ -692,13 +721,13 @@ def test_beale_cycling_lp(monkeypatch):
     monkeypatch.setattr(lp._Tableau, "pivot", limited_pivot)
     for slacks_first in (False, True):
         n, cons, costs = beale(True, slacks_first)
-        system = FeasibleSystem(n, cons)
+        system = feasible_system(n, cons)
         if slacks_first:
             assert point(system) == (0, 0, 1, 10, 0, 0, 0, 0)  # the slack basis
         assert ends(system, costs) == (F(-1, 20), F(1500)) == reference_ends(reference_phase_one(n, cons), n, costs)
         n, cons, costs = beale(False, slacks_first)
         with pytest.raises(UnboundedError):  # the least end, -1/20, is reached without cycling first
-            FeasibleSystem(n, cons).bound_numerators(costs)
+            ends(feasible_system(n, cons), costs)
 
 
 # ---------------------------------------------------------------------------
@@ -758,13 +787,16 @@ def test_ranking_bounds_take_few_pivots_within_64_bits_on_six_objects(monkeypatc
     assert len(widths) <= 1200 and max(widths) <= 64, (len(widths), max(widths))
 
 
+def fraction_equalities(rows, rhs) -> list[Constraint]:
+    """The equality system as constraints with ``Fraction`` coefficients: the reference divides with ``/``."""
+    return [Constraint([F(v) for v in row], "==", b) for row, b in zip(rows, rhs)]
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_ranking_intervals_equal_bland_optima_from_the_phase_one_basis(seed):
     marginals = ranking_marginals(seed, 5)
     perms, polytope, _ = permutation_polytope(marginals)
-    # the Fraction reference divides with ``/``, so its coefficients are Fractions
-    cons = [Constraint([F(v) for v in row], "==", b) for row, b in zip(polytope.rows, polytope.rhs)]
-    reference = reference_phase_one(polytope.n_classes, cons)
+    reference = reference_phase_one(polytope.n_classes, fraction_equalities(polytope.rows, polytope.rhs))
     report = report_from_marginals(marginals, backend="lp")
     pairs = list(itertools.combinations(range(5), 2))
     assert [p.pair for p in report.pairs] == [(marginals.objects[i], marginals.objects[j]) for i, j in pairs]
@@ -779,7 +811,7 @@ def test_ranking_intervals_equal_bland_optima_from_the_phase_one_basis(seed):
 # phase-one point, so phase one must take exactly the reference's pivots.
 
 
-def workload_systems() -> list[tuple[int, list[Constraint]]]:
+def workload_systems() -> list[tuple[tuple[tuple[int, ...], ...], tuple[Fraction, ...]]]:
     """The class-mass systems of the benchmark's one-space theories and of each space of its four-space theories, and ranking polytopes at n = 3 and 4."""
     gen = load_benchmark_generators()
     texts = [gen.one_space_ccl(seed, worlds=24, atoms=9, derived=7) for seed in range(6)]
@@ -789,7 +821,7 @@ def workload_systems() -> list[tuple[int, list[Constraint]]]:
         ws = build_world_space(parse_ccl(text).theory)
         polytopes += [marginal_polytope(ws, i) for i in range(len(ws.selections))]
     polytopes += [permutation_polytope(ranking_marginals(seed, n))[1] for n in (3, 4) for seed in (1, 2, 3)]
-    return [(p.n_classes, [Constraint(row, "==", b) for row, b in zip(p.rows, p.rhs)]) for p in polytopes]
+    return [(p.rows, p.rhs) for p in polytopes]
 
 
 def test_phase_one_takes_the_reference_pivots_on_workload_shaped_systems(monkeypatch):
@@ -808,11 +840,12 @@ def test_phase_one_takes_the_reference_pivots_on_workload_shaped_systems(monkeyp
     monkeypatch.setitem(globals(), "reference_pivot", logged_reference_pivot)
     systems = workload_systems()
     total = 0
-    for trial, (n, cons) in enumerate(systems):
+    for trial, (a, b) in enumerate(systems):
         taken.clear()
         expected.clear()
-        system = FeasibleSystem(n, cons)
-        rows, basis, _ = reference_phase_one(n, [Constraint([F(v) for v in c.coeffs], c.sense, c.rhs) for c in cons])
+        system = FeasibleSystem(a, b)
+        n = len(a[0])
+        rows, basis, _ = reference_phase_one(n, fraction_equalities(a, b))
         # every pivot, by its row and entering variable: the count and each Bland decision
         assert taken == expected, f"system {trial}"
         assert point(system) == reference_point(rows, basis, n), f"system {trial}"

@@ -1,6 +1,7 @@
 """Boolean encodings, satisfiability decisions, and interval bracketing."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -529,10 +530,14 @@ def test_integer_bracket_matches_the_fraction_bisection():
         shapes.add((lo == 0, hi == 1, lo == hi, eps >= 1))
         want = BracketState()
         expected = reference_bracket(mid, lo, hi, eps, want)
+        # the integer forms, the ends over a multiple of their least denominator as ``bound_numerators`` may give them
+        start = (mid.numerator, mid.denominator)
+        over = math.lcm(lo.denominator, hi.denominator) * rng.randint(1, 3)
+        ends = (int(lo * over), int(hi * over), over)
         got = BracketState()
-        assert psat._bracket(mid, lo, hi, eps, got) == expected, (trial, mid, lo, hi, eps)
+        assert psat._bracket(start, ends, eps, got) == expected, (trial, mid, lo, hi, eps)
         assert got == want, (trial, mid, lo, hi, eps)
-        assert psat._bracket(mid, lo, hi, eps) == expected, (trial, mid, lo, hi, eps)
+        assert psat._bracket(start, ends, eps) == expected, (trial, mid, lo, hi, eps)
     assert len(shapes) >= 10, shapes
 
 
@@ -540,6 +545,19 @@ def test_bisect_rejects_nonpositive_epsilon(data_dir):
     doc = load_ccl(data_dir / "urn-merged.ccl")
     with pytest.raises(ValueError):
         bisect_bounds(doc.theory, doc.queries[0], F(0))
+
+
+def no_lp_work(*args, **kwargs):
+    raise AssertionError("LP work began before epsilon was checked")
+
+
+@pytest.mark.parametrize("eps", [F(0), F(-1, 1024)])
+def test_bisect_rejects_nonpositive_epsilon_before_any_lp_work(data_dir, monkeypatch, eps):
+    doc = load_ccl(data_dir / "urn-merged.ccl")
+    monkeypatch.setattr(psat, "build_world_space", no_lp_work)
+    monkeypatch.setattr(psat.lp, "FeasibleSystem", no_lp_work)
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        bisect_bounds(doc.theory, doc.queries[0], eps)
 
 
 # ---------------------------------------------------------------------------

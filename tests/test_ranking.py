@@ -564,6 +564,20 @@ def test_psat_report_builds_no_world_space_and_one_system(monkeypatch):
     assert calls == {"build_world_space": 0, "FeasibleSystem": 1, "pairwise_query": 0, "bisect_bounds": 0}
 
 
+@pytest.mark.parametrize("eps", [F(0), F(-1, 64)])
+def test_psat_report_rejects_nonpositive_epsilon_before_any_lp_work(monkeypatch, eps):
+    import credalchoice.lp as lp
+
+    def no_lp_work(*args, **kwargs):
+        raise AssertionError("LP work began before epsilon was checked")
+
+    monkeypatch.setattr(lp, "FeasibleSystem", no_lp_work)
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        report_from_marginals(oracle_marginals("random-4"), backend="psat", epsilon=eps)
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        evaluate(abc_dataset(), backend="psat", epsilon=eps)
+
+
 def test_report_rejects_unknown_backend():
     with pytest.raises(ValueError, match="unknown backend"):
         report_from_marginals(oracle_marginals("abc"), backend="nope")
