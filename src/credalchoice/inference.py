@@ -102,7 +102,6 @@ class IntervalResult:
 class MarginalPolytope:
     """Admissible class masses of one space, as an equality system."""
 
-    space_index: int
     rows: tuple[tuple[int, ...], ...]
     rhs: tuple[Fraction, ...]
 
@@ -123,15 +122,15 @@ class MarginalPolytope:
         return lp.FeasibleSystem(self.rows, self.rhs)
 
 
-def marginal_polytope(ws: WorldSpace, space_index: int) -> MarginalPolytope:
-    """The equality system of the classes of one space: 0/1 ``int`` rows, one per atomic choice."""
-    atoms = ws.theory.spaces[space_index].atomic_choices
-    sels = ws.selections[space_index]
+def marginal_polytope(ws: WorldSpace, s: int) -> MarginalPolytope:
+    """The equality system of the classes of space ``s``: 0/1 ``int`` rows, one per atomic choice."""
+    atoms = ws.theory.spaces[s].atomic_choices
+    sels = ws.selections[s]
     rows = [[0] * len(sels) for _ in atoms]
     for c, sel in enumerate(sels):
         for a in sel:
             rows[a][c] = 1
-    return MarginalPolytope(space_index, ((1,) * len(sels), *map(tuple, rows)), (_ONE, *map(ws.theory.mu.__getitem__, atoms)))
+    return MarginalPolytope(((1,) * len(sels), *map(tuple, rows)), (_ONE, *map(ws.theory.mu.__getitem__, atoms)))
 
 
 def enumerate_vertices(p: MarginalPolytope, *, cap: int = lp.DEFAULT_BASIS_CAP) -> list[MassFunction]:

@@ -62,17 +62,11 @@ class Formula:
     atom: Atom | None = None
     children: tuple["Formula", ...] = ()
 
-    def atoms(self) -> list[Atom]:
-        seen: dict[Atom, None] = {}
-
-        def walk(f: "Formula") -> None:
-            if f.kind == "var":
-                seen.setdefault(f.atom)
-            for c in f.children:
-                walk(c)
-
-        walk(self)
-        return list(seen)
+    def atoms(self) -> frozenset[Atom]:
+        """The variables of the formula."""
+        if self.kind == "var":
+            return frozenset((self.atom,))
+        return frozenset().union(*(c.atoms() for c in self.children))
 
     def evaluate(self, true_atoms: frozenset[Atom] | set[Atom]) -> bool:
         if self.kind == "var":
@@ -124,9 +118,6 @@ def xor_(*fs: Formula) -> Formula:
         return fs[0]
     return Formula("xor", children=tuple(fs))
 
-
-TRUE = and_()
-FALSE = or_()
 
 Clause = tuple[tuple[Atom, bool], ...]
 
@@ -239,13 +230,7 @@ def enumerate_models(
     formulas' CNF.  The variable set may be widened explicitly so that
     assignments cover atoms the formulas do not mention.
     """
-    var_set: dict[Atom, None] = {}
-    for f in formulas:
-        for a in f.atoms():
-            var_set.setdefault(a)
-    for a in variables or ():
-        var_set.setdefault(a)
-    atoms = sorted(var_set)
+    atoms = sorted(frozenset(variables or ()).union(*(f.atoms() for f in formulas)))
     if len(atoms) > var_cap:
         raise CapExceededError(f"{len(atoms)} variables, more than the cap of {var_cap}")
 
@@ -332,11 +317,7 @@ class PSATInstance:
     assessments: tuple[Assessment, ...]
 
     def variables(self) -> list[Atom]:
-        seen: dict[Atom, None] = {}
-        for a in self.assessments:
-            for at in a.formula.atoms():
-                seen.setdefault(at)
-        return sorted(seen)
+        return sorted(frozenset().union(*(a.formula.atoms() for a in self.assessments)))
 
     def hard_formulas(self) -> list[Formula]:
         return [a.formula for a in self.assessments if a.prob == 1]
@@ -358,10 +339,6 @@ def build_psat_instance(t: CCLTheory, q: Query, alpha: Fraction) -> PSATInstance
     return PSATInstance(tuple(assessments))
 
 
-def _indicator(f: Formula, models: Sequence[frozenset[Atom]]) -> list[int]:
-    return [int(f.evaluate(m)) for m in models]
-
-
 def psat_decide(inst: PSATInstance) -> bool:
     """True iff some distribution over assignments meets every assessment.
 
@@ -369,7 +346,7 @@ def psat_decide(inst: PSATInstance) -> bool:
     """
     models = enumerate_models(inst.hard_formulas(), inst.variables())
     soft = [a for a in inst.assessments if a.prob != 1]
-    rows = [[1] * len(models)] + [_indicator(a.formula, models) for a in soft]
+    rows = [[1] * len(models)] + [[int(a.formula.evaluate(m)) for m in models] for a in soft]
     try:
         lp.FeasibleSystem(rows, [1] + [a.prob for a in soft])
     except InfeasibleError:

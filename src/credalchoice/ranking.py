@@ -212,7 +212,7 @@ def permutation_polytope(m: MarginalMatrix) -> tuple[list[tuple[int, ...]], Marg
     nums = numerators(rhs)[0]
     alpha = [nums[i * n:(i + 1) * n] for i in range(n)]
     weights = [prod(map(list.__getitem__, alpha, pos)) for pos in perms]
-    return perms, MarginalPolytope(0, ((1,) * len(perms), *map(tuple, rows)), (_ONE, *rhs)), weights
+    return perms, MarginalPolytope(((1,) * len(perms), *map(tuple, rows)), (_ONE, *rhs)), weights
 
 
 def pairwise_query(

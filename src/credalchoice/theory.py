@@ -36,6 +36,7 @@ from .logic import (
     Literal,
     Program,
     Term,
+    Token,
     TokenStream,
     _check_arities,
     ground,
@@ -347,12 +348,13 @@ def _parse_number(ts: TokenStream) -> Fraction:
     return value
 
 
-def _parse_alternative(ts: TokenStream, mu: dict[Atom, Fraction]) -> Alternative:
+def _parse_alternative(ts: TokenStream, mu: dict[Atom, Fraction], positions: list[tuple[Atom, Token]]) -> Alternative:
     ts.expect("alternative")
     ts.expect("{")
     atoms: list[Atom] = []
     while True:
         a, tok = parse_atom_from(ts)
+        positions.append((a, tok))
         if not a.is_ground:
             raise ParseError(f"alternative atom must be ground: {a}", tok.line, tok.column)
         if a.relation in _RESERVED:
@@ -394,7 +396,7 @@ def parse_ccl(text: str) -> TheoryDocument:
             ts.expect("{")
             alts: list[Alternative] = []
             while ts.at("alternative"):
-                alts.append(_parse_alternative(ts, mu))
+                alts.append(_parse_alternative(ts, mu, positions))
             ts.expect("}")
             if not alts:
                 tok = ts.current

@@ -71,15 +71,10 @@ class World:
 
 @dataclass(frozen=True)
 class WorldClass:
-    """All worlds sharing one partial choice on one space: runs of ``stride`` worlds, starting at ``blocks``."""
+    """All worlds sharing one partial choice on one space."""
 
     partial: PartialChoice
-    blocks: range
-    stride: int
-
-    @cached_property
-    def world_indices(self) -> tuple[int, ...]:
-        return tuple(itertools.chain.from_iterable(range(b, b + self.stride) for b in self.blocks))
+    world_indices: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -106,8 +101,9 @@ class WorldSpace:
         """Per space, its classes in selection order: world ``i`` is in class ``profiles[i][s]`` of space ``s``."""
         classes, period = [], self.n_worlds
         for s, (space, sels) in enumerate(zip(self.theory.spaces, self.selections)):
-            stride = period // len(sels) if sels else 0
-            classes.append(tuple(WorldClass(pc, range(j * stride, self.n_worlds, period), stride)
+            stride = period // len(sels) if sels else 0  # class j: a run of stride worlds from j * stride in each period
+            classes.append(tuple(WorldClass(pc, tuple(i for b in range(j * stride, self.n_worlds, period)
+                                                      for i in range(b, b + stride)))
                                  for j, pc in enumerate(_decode(space, s, sels))))
             period = stride
         return tuple(classes)

@@ -78,6 +78,31 @@ def test_validate_non_ground_query_exits_2(tmp_path, capsys):
     assert "line 4, column 7: query literal is not ground: p(X)" in err
 
 
+@pytest.mark.parametrize(
+    "text, line, column",
+    [
+        ("q :- c(a).\nchoicespace { alternative { c: 1/2, nc: 1/2 } }\nquery q.\n", 2, 29),
+        ("choicespace { alternative { c: 1/2, nc: 1/2 } }\nq :- c(a).\nquery q.\n", 2, 6),
+    ],
+    ids=["clause-first", "alternative-first"],
+)
+def test_validate_choice_atom_arity_conflict_exits_2(tmp_path, capsys, text, line, column):
+    p = tmp_path / "arity.ccl"
+    p.write_text(text)
+    code, out, err = run(["validate", str(p)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: line {line}, column {column}: relation 'c' used with arity ")
+
+
+@pytest.mark.parametrize("command", ["infer", "worlds", "psat-export"])
+def test_invalid_theory_exits_1(tmp_path, capsys, command):
+    p = tmp_path / "nine-tenths.ccl"
+    p.write_text("choicespace {\n  alternative { a: 1/2, b: 2/5 }\n}\nquery a.\n")
+    code, out, err = run([command, str(p)], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: invalid theory: alternative {a, b}: masses sum to 9/10, expected 1\n"
+
+
 # ---------------------------------------------------------------------------
 # infer
 
@@ -357,6 +382,13 @@ def test_rank_bad_holdout_exits_1(data_dir, capsys):
         ["rank", str(data_dir / "abc.rankings"), "--holdout", "2"], capsys
     )
     assert code == 1
+
+
+def test_rank_holdout_of_a_single_ranking_exits_1(tmp_path, capsys):
+    p = tmp_path / "one.rankings"
+    p.write_text("a,b,c\n")
+    code, out, err = run(["rank", str(p), "--holdout", "1/2"], capsys)
+    assert (code, out, err) == (1, "", "error: holdout leaves no training rankings\n")
 
 
 @pytest.mark.parametrize("flag", [[], ["--counts"]])

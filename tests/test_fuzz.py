@@ -29,6 +29,7 @@ CCL_TOKENS = _SPACING + [
 CCL_STATEMENTS = [
     "choicespace { alternative { a1: 1/2, p(a): 1/2 } }", "p(X) :- q(X), \\+ r.",
     "r :- a1.", "query p(a).", "query \\+ q(a, b), r.", "query p(X).",
+    "s :- c(a).", "choicespace { alternative { c: 1/2, nc: 1/2 } }",
 ]
 RANKING_TOKENS = _SPACING + [
     "a", "b", "c", "d", ",", "x0", "x2", "x10", "x", "x-1", "x²", "٣",

@@ -55,6 +55,7 @@ from credalchoice.theory import (
     merge_spaces,
     parse_ccl,
     query,
+    validate_theory,
 )
 from credalchoice.worlds import build_world_space
 
@@ -191,6 +192,15 @@ def test_marginal_polytope_feasible_for_valid_theories():
         ws = build_world_space(t)
         for i in range(2):
             assert enumerate_vertices(marginal_polytope(ws, i))
+
+
+def test_polytope_contains_rejects_a_wrong_length_and_a_negative_entry():
+    t = parse_ccl("choicespace {\n  alternative { a: 1/2, b: 1/2 }\n  alternative { c: 1/2, d: 1/2 }\n}").theory
+    polytope = marginal_polytope(build_world_space(t), 0)  # classes {a, c}, {a, d}, {b, c}, {b, d}
+    assert polytope.contains((F(1, 2), F(0), F(0), F(1, 2)))
+    assert not polytope.contains((F(1, 2), F(1, 2)))
+    # every row holds, but two masses are negative
+    assert not polytope.contains((F(1), F(-1, 2), F(-1, 2), F(1)))
 
 
 # ---------------------------------------------------------------------------
@@ -557,6 +567,20 @@ def test_proxy_is_member_for_disjoint_alternatives():
         assert proxy_in_credal_set(t, world_space=ws)
         mf = proxy_mass_function(t, world_space=ws)
         assert sum(mf.values) == 1
+
+
+def test_proxy_undefined_when_every_world_has_zero_weight():
+    # the only coherent selection is {b, d}, and b has mass 0
+    t = parse_ccl(
+        "choicespace {\n"
+        "  alternative { b: 0, c: 1/2, a: 1/2 }\n"
+        "  alternative { c: 1/2, d: 1/2 }\n"
+        "  alternative { a: 1/2, d: 1/2 }\n"
+        "}"
+    ).theory
+    assert validate_theory(t).ok
+    with pytest.raises(ValueError, match="^every world has zero product weight; proxy undefined$"):
+        proxy_mass_function(t)
 
 
 def test_sandwich_property():

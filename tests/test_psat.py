@@ -113,6 +113,20 @@ def test_cnf_clause_cap():
         cnf(f, cap=50)
 
 
+@pytest.mark.parametrize(
+    "f, cap, raised_in",
+    [
+        (and_(*(var_(atom(f"x{i}")) for i in range(5))), 3, "clauses_of"),  # one clause per conjunct
+        (xor_(*(var_(atom(f"x{i}")) for i in range(4))), 5, "emit"),  # 1 + 6 pairwise clauses
+    ],
+    ids=["conjunction", "final-count"],
+)
+def test_cnf_cap_in_each_branch(f, cap, raised_in):
+    with pytest.raises(CapExceededError, match=f"^CNF grew past {cap} clauses$") as exc:
+        cnf(f, cap=cap)
+    assert exc.traceback[-1].name == raised_in
+
+
 # ---------------------------------------------------------------------------
 # Model enumeration.
 

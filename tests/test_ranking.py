@@ -234,6 +234,14 @@ def test_pairwise_query_atom_is_fresh():
     assert q_atom in tq.herbrand_base
 
 
+def test_pairwise_query_renames_a_taken_atom():
+    m = smooth_marginals(counts_from_rankings(abc_dataset()))
+    t, first = pairwise_query(build_ranking_theory(m), m, 0, 1)
+    tq, q = pairwise_query(t, m, 0, 2)
+    assert (str(first), str(q)) == ("q", "qq")
+    assert next(iter(q.literals)).atom in tq.herbrand_base
+
+
 def test_pairwise_query_rejects_same_object():
     m = smooth_marginals(counts_from_rankings(abc_dataset()))
     t = build_ranking_theory(m)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from credalchoice.errors import ParseError, TheoryValidationError
+from credalchoice.errors import ArityConflictError, ParseError, TheoryValidationError
 from credalchoice.logic import Literal, Program, atom, parse_program
 from credalchoice.theory import (
     Alternative,
@@ -277,6 +277,68 @@ def test_parse_ccl_missing_brace():
 def test_parse_ccl_reserved_word_as_atom(text):
     with pytest.raises(ParseError):
         parse_ccl(text)
+
+
+@pytest.mark.parametrize(
+    "parse, text, message, line, column",
+    [
+        (parse_query, "a b", "unexpected 'b' after query", 1, 3),
+        (parse_ccl, "choicespace { alternative { a: x } }", "expected a probability, found 'x'", 1, 32),
+        (parse_ccl, "choicespace { alternative { a: 1/0.5 } }", "expected an integer denominator", 1, 34),
+        (parse_ccl, "choicespace { alternative { a: 0.5/2 } }", "fractions need an integer numerator", 1, 32),
+        (parse_ccl, "choicespace { alternative { a: 1/0 } }", "zero denominator", 1, 34),
+        (parse_ccl, "choicespace {\n  alternative { p(X): 1 }\n}", "alternative atom must be ground: p(X)", 2, 17),
+        (
+            parse_ccl,
+            "choicespace {\n  alternative { a: 1/2, b: 1/2 }\n  alternative { a: 1/3, c: 2/3 }\n}",
+            "conflicting probabilities for a: 1/2 and 1/3",
+            3,
+            17,
+        ),
+        (parse_ccl, "a.\nchoicespace { }\nquery a.", "a choicespace needs at least one alternative", 3, 1),
+        (parse_query, "p(a, )", "expected a term, found ')'", 1, 6),
+    ],
+    ids=[
+        "text-after-query",
+        "no-probability",
+        "non-integer-denominator",
+        "non-integer-numerator",
+        "zero-denominator",
+        "non-ground-alternative-atom",
+        "conflicting-probabilities",
+        "empty-choicespace",
+        "no-term",
+    ],
+)
+def test_parse_error_message_and_position(parse, text, message, line, column):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert (str(exc.value), exc.value.line, exc.value.column) == (f"line {line}, column {column}: {message}", line, column)
+
+
+@pytest.mark.parametrize(
+    "text, line, column, message",
+    [
+        (
+            "q :- c(a).\nchoicespace { alternative { c: 1/2, nc: 1/2 } }\nquery q.",
+            2,
+            29,
+            "relation 'c' used with arity 0 but declared with arity 1 at line 1",
+        ),
+        (
+            "choicespace { alternative { c: 1/2, nc: 1/2 } }\nq :- c(a).\nquery q.",
+            2,
+            6,
+            "relation 'c' used with arity 1 but declared with arity 0 at line 1",
+        ),
+    ],
+    ids=["clause-first", "alternative-first"],
+)
+def test_parse_ccl_checks_choice_atoms_arities(text, line, column, message):
+    with pytest.raises(ArityConflictError) as exc:
+        parse_ccl(text)
+    assert (exc.value.line, exc.value.column) == (line, column)
+    assert str(exc.value) == f"line {line}, column {column}: {message}"
 
 
 def test_load_ccl_bundled(data_dir):
