@@ -200,7 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", default="1/2", help="probe probability for the query assessment")
     p.set_defaults(fn=cmd_psat_export)
 
-    p = sub.add_parser("rank", help="pairwise decisions from rankings or counts")
+    rank_help = "pairwise decisions from rankings or counts, of up to 7 objects, on either backend"
+    p = sub.add_parser("rank", help=rank_help, description=rank_help)
     p.add_argument("data", help="rankings file, or counts CSV (*.csv or --counts)")
     p.add_argument("--counts", action="store_true", help="treat the input as a counts CSV")
     p.add_argument("--backend", choices=["lp", "psat"], default="lp")

@@ -8,22 +8,24 @@ stretches, so every method terminates on degenerate problems.
 Rows, right-hand sides and objectives come in as ``int``s or
 ``Fraction``s; points, optima and vertices go out as ``int`` numerators
 over one positive ``int`` denominator, so ``lp`` builds no ``Fraction``.
-The rows are scaled to integers once, by one common denominator, before
-phase one.  Inside, the tableau is fraction-free (Edmonds 1967; Bareiss
-1968) and stores only the nonbasic columns: a row is its entries there,
-its rhs and, last, its entry ``d > 0`` in its own basic column, as
-``int``s held only up to a positive factor.  Every Bland decision is a
-sign test or a cross-multiplied ratio comparison, and Dantzig's rule
-compares the reduced costs, which share one factor; no such factor
-changes a decision, so the pivots are exactly those of a ``Fraction``
-tableau.  A pivot combines rows over the gcd of the two multipliers, by
-``row - (f/p)*prow`` when the pivot ``p`` divides the row's entry ``f``,
-and reduces a row only when its ``d`` has grown past the pivot, and the
-reduced costs only when they were scaled.  A pivot moves the leaving
-column into the entering one's place, so phase one stores an artificial
-column only once it has left the basis; each artificial has entry 1 in
-its row, which scales its column by a positive factor and changes no
-pivot.
+Before phase one the variables are scaled, ``x = y / scale`` for
+``scale`` the lcm of the right-hand sides' denominators, so every rhs is
+an integer and no row carries that lcm; ``scale`` comes back only in the
+denominators handed out.  Inside, the tableau is fraction-free (Edmonds
+1967; Bareiss 1968) and stores only the nonbasic columns: a row is its
+entries there, its rhs and, last, its entry ``d > 0`` in its own basic
+column, as ``int``s held only up to a positive factor.  Every Bland
+decision is a sign test or a cross-multiplied ratio comparison, and
+Dantzig's rule compares reduced costs, which share one factor as every
+real variable has the same scale; no such factor changes a decision, so
+the pivots are exactly those of a ``Fraction`` tableau.  A pivot combines
+rows over the gcd of the two multipliers, by ``row - (f/p)*prow`` when
+the pivot ``p`` divides the row's entry ``f``, and reduces a row only
+when its ``d`` has grown past the pivot, and the reduced costs only when
+they were scaled.  A pivot moves the leaving column into the entering
+one's place, so phase one stores an artificial column only once it has
+left the basis; each artificial has entry 1 in its row, which scales its
+column by a positive factor and changes no pivot.
 
 ``FeasibleSystem``, the one LP entry point, runs phase one once per
 system and keeps the feasible basis, so every objective over the same
@@ -186,9 +188,10 @@ def _phase_one(rows: list[IntRow], nreal: int) -> _Tableau:
 
     ``rows`` holds :func:`_standardize`'s integer equality rows over
     ``nreal`` columns plus the rhs.  Row ``r`` is basic in artificial
-    ``nreal + r`` with ``d = 1``: that artificial is ``den`` times the
-    ``Fraction`` tableau's, for the rows' common factor ``den``, a
-    positive scale that no pivot choice sees.  The kept rows are made
+    ``nreal + r`` with ``d = 1``: that artificial is ``den * scale`` times
+    the ``Fraction`` tableau's, for the rows' common factor ``den`` and
+    the variables' ``scale``, and each real variable ``scale`` times; no
+    pivot choice sees these positive scales.  The kept rows are made
     coprime.
     """
     m = len(rows)
@@ -210,36 +213,38 @@ def _phase_one(rows: list[IntRow], nreal: int) -> _Tableau:
     return _Tableau(rows, [tab.basis[r] for r in keep], [tab.cols[k] for k in real], [])
 
 
-def _standardize(rows: Sequence[Sequence[int | Fraction]], rhs: Sequence[int | Fraction]) -> list[IntRow]:
-    """Each row with its rhs appended, as integers, negated if the rhs is negative.
+def _standardize(rows: Sequence[Sequence[int | Fraction]], rhs: Sequence[int | Fraction]) -> tuple[list[IntRow], int]:
+    """Each row with its rhs appended, as integers, negated if the rhs is negative, and ``scale``.
 
-    Every row is scaled by one common factor ``den``, the lcm of all the
-    denominators, so the phase-one objective (minus the rows' sum) weighs
-    them as it would in fractions.
+    The rhs are numerators over ``scale``, their lcm denominator, so the
+    variables are ``y = scale * x``.  The rows are scaled by one common
+    factor, the lcm of their coefficients' denominators, so the phase-one
+    objective (minus the rows' sum) weighs them as it would in fractions.
     """
     if not rows or len(rhs) != len(rows) or any(len(row) != len(rows[0]) for row in rows):
         raise ValueError(f"expected rows of one length and one rhs each: {len(rows)} rows, {len(rhs)} rhs")
     scaled = [numerators(row) for row in rows]
-    den = lcm(*(d for _, d in scaled), *(b.denominator for b in rhs))
+    den = lcm(*(d for _, d in scaled))
+    bs, scale = numerators(rhs)
     out: list[IntRow] = []
-    for (row, d), b in zip(scaled, rhs):
+    for (row, d), b in zip(scaled, bs):
         row = [v * (den // d) for v in row] if d < den else row
-        row.append(b.numerator * (den // b.denominator))
-        out.append([-v for v in row] if row[-1] < 0 else row)
-    return out
+        row.append(b * den)
+        out.append([-v for v in row] if b < 0 else row)
+    return out, scale
 
 
 class FeasibleSystem:
     """The system ``{x >= 0 : rows . x = rhs}`` brought to a feasible basis once.
 
-    The constructor scales the rows to integers and runs phase one,
-    raising :class:`InfeasibleError` when there is no feasible point.
-    :meth:`bound_numerators` runs phase two on copies of kept tableaux, so
-    one system answers any number of objectives, in any order.
+    The constructor brings the system to integers over ``y = scale * x``
+    and runs phase one, raising :class:`InfeasibleError` when there is no
+    feasible point.  :meth:`bound_numerators` runs phase two on copies of
+    kept tableaux, so one system answers any number of objectives, in any order.
     """
 
     def __init__(self, rows: Sequence[Sequence[int | Fraction]], rhs: Sequence[int | Fraction]):
-        ints = _standardize(rows, rhs)
+        ints, self._scale = _standardize(rows, rhs)
         self.n = len(rows[0])
         self._tab = _phase_one(ints, self.n).valued()
         # the phase-one tableau, then one for every distinct basis at which an end finished, by sorted basis
@@ -248,7 +253,7 @@ class FeasibleSystem:
     def point_numerators(self) -> tuple[IntRow, int]:
         """The phase-one basic solution as integer numerators over one positive denominator."""
         x = dict(zip(self._tab.basis, self._tab.values))
-        return [x.get(j, 0) for j in range(self.n)], self._tab.big
+        return [x.get(j, 0) for j in range(self.n)], self._tab.big * self._scale
 
     def bound_numerators(self, objective: Sequence[int | Fraction]) -> tuple[int, int, int]:
         """The least and greatest ``objective . x`` as two numerators over one positive denominator.
@@ -278,7 +283,7 @@ class FeasibleSystem:
             ends.append((value, tab.big))
         (low, low_big), (high, high_big) = ends
         big = lcm(low_big, high_big)
-        return low * (big // low_big), high * (big // high_big), big * den
+        return low * (big // low_big), high * (big // high_big), big * den * self._scale
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +303,7 @@ def vertex_numerators(system: FeasibleSystem, *, cap: int = DEFAULT_BASIS_CAP) -
     through several bases; points are deduplicated as integers.  Raises
     :class:`CapExceededError` when more than ``cap`` bases are visited.
     """
-    n = system.n
+    n, scale = system.n, system._scale
     tab = system._tab.copy([0] * len(system._tab.cols))  # a zero objective row; pivots leave it
     seen = {tuple(sorted(tab.basis))}
     points = set()  # each vertex as integers over its least denominator, which comes first
@@ -307,8 +312,9 @@ def vertex_numerators(system: FeasibleSystem, *, cap: int = DEFAULT_BASIS_CAP) -
     while True:
         if var < 0:  # a basis reached for the first time
             x = dict(zip(tab.basis, tab.valued().values))
-            g = gcd(tab.big, *x.values())
-            points.add((tab.big // g, *(x.get(j, 0) // g for j in range(n))))
+            big = tab.big * scale
+            g = gcd(big, *x.values())
+            points.add((big // g, *(x.get(j, 0) // g for j in range(n))))
         moves = ((r, k) for k in sorted(range(len(tab.cols)), key=tab.cols.__getitem__) if tab.cols[k] >= var
                  for r in _min_ratio_rows(tab.rows, k) if tab.cols[k] > var or r > row)
         for r, k in moves:  # the moves are computed only until the first unseen basis

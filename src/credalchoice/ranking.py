@@ -43,9 +43,9 @@ from .logic import Atom, Clause, Literal, Program, Term, atom
 from .psat import _bracket
 from .rational import format_fraction, numerators
 from .theory import Alternative, CCLTheory, ChoiceSpace, Query, validate_theory
-from .worlds import DEFAULT_WORLD_CAP
 
 _ONE = Fraction(1)
+_MAX_RANKINGS = factorial(7)  # phase one over 8! = 40 320 columns runs for minutes
 
 
 def _check_object_names(objects: Sequence[str]) -> None:
@@ -197,12 +197,12 @@ def permutation_polytope(m: MarginalMatrix) -> tuple[list[tuple[int, ...]], Marg
     are the all-ones row, then ``pos[i] == j`` for each ``(i, j)``.  Its
     weight, the product of its ``alpha`` numerators over their common
     denominator, over ``sum(weights)`` is its :func:`proxy_mass_function`
-    value.  :class:`CapExceededError` if there are more permutations than
-    :data:`~credalchoice.worlds.DEFAULT_WORLD_CAP`, before any is listed.
+    value.  :class:`CapExceededError` if there are more than 7! = 5040
+    permutations, before any is listed.
     """
     n = len(m.objects)
-    if factorial(n) > DEFAULT_WORLD_CAP:
-        raise CapExceededError(f"{n} objects have {factorial(n)} rankings, more than the cap of {DEFAULT_WORLD_CAP}")
+    if factorial(n) > _MAX_RANKINGS:
+        raise CapExceededError(f"{n} objects have {factorial(n)} rankings, more than the cap of {_MAX_RANKINGS}")
     perms = list(itertools.permutations(range(n)))
     rows = [[0] * len(perms) for _ in range(n * n)]  # row i*n + j: pos[i] == j
     for c, pos in enumerate(perms):

@@ -392,6 +392,7 @@ def parse_ccl(text: str) -> TheoryDocument:
     mu: dict[Atom, Fraction] = {}
     while ts.current.kind != "eof":
         if ts.at("choicespace"):
+            tok = ts.current
             ts.advance()
             ts.expect("{")
             alts: list[Alternative] = []
@@ -399,7 +400,6 @@ def parse_ccl(text: str) -> TheoryDocument:
                 alts.append(_parse_alternative(ts, mu, positions))
             ts.expect("}")
             if not alts:
-                tok = ts.current
                 raise ParseError("a choicespace needs at least one alternative", tok.line, tok.column)
             spaces.append(ChoiceSpace(tuple(alts)))
         elif ts.at("query"):

@@ -377,6 +377,14 @@ def test_rank_on_ten_objects_exits_1_at_the_cap(tmp_path, capsys):
     assert err.startswith("error: ") and "cap" in err
 
 
+def test_rank_on_eight_objects_exits_1_at_the_cap(tmp_path, capsys):
+    p = tmp_path / "eight.rankings"
+    p.write_text("a,b,c,d,e,f,g,h\nh,g,f,e,d,c,b,a\n")
+    code, out, err = run(["rank", str(p)], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "cap" in err and "40320 rankings" in err
+
+
 def test_rank_bad_holdout_exits_1(data_dir, capsys):
     code, _, _ = run(
         ["rank", str(data_dir / "abc.rankings"), "--holdout", "2"], capsys

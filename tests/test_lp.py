@@ -769,6 +769,15 @@ def test_vertex_walk_takes_two_pivots_per_basis_within_64_bits_on_four_objects(m
     assert len(widths) <= 2 * 8009 and max(widths) <= 64, (len(widths), max(widths))
 
 
+def test_phase_one_entries_stay_within_10_bits_on_the_six_object_ranking_polytope(monkeypatch):
+    # the right-hand sides' denominators (lcm 208) scale the variables, not the 0/1 rows, so no pivot carries them;
+    # scaling the rows by them instead took the widest entry to 21 bits
+    polytope = permutation_polytope(ranking_marginals(1, 6))[1]
+    widths = measure_pivots(monkeypatch)
+    polytope.feasible_system()
+    assert len(widths) > 100 and max(widths) <= 10, (len(widths), max(widths))
+
+
 def test_phase_one_entries_stay_within_64_bits_on_the_six_object_ranking_polytope(monkeypatch):
     polytope = permutation_polytope(ranking_marginals(1, 6))[1]
     widths = measure_pivots(monkeypatch)
@@ -824,7 +833,8 @@ def workload_systems() -> list[tuple[tuple[tuple[int, ...], ...], tuple[Fraction
     return [(p.rows, p.rhs) for p in polytopes]
 
 
-def test_phase_one_takes_the_reference_pivots_on_workload_shaped_systems(monkeypatch):
+def log_pivots(monkeypatch) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """Every pivot from now on, by its row and entering variable: the integer tableau's, and the reference's."""
     pivot, fraction_pivot, taken, expected = lp._Tableau.pivot, reference_pivot, [], []
 
     def logged_pivot(tab, r, k):
@@ -838,6 +848,11 @@ def test_phase_one_takes_the_reference_pivots_on_workload_shaped_systems(monkeyp
 
     monkeypatch.setattr(lp._Tableau, "pivot", logged_pivot)
     monkeypatch.setitem(globals(), "reference_pivot", logged_reference_pivot)
+    return taken, expected
+
+
+def test_phase_one_takes_the_reference_pivots_on_workload_shaped_systems(monkeypatch):
+    taken, expected = log_pivots(monkeypatch)
     systems = workload_systems()
     total = 0
     for trial, (a, b) in enumerate(systems):
@@ -862,3 +877,54 @@ def test_warm_started_bounds_keep_their_pivot_count_on_ranking_polytopes(monkeyp
     # phase one and both ends of every pair, by Bland's and Dantzig's rules: a count pinned so that no change
     # to the pivot loop moves a decision unnoticed
     assert len(widths) == 604
+
+
+def fraction_row_system(rng: random.Random, n: int) -> tuple[list[list[Fraction]], list[Fraction]]:
+    """Equality rows with signed ``Fraction`` coefficients, and right-hand sides over other denominators.
+
+    The right-hand sides come from a point of small support whose
+    denominators are 7 and 11, so some are negative or zero; a sum-to-one
+    row, when drawn, makes the polytope bounded, and a shifted rhs, when
+    drawn, usually makes the system infeasible.
+    """
+    support = rng.sample(range(n), rng.randint(1, 3))
+    x = [F(rng.randint(1, 4), rng.choice([1, 7, 11])) if j in support else F(0) for j in range(n)]
+    rows = [[F(1)] * n] if rng.random() < 0.5 else []
+    rows += [
+        [F(rng.randint(-3, 3), rng.choice([1, 2, 3, 5])) if rng.random() < 0.6 else F(0) for _ in range(n)]
+        for _ in range(rng.randint(2, 4))
+    ]
+    rhs = [sum(c * v for c, v in zip(row, x)) for row in rows]
+    if rng.random() < 0.15:
+        rhs[rng.randrange(len(rhs))] += F(1, 3)
+    return rows, rhs
+
+
+def test_phase_one_takes_the_reference_pivots_on_fraction_rows(monkeypatch):
+    taken, expected = log_pivots(monkeypatch)
+    rng = random.Random(1988)
+    outcomes = {"infeasible": 0, "negative rhs": 0, "zero rhs": 0, "row denominators": 0, "optimum": 0, "unbounded": 0}
+    for trial in range(300):
+        n = rng.randint(3, 7)
+        a, b = fraction_row_system(rng, n)
+        taken.clear()
+        expected.clear()
+        reference = reference_phase_one(n, fraction_equalities(a, b))
+        if reference is None:
+            with pytest.raises(InfeasibleError):
+                FeasibleSystem(a, b)
+            assert taken == expected, f"trial {trial}"
+            outcomes["infeasible"] += 1
+            continue
+        system = FeasibleSystem(a, b)
+        assert taken == expected, f"trial {trial}"
+        assert point(system) == reference_point(*reference[:2], n), f"trial {trial}"
+        for _ in range(2):
+            objective = [F(rng.randint(-3, 3), rng.choice([1, 2, 3])) for _ in range(n)]
+            bounds = reference_ends(reference, n, objective)
+            assert bounds_or_none(system, objective) == bounds, f"trial {trial}"
+            outcomes["optimum" if bounds else "unbounded"] += 1
+        outcomes["negative rhs"] += any(v < 0 for v in b)
+        outcomes["zero rhs"] += any(v == 0 for v in b)
+        outcomes["row denominators"] += math.lcm(*(v.denominator for row in a for v in row)) > 1
+    assert min(outcomes.values()) >= 20, outcomes

@@ -422,9 +422,23 @@ def test_evaluate_psat_backend_brackets_lp_on_five_objects():
 
 
 def test_evaluate_on_ten_objects_exceeds_the_cap_before_listing_rankings():
-    # 10! = 3 628 800 rankings exceed the 2**20 cap; listing them would take minutes and gigabytes
+    # 10! = 3 628 800 rankings exceed the cap of 7! = 5040; listing them would take minutes and gigabytes
     with pytest.raises(CapExceededError, match="3628800 rankings"):
         evaluate(parse_rankings("a,b,c,d,e,f,g,h,i,j\nj,i,h,g,f,e,d,c,b,a\n"))
+
+
+def test_evaluate_on_eight_objects_exceeds_the_cap_before_listing_rankings(monkeypatch):
+    # phase one over 8! = 40 320 columns would run for minutes: the cap is checked before any ranking is listed
+    monkeypatch.setattr(itertools, "permutations", None)
+    with pytest.raises(CapExceededError, match="40320 rankings"):
+        evaluate(parse_rankings("a,b,c,d,e,f,g,h\nh,g,f,e,d,c,b,a\n"))
+
+
+def test_permutation_polytope_lists_all_rankings_of_seven_objects():
+    m = smooth_marginals(counts_from_rankings(parse_rankings("a,b,c,d,e,f,g\ng,f,e,d,c,b,a\n")))
+    perms, polytope, weights = permutation_polytope(m)  # no LP runs
+    assert len(perms) == len(weights) == polytope.n_classes == 5040
+    assert len(polytope.rows) == 1 + 7 * 7 and all(len(row) == 5040 for row in polytope.rows)
 
 
 def test_evaluate_holdout_split_determinism():

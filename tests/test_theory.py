@@ -295,7 +295,8 @@ def test_parse_ccl_reserved_word_as_atom(text):
             3,
             17,
         ),
-        (parse_ccl, "a.\nchoicespace { }\nquery a.", "a choicespace needs at least one alternative", 3, 1),
+        (parse_ccl, "a.\nchoicespace { }\nquery a.", "a choicespace needs at least one alternative", 2, 1),
+        (parse_ccl, "choicespace { }\n", "a choicespace needs at least one alternative", 1, 1),
         (parse_query, "p(a, )", "expected a term, found ')'", 1, 6),
     ],
     ids=[
@@ -307,6 +308,7 @@ def test_parse_ccl_reserved_word_as_atom(text):
         "non-ground-alternative-atom",
         "conflicting-probabilities",
         "empty-choicespace",
+        "empty-choicespace-at-end-of-input",
         "no-term",
     ],
 )
