@@ -205,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("data", help="rankings file, or counts CSV (*.csv or --counts)")
     p.add_argument("--counts", action="store_true", help="treat the input as a counts CSV")
     p.add_argument("--backend", choices=["lp", "psat"], default="lp")
-    p.add_argument("--threshold", default="1/2")
+    p.add_argument("--threshold", default="1/2", help="decision threshold, a probability in [0, 1]")
     p.add_argument("--smoothing", default="2", help="prior weight for marginal smoothing")
     p.add_argument("--epsilon", default="1/1024")
     p.add_argument("--holdout", help="fraction of rankings held out as ground truth (rankings files only)")

@@ -5,7 +5,7 @@ rows of ``A`` and ``b``.  Bland's rule picks the pivots of phase one;
 ``bound_numerators`` uses Dantzig's rule, and Bland's on degenerate
 stretches, so every method terminates on degenerate problems.
 
-Rows, right-hand sides and objectives come in as ``int``s or
+Rows and objectives come in as ``int``s, right-hand sides as ``int``s or
 ``Fraction``s; points, optima and vertices go out as ``int`` numerators
 over one positive ``int`` denominator, so ``lp`` builds no ``Fraction``.
 Before phase one the variables are scaled, ``x = y / scale`` for
@@ -104,11 +104,11 @@ class _Tableau:
         self.values = [row[-2] * (big // row[-1]) for row in self.rows]
         return self
 
-    def value(self, costs: list[int]) -> int:
+    def value(self, costs: Sequence[int]) -> int:
         """``costs . x`` at the basic solution of a :meth:`valued` tableau, over ``big``."""
         return sum(map(mul, map(costs.__getitem__, self.basis), self.values))
 
-    def priced(self, costs: list[int]) -> IntRow:
+    def priced(self, costs: Sequence[int]) -> IntRow:
         """The coprime reduced costs of ``costs`` at the basis of a :meth:`valued` tableau."""
         big, obj = self.big, [self.big * costs[c] for c in self.cols]
         for row, b in zip(self.rows, self.basis):  # each basic cost eliminated by its row at weight big / d
@@ -188,11 +188,10 @@ def _phase_one(rows: list[IntRow], nreal: int) -> _Tableau:
 
     ``rows`` holds :func:`_standardize`'s integer equality rows over
     ``nreal`` columns plus the rhs.  Row ``r`` is basic in artificial
-    ``nreal + r`` with ``d = 1``: that artificial is ``den * scale`` times
-    the ``Fraction`` tableau's, for the rows' common factor ``den`` and
-    the variables' ``scale``, and each real variable ``scale`` times; no
-    pivot choice sees these positive scales.  The kept rows are made
-    coprime.
+    ``nreal + r`` with ``d = 1``: that artificial, and each real variable,
+    is ``scale`` times the ``Fraction`` tableau's, for the variables'
+    ``scale``; no pivot choice sees this positive scale.  The kept rows
+    are made coprime.
     """
     m = len(rows)
     obj = _coprime([-sum(col) for col in zip(*rows, [0] * (nreal + 1))])
@@ -213,25 +212,16 @@ def _phase_one(rows: list[IntRow], nreal: int) -> _Tableau:
     return _Tableau(rows, [tab.basis[r] for r in keep], [tab.cols[k] for k in real], [])
 
 
-def _standardize(rows: Sequence[Sequence[int | Fraction]], rhs: Sequence[int | Fraction]) -> tuple[list[IntRow], int]:
-    """Each row with its rhs appended, as integers, negated if the rhs is negative, and ``scale``.
+def _standardize(rows: Sequence[Sequence[int]], rhs: Sequence[int | Fraction]) -> tuple[list[IntRow], int]:
+    """Each row with its rhs numerator appended, negated if the rhs is negative, and ``scale``.
 
     The rhs are numerators over ``scale``, their lcm denominator, so the
-    variables are ``y = scale * x``.  The rows are scaled by one common
-    factor, the lcm of their coefficients' denominators, so the phase-one
-    objective (minus the rows' sum) weighs them as it would in fractions.
+    variables are ``y = scale * x``.
     """
     if not rows or len(rhs) != len(rows) or any(len(row) != len(rows[0]) for row in rows):
         raise ValueError(f"expected rows of one length and one rhs each: {len(rows)} rows, {len(rhs)} rhs")
-    scaled = [numerators(row) for row in rows]
-    den = lcm(*(d for _, d in scaled))
     bs, scale = numerators(rhs)
-    out: list[IntRow] = []
-    for (row, d), b in zip(scaled, bs):
-        row = [v * (den // d) for v in row] if d < den else row
-        row.append(b * den)
-        out.append([-v for v in row] if b < 0 else row)
-    return out, scale
+    return [[-v for v in row] + [-b] if b < 0 else [*row, b] for row, b in zip(rows, bs)], scale
 
 
 class FeasibleSystem:
@@ -243,7 +233,7 @@ class FeasibleSystem:
     kept tableaux, so one system answers any number of objectives, in any order.
     """
 
-    def __init__(self, rows: Sequence[Sequence[int | Fraction]], rhs: Sequence[int | Fraction]):
+    def __init__(self, rows: Sequence[Sequence[int]], rhs: Sequence[int | Fraction]):
         ints, self._scale = _standardize(rows, rhs)
         self.n = len(rows[0])
         self._tab = _phase_one(ints, self.n).valued()
@@ -255,7 +245,7 @@ class FeasibleSystem:
         x = dict(zip(self._tab.basis, self._tab.values))
         return [x.get(j, 0) for j in range(self.n)], self._tab.big * self._scale
 
-    def bound_numerators(self, objective: Sequence[int | Fraction]) -> tuple[int, int, int]:
+    def bound_numerators(self, objective: Sequence[int]) -> tuple[int, int, int]:
         """The least and greatest ``objective . x`` as two numerators over one positive denominator.
 
         Each end starts at the kept basis where its value is best, the
@@ -264,26 +254,25 @@ class FeasibleSystem:
         """
         if len(objective) != self.n:
             raise ValueError(f"objective has {len(objective)} coefficients, expected {self.n}")
-        costs, den = numerators(objective)
-        lo = hi = (self._tab.value(costs), self._tab)
+        lo = hi = (self._tab.value(objective), self._tab)
         for tab in self._pool.values():  # values compared as cross-multiplied integers
-            value = tab.value(costs)
+            value = tab.value(objective)
             if value * lo[1].big < lo[0] * tab.big:
                 lo = (value, tab)
             elif value * hi[1].big > hi[0] * tab.big:
                 hi = (value, tab)
-        down = lo[1].priced(costs)
+        down = lo[1].priced(objective)
         ends = []
-        for (value, tab), obj in ((lo, down), (hi, [-v for v in (down if hi is lo else hi[1].priced(costs))])):
+        for (value, tab), obj in ((lo, down), (hi, [-v for v in (down if hi is lo else hi[1].priced(objective))])):
             if min(obj, default=0) < 0:
                 tab = tab.copy(obj)
                 tab.minimize(dantzig=True)
                 tab = self._pool.setdefault(tuple(sorted(tab.basis)), tab.valued())
-                value = tab.value(costs)
+                value = tab.value(objective)
             ends.append((value, tab.big))
         (low, low_big), (high, high_big) = ends
         big = lcm(low_big, high_big)
-        return low * (big // low_big), high * (big // high_big), big * den * self._scale
+        return low * (big // low_big), high * (big // high_big), big * self._scale
 
 
 # ---------------------------------------------------------------------------

@@ -372,6 +372,8 @@ def report_from_marginals(
     if backend not in ("lp", "psat"):
         raise ValueError(f"unknown backend {backend!r}")
     threshold, epsilon = Fraction(threshold), Fraction(epsilon)
+    if not 0 <= threshold <= 1:
+        raise ValueError(f"threshold must be a probability in [0, 1], not {format_fraction(threshold)}")
     if backend == "psat" and epsilon <= 0:  # before any LP work; the lp backend ignores epsilon
         raise ValueError("epsilon must be positive")
     n = len(marginals.objects)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import attrgetter
 from typing import Sequence
 
 from .errors import ParseError
@@ -24,12 +23,7 @@ def parse_fraction(text: str) -> Fraction:
         raise ParseError(f"not a rational number: {text!r}") from exc
 
 
-_NUMERATOR, _DENOMINATOR = attrgetter("numerator"), attrgetter("denominator")
-
-
 def numerators(values: Sequence[Fraction | int]) -> tuple[list[int], int]:
-    """``values`` as integer numerators over their least common denominator, and that denominator."""
-    den = lcm(*map(_DENOMINATOR, values))
-    if den == 1:  # all integers: the attribute reads run in C for ``int`` values
-        return list(map(_NUMERATOR, values)), 1
+    """Rational ``values``, such as right-hand sides, as integer numerators over their least common denominator, and that denominator."""
+    den = lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den

@@ -94,6 +94,14 @@ def test_validate_choice_atom_arity_conflict_exits_2(tmp_path, capsys, text, lin
     assert err.startswith(f"error: line {line}, column {column}: relation 'c' used with arity ")
 
 
+def test_validate_clause_with_variables_and_no_constants_exits_1(tmp_path, capsys):
+    p = tmp_path / "no-constants.ccl"  # only 0-ary choice atoms, so no constant to ground X with
+    p.write_text("choicespace {\n  alternative { c: 1/2, nc: 1/2 }\n}\np(X) :- q(X).\n")
+    code, out, err = run(["validate", str(p)], capsys)
+    assert (code, err) == (1, "")
+    assert "[grounding] clause has variables but no constants were given: p(X) :- q(X)." in out
+
+
 @pytest.mark.parametrize("command", ["infer", "worlds", "psat-export"])
 def test_invalid_theory_exits_1(tmp_path, capsys, command):
     p = tmp_path / "nine-tenths.ccl"
@@ -348,6 +356,35 @@ def test_rank_bad_threshold_exits_2(data_dir, capsys):
         ["rank", str(data_dir / "abc.rankings"), "--threshold", "often"], capsys
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("threshold", ["2", "-1", "11/10"])
+def test_rank_threshold_outside_zero_one_exits_1(data_dir, capsys, threshold):
+    code, out, err = run(["rank", str(data_dir / "abc.rankings"), "--threshold", threshold], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: threshold must be a probability in [0, 1]")
+
+
+@pytest.mark.parametrize("threshold", ["0", "1"])
+def test_rank_threshold_at_zero_or_one_is_accepted(data_dir, capsys, threshold):
+    code, out, err = run(["rank", str(data_dir / "abc.rankings"), "--threshold", threshold], capsys)
+    assert (code, err) == (0, "")
+    assert F(json.loads(out)["determinacy_rate"]["value"]) == 1  # every interval lies inside (0, 1)
+
+
+@pytest.mark.parametrize(
+    "name, text, code, message",
+    [
+        ("negative.csv", "a,b\n-1,2\n2,-1\nN=1\n", 2, "counts must be non-negative"),
+        ("short-row.csv", "a,b,c\n1,1,0\n1,1,1\n1,1,2\nN=3\n", 2, "row 0 sums to 2, expected 3"),
+        ("one.rankings", "a\na\n", 1, "need at least two objects"),
+    ],
+    ids=["negative-count", "row-sum", "one-object"],
+)
+def test_rank_rejects_bad_counts_and_single_objects(tmp_path, capsys, name, text, code, message):
+    p = tmp_path / name
+    p.write_text(text)
+    assert run(["rank", str(p)], capsys) == (code, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(

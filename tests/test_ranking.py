@@ -586,6 +586,24 @@ def test_psat_report_builds_no_world_space_and_one_system(monkeypatch):
     assert calls == {"build_world_space": 0, "FeasibleSystem": 1, "pairwise_query": 0, "bisect_bounds": 0}
 
 
+def test_report_rejects_a_threshold_outside_zero_one_before_any_lp_work(monkeypatch):
+    import credalchoice.lp as lp
+
+    m = oracle_marginals("random-4")
+    accepted = [report_from_marginals(m, threshold=t) for t in (F(0), F(1))]
+    assert [r.determinacy_rate for r in accepted] == [1, 1]
+
+    def no_lp_work(*args, **kwargs):
+        raise AssertionError("LP work began before the threshold was checked")
+
+    monkeypatch.setattr(lp, "FeasibleSystem", no_lp_work)
+    for threshold in (F(2), F(-1), F(-1, 1000), F(1001, 1000)):
+        with pytest.raises(ValueError, match=r"threshold must be a probability in \[0, 1\]"):
+            report_from_marginals(m, threshold=threshold)
+        with pytest.raises(ValueError, match=r"threshold must be a probability in \[0, 1\]"):
+            evaluate(abc_dataset(), threshold=threshold)
+
+
 @pytest.mark.parametrize("eps", [F(0), F(-1, 64)])
 def test_psat_report_rejects_nonpositive_epsilon_before_any_lp_work(monkeypatch, eps):
     import credalchoice.lp as lp
