@@ -27,9 +27,9 @@ Queries are then bounded in three ways:
 
 A query is the AND of its literals' world sets (complemented when
 negated), the bits of an ``int``, read out as a dense 0/1 ``int`` table
-in world order.  Space 0 is its most significant digit: both multi-space
-bounds sum it out of their table as one weighted sum of slices, one per
-class (or group) of non-zero mass, and repeat.
+in world order (:func:`~credalchoice.worlds.class_blocks`).  Both
+multi-space bounds sum space 0 out of their table as one weighted sum of
+slices, one per class (or group) of non-zero mass, and repeat.
 
 When every space holds exactly one alternative the theory reads as a
 fully independent one and ``icl_probability`` returns the point value.
@@ -48,7 +48,7 @@ from . import lp
 from .errors import CapExceededError
 from .rational import format_fraction
 from .theory import CCLTheory, Query
-from .worlds import WorldSpace, build_world_space
+from .worlds import WorldSpace, build_world_space, class_blocks
 
 DEFAULT_COMBO_CAP = 1_000_000
 
@@ -172,9 +172,11 @@ def _class_weights(ws: WorldSpace) -> list[list[Fraction]]:
 
 
 def _world_weights(ws: WorldSpace) -> list[Fraction]:
-    """Each world's product weight, from its class profile."""
-    weights = _class_weights(ws)
-    return [prod((weights[i][c] for i, c in enumerate(p)), start=_ONE) for p in ws.profiles]
+    """Each world's product weight: the spaces' class weights multiplied out in world order."""
+    out = [_ONE]
+    for weights in _class_weights(ws):
+        out = [v * w for v in out for w in weights]
+    return out
 
 
 def _sum_out(table: list[int], nums: Sequence[int]) -> list[int]:
@@ -237,9 +239,7 @@ def credal_bounds_strong_extension(
 ) -> IntervalResult:
     """Exact bounds over products of per-space admissible masses, on the query's grouped table.
 
-    The space with the most classes (then groups, then the last declared)
-    is solved by LP at each combination of the other spaces' vertices,
-    projected to group sums and deduplicated.  ``vertex_cap`` bounds each
+    The walk is described in the module docstring.  ``vertex_cap`` bounds each vertex
     enumeration, ``combo_cap`` the vertex combinations before projection.
     """
     ws = world_space or build_world_space(t)
@@ -247,16 +247,13 @@ def credal_bounds_strong_extension(
     k = len(t.spaces)
     if k == 0:
         return IntervalResult(Fraction(hits), Fraction(hits), "vertex_product")
-    # every system first: a space with no coherent selection raises InfeasibleError here, before a stride is 0 / 0
+    # every system first: a space with no coherent selection raises InfeasibleError here
     systems = [marginal_polytope(ws, i).feasible_system() for i in range(k)]
-    group_of, offsets, period = [], [], ws.n_worlds
-    for sels in ws.selections:
-        stride = period // len(sels)
-        block = ((1 << ws.n_worlds) - 1) // ((1 << period) - 1) * ((1 << stride) - 1)  # class 0's worlds
+    group_of, offsets, sizes = [], [], [len(sels) for sels in ws.selections]
+    for size, (stride, block) in zip(sizes, class_blocks(ws.n_worlds, sizes)):
         keys: dict[int, int] = {}  # the query's bits over a class's worlds, shifted onto class 0's: its group
-        group_of.append([keys.setdefault(hits >> j * stride & block, len(keys)) for j in range(len(sels))])
+        group_of.append([keys.setdefault(hits >> j * stride & block, len(keys)) for j in range(size)])
         offsets.append([group_of[-1].index(g) * stride for g in range(len(keys))])  # each group's first class
-        period = stride
     last = max(range(k), key=lambda i: (len(ws.selections[i]), len(offsets[i]), i))
     walked = [i for i in range(k) if i != last]
     # one entry per profile of group representatives, the LP space the least significant digit

@@ -57,6 +57,7 @@ from .rational import numerators
 IntRow = list[int]  # a tableau row, held only up to a positive factor
 
 DEFAULT_BASIS_CAP = 200_000
+_NOT_INT = "lp takes int rows and objectives; only the right-hand sides may be Fractions"
 
 
 def _coprime(row: IntRow) -> IntRow:
@@ -236,7 +237,10 @@ class FeasibleSystem:
     def __init__(self, rows: Sequence[Sequence[int]], rhs: Sequence[int | Fraction]):
         ints, self._scale = _standardize(rows, rhs)
         self.n = len(rows[0])
-        self._tab = _phase_one(ints, self.n).valued()
+        try:  # a non-int row entry first meets ``gcd`` in phase one
+            self._tab = _phase_one(ints, self.n).valued()
+        except TypeError as e:
+            raise TypeError(_NOT_INT) from e
         # the phase-one tableau, then one for every distinct basis at which an end finished, by sorted basis
         self._pool = {tuple(sorted(self._tab.basis)): self._tab}
 
@@ -261,7 +265,10 @@ class FeasibleSystem:
                 lo = (value, tab)
             elif value * hi[1].big > hi[0] * tab.big:
                 hi = (value, tab)
-        down = lo[1].priced(objective)
+        try:  # a non-int objective entry first meets ``gcd`` in pricing
+            down = lo[1].priced(objective)
+        except TypeError as e:
+            raise TypeError(_NOT_INT) from e
         ends = []
         for (value, tab), obj in ((lo, down), (hi, [-v for v in (down if hi is lo else hi[1].priced(objective))])):
             if min(obj, default=0) < 0:

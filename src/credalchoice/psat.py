@@ -172,19 +172,9 @@ def cnf(f: Formula, *, cap: int = DEFAULT_CLAUSE_CAP) -> tuple[Clause, ...]:
             return clauses_of(g.children[0], not negate)
         if kind == "xor":
             lits = [literal_of(c) for c in g.children]
-            if not negate and all(l is not None for l in lits):
-                cls: list[Clause] = []
-                whole = _mk_clause(lits)
-                if whole is not None:
-                    cls.append(whole)
-                for i in range(len(lits)):
-                    for j in range(i + 1, len(lits)):
-                        pair = _mk_clause(
-                            [(lits[i][0], not lits[i][1]), (lits[j][0], not lits[j][1])]
-                        )
-                        if pair is not None:
-                            cls.append(pair)
-                return cls
+            if not negate and all(l is not None for l in lits):  # the whole clause, then each pair negated
+                pairs = [[(a, not p), (b, not q)] for i, (a, p) in enumerate(lits) for b, q in lits[i + 1:]]
+                return [cl for cl in map(_mk_clause, [lits, *pairs]) if cl is not None]
             return clauses_of(_xor_as_or(g.children), negate)
         # Clause sets are kept free of repeats (in first-seen order), so
         # the cap bounds distinct clauses, not copies of one clause.
@@ -235,10 +225,9 @@ def enumerate_models(
         raise CapExceededError(f"{len(atoms)} variables, more than the cap of {var_cap}")
 
     index = {a: i for i, a in enumerate(atoms)}
-    clauses: list[tuple[tuple[int, bool], ...]] = []
-    for f in formulas:
-        for cl in cnf(f, cap=clause_cap):
-            clauses.append(tuple((index[a], pos) for a, pos in cl))
+    clauses = [tuple((index[a], pos) for a, pos in cl) for f in formulas for cl in cnf(f, cap=clause_cap)]
+    if () in clauses:  # the empty clause names no variable, so no assignment satisfies it
+        return []
     by_var: list[list[int]] = [[] for _ in atoms]
     for ci, cl in enumerate(clauses):
         for vi, _ in cl:
@@ -248,15 +237,8 @@ def enumerate_models(
     assign: list[bool | None] = [None] * n
     out: list[frozenset[Atom]] = []
 
-    def violated(ci: int) -> bool:
-        undecided = False
-        for vi, pos in clauses[ci]:
-            v = assign[vi]
-            if v is None:
-                undecided = True
-            elif v == pos:
-                return False
-        return not undecided
+    def violated(ci: int) -> bool:  # every literal of the clause assigned, and false
+        return all(assign[vi] is not None and assign[vi] != pos for vi, pos in clauses[ci])
 
     def walk(i: int) -> None:
         if i == n:

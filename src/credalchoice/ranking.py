@@ -262,9 +262,16 @@ def decide_preference(
     pair: tuple[int, int] = (0, 1),
 ) -> PreferenceDecision:
     """Dominance at the threshold; a touching endpoint stays indeterminate."""
-    threshold = Fraction(threshold)
+    threshold = _probability(threshold)
     verdict = _verdict(interval.lower, interval.upper, threshold)
     return PreferenceDecision((pair[0], pair[1]), interval, threshold, verdict)
+
+
+def _probability(threshold: Fraction) -> Fraction:
+    """``threshold`` as a ``Fraction``; ``ValueError`` unless it lies in [0, 1]."""
+    if not 0 <= (threshold := Fraction(threshold)) <= 1:
+        raise ValueError(f"threshold must be a probability in [0, 1], not {format_fraction(threshold)}")
+    return threshold
 
 
 def _verdict(lower: Fraction, upper: Fraction, threshold: Fraction) -> str:
@@ -371,9 +378,7 @@ def report_from_marginals(
     """
     if backend not in ("lp", "psat"):
         raise ValueError(f"unknown backend {backend!r}")
-    threshold, epsilon = Fraction(threshold), Fraction(epsilon)
-    if not 0 <= threshold <= 1:
-        raise ValueError(f"threshold must be a probability in [0, 1], not {format_fraction(threshold)}")
+    threshold, epsilon = _probability(threshold), Fraction(epsilon)
     if backend == "psat" and epsilon <= 0:  # before any LP work; the lp backend ignores epsilon
         raise ValueError("epsilon must be positive")
     n = len(marginals.objects)

@@ -12,14 +12,12 @@ order, atoms inside an alternative in declaration order, spaces in
 declaration order.  Re-running the enumeration therefore reproduces
 identical indices, which the textual world tables rely on.
 
-The worlds are the product of the spaces' coherent selections, last
-space fastest.  A world's class profile is its digit tuple in that
-product: its selection's index in each space, which is also the index
-of its class there.  A world space keeps each selection as atom indices
-and, per atom, a column: the set of worlds holding the atom, as the bits
-of an ``int``.  So every world is evaluated in one bit-sliced pass, a
-query is an AND of columns, and profiles, classes and worlds are decoded
-only when first read.
+The worlds are the product of the spaces' coherent selections, laid out
+by :func:`class_blocks`.  A world space keeps each selection as atom
+indices and, per atom, a column: the set of worlds holding the atom, as
+the bits of an ``int``.  So every world is evaluated in one bit-sliced
+pass, a query is an AND of columns, and profiles, classes and worlds are
+decoded only when first read.
 """
 
 from __future__ import annotations
@@ -99,14 +97,12 @@ class WorldSpace:
     @cached_property
     def classes_by_space(self) -> tuple[tuple[WorldClass, ...], ...]:
         """Per space, its classes in selection order: world ``i`` is in class ``profiles[i][s]`` of space ``s``."""
-        classes, period = [], self.n_worlds
-        for s, (space, sels) in enumerate(zip(self.theory.spaces, self.selections)):
-            stride = period // len(sels) if sels else 0  # class j: a run of stride worlds from j * stride in each period
-            classes.append(tuple(WorldClass(pc, tuple(i for b in range(j * stride, self.n_worlds, period)
-                                                      for i in range(b, b + stride)))
-                                 for j, pc in enumerate(_decode(space, s, sels))))
-            period = stride
-        return tuple(classes)
+        n, sizes = self.n_worlds, [len(sels) for sels in self.selections]
+        return tuple(
+            tuple(WorldClass(pc, tuple(i for b in range(j * stride, n, stride * len(sels)) for i in range(b, b + stride)))
+                  for j, pc in enumerate(_decode(space, s, sels)))
+            for s, (space, sels, (stride, _)) in enumerate(zip(self.theory.spaces, self.selections, class_blocks(n, sizes)))
+        )
 
     @cached_property
     def worlds(self) -> tuple[World, ...]:
@@ -121,6 +117,25 @@ class WorldSpace:
                   Interpretation(gp.herbrand_base, frozenset(m)))
             for i, (p, m) in enumerate(zip(self.profiles, true))
         )
+
+
+def class_blocks(n: int, sizes: Sequence[int]) -> list[tuple[int, int]]:
+    """Per space, its ``stride`` and its class 0's worlds as the bits of an ``int``, ``block``.
+
+    The ``n`` worlds are the product of the spaces' classes, ``sizes[s]`` in space ``s``: world ``i``
+    is its class profile read as a mixed-radix number, the last space fastest.  ``stride`` is the
+    later spaces' world count, and class ``j`` is ``block << j * stride``, a run of ``stride`` worlds
+    in every ``sizes[s] * stride``.
+    """
+    out, period = [], n
+    for size in sizes:
+        stride = period // size if size else 0
+        block, width = (1 << stride) - 1, period
+        while 0 < width < n:  # the run repeated every period by doubling, so no big integer is divided
+            block, width = block | block << width, 2 * width
+        out.append((stride, block & (1 << n) - 1))
+        period = stride
+    return out
 
 
 def set_bits(mask: int) -> list[int]:
@@ -187,23 +202,16 @@ def enumerate_total_choices(t: CCLTheory, cap: int = DEFAULT_WORLD_CAP) -> list[
 
 
 def build_world_space(t: CCLTheory, cap: int = DEFAULT_WORLD_CAP) -> WorldSpace:
-    """Every world's stable model, evaluated on all worlds at once, and the per-space selections.
-
-    World ``i`` is its profile as a mixed-radix number, so class ``j`` of a space with ``c`` classes and
-    stride ``s`` (the later spaces' world count) is the block ``((1 << s) - 1) << j*s`` every ``s*c`` worlds.
-    """
+    """Every world's stable model, evaluated on all worlds at once, and the per-space selections."""
     gp = t.ground_program
     selections, n = _selections_by_space(t, cap)
-    columns, period = [0] * len(gp.index), n
-    for sp, lst in zip(t.spaces, selections if n else ()):  # with no world at all nothing is set
-        stride = period // len(lst)
-        repunit = ((1 << n) - 1) // ((1 << period) - 1)  # one bit at the start of each period
+    columns = [0] * len(gp.index)
+    for sp, lst, (stride, block) in zip(t.spaces, selections, class_blocks(n, [len(lst) for lst in selections])):
         slots = [gp.index[a] for a in sp.atomic_choices]  # one lookup per atom, not per selection
         for j, sel in enumerate(lst):
-            worlds = repunit * ((1 << stride) - 1) << j * stride
+            worlds = block << j * stride
             for a in sel:
                 columns[slots[a]] |= worlds
-        period = stride
     return WorldSpace(t, selections, n, tuple(gp.evaluate(columns, (1 << n) - 1)))
 
 

@@ -150,6 +150,17 @@ def test_rows_of_unequal_length_or_a_wrong_count_of_right_hand_sides_raise():
             FeasibleSystem(rows, rhs)
 
 
+def test_a_fraction_row_or_objective_raises_a_type_error_naming_the_int_contract():
+    with pytest.raises(TypeError, match="lp takes int rows and objectives") as exc:
+        FeasibleSystem([[Fraction(1, 2), Fraction(1, 2)]], [1])
+    assert isinstance(exc.value.__cause__, TypeError)
+    system = FeasibleSystem([[1, 1, 1]], [1])
+    for objective in ([Fraction(1, 2), 0, 1], [0, 1, Fraction(1, 2)], [Fraction(2), 0, 0]):
+        with pytest.raises(TypeError, match="lp takes int rows and objectives"):
+            system.bound_numerators(objective)
+    assert system.bound_numerators([0, 1, 2]) == (0, 2, 1)
+
+
 def test_feasible_point_satisfies_constraints():
     cons = [
         Constraint((F(1), F(1), F(1)), "==", F(1)),

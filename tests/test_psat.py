@@ -145,6 +145,35 @@ def test_enumerate_models_respects_extra_variables():
     assert len(models) == 2  # b free
 
 
+def test_enumerate_models_of_a_formula_with_the_empty_clause_is_empty():
+    a = atom("a")
+    assert enumerate_models([or_()]) == []
+    assert enumerate_models([and_(var_(a), or_())]) == []
+    assert not psat_decide(PSATInstance((Assessment(or_(), F(1)),)))
+
+
+# like formula_st, but a connective may have no child: and_() is truth, or_() and xor_() falsity
+childless_formula_st = st.deferred(
+    lambda: st.one_of(
+        st.sampled_from("abc").map(lambda n: var_(atom(n))),
+        st.tuples(childless_formula_st).map(lambda t: not_(t[0])),
+        st.lists(childless_formula_st, max_size=2).map(lambda l: and_(*l)),
+        st.lists(childless_formula_st, max_size=2).map(lambda l: or_(*l)),
+        st.lists(childless_formula_st, max_size=2).map(lambda l: xor_(*l)),
+    )
+)
+
+
+@given(st.lists(childless_formula_st, max_size=3))
+@settings(max_examples=150, deadline=None)
+def test_enumerate_models_equals_brute_force_over_assignments(formulas):
+    atoms = [atom(n) for n in "abc"]
+    subsets = (frozenset(c) for r in range(4) for c in itertools.combinations(atoms, r))
+    expected = {m for m in subsets if all(f.evaluate(m) for f in formulas)}
+    models = enumerate_models(formulas, atoms)
+    assert len(models) == len(expected) and set(models) == expected
+
+
 def test_enumerate_models_var_cap():
     atoms = [atom(f"v{i}") for i in range(30)]
     with pytest.raises(CapExceededError):

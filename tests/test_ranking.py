@@ -365,6 +365,14 @@ def test_decision_rule_other_thresholds():
     assert decide_preference(iv("3/10", "2/5"), threshold=F(9, 20)).verdict == "second"
 
 
+def test_decision_rejects_a_threshold_outside_zero_one():
+    assert decide_preference(iv("3/5", "4/5"), threshold=F(1)).verdict == "second"
+    assert decide_preference(iv("3/5", "4/5"), threshold=0).verdict == "first"
+    for threshold in (F(2), F(-1), F(-1, 1000), F(1001, 1000)):
+        with pytest.raises(ValueError, match=r"threshold must be a probability in \[0, 1\]"):
+            decide_preference(iv("3/5", "4/5"), threshold=threshold)
+
+
 def test_decision_is_pure_in_interval_and_threshold():
     a = decide_preference(iv("1/4", "3/4"), pair=(0, 1))
     b = decide_preference(iv("1/4", "3/4"), pair=(3, 2))

@@ -20,6 +20,7 @@ from credalchoice.theory import (
     ChoiceSpace,
     alternative,
     load_ccl,
+    parse_ccl,
     query,
 )
 from credalchoice.worlds import (
@@ -308,6 +309,30 @@ def test_single_space_classes_are_singleton_worlds(data_dir):
     ws = build_world_space(doc.theory)
     assert len(ws.classes_by_space) == 1
     assert all(len(c.world_indices) == 1 for c in ws.classes_by_space[0])
+
+
+def test_class_blocks_hold_the_worlds_of_each_class():
+    rng = random.Random(26)
+    for _ in range(40):
+        t = random_product_theory(rng, rng.randint(0, 4))
+        ws = build_world_space(t)
+        blocks = worlds.class_blocks(ws.n_worlds, [len(sels) for sels in ws.selections])
+        assert len(blocks) == len(t.spaces)
+        for s, (stride, block) in enumerate(blocks):
+            for j in range(len(ws.selections[s])):
+                members = block << j * stride
+                assert [members >> i & 1 for i in range(ws.n_worlds)] == [int(p[s] == j) for p in ws.profiles]
+                assert tuple(worlds.set_bits(members)) == ws.classes_by_space[s][j].world_indices
+
+
+def test_a_theory_at_the_world_cap_builds_and_bounds_exactly():
+    spaces = "".join(f"choicespace {{ alternative {{ a{i}: 1/3, b{i}: 2/3 }} }}\n" for i in range(20))
+    doc = parse_ccl("q :- a0, b1.\n" + spaces + "query q.\n")
+    ws = build_world_space(doc.theory)
+    assert ws.n_worlds == worlds.DEFAULT_WORLD_CAP == 2**20
+    for bound in (credal_bounds_strong_extension, outer_bound):
+        r = bound(doc.theory, doc.queries[0], world_space=ws)
+        assert (r.lower, r.upper) == (F(2, 9), F(2, 9))
 
 
 def test_world_count_is_product_of_class_counts():
