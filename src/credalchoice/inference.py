@@ -31,8 +31,10 @@ in world order (:func:`~credalchoice.worlds.class_blocks`).  Both
 multi-space bounds sum space 0 out of their table as one weighted sum of
 slices, one per class (or group) of non-zero mass, and repeat.
 
-When every space holds exactly one alternative the theory reads as a
-fully independent one and ``icl_probability`` returns the point value.
+The point values are the product-of-masses proxy, one factor per space
+(its class weights over their total), summed out of the table the same
+way.  When every space holds exactly one alternative the theory reads
+as a fully independent one, and the ``icl_*`` functions are the proxy's.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import compress, product
+from itertools import product
 from math import lcm, prod
 from typing import Sequence
 
@@ -54,6 +56,7 @@ DEFAULT_COMBO_CAP = 1_000_000
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_UNDEFINED = "every world has zero product weight; proxy undefined"
 
 
 @dataclass(frozen=True)
@@ -159,23 +162,17 @@ def query_table(ws: WorldSpace, q: Query) -> list[int]:
     return list(bin(_query_hits(ws, q) | 1 << ws.n_worlds)[:2:-1].encode().translate(_BIT_VALUES))
 
 
-def _class_weights(ws: WorldSpace) -> list[list[Fraction]]:
-    """Per space, each class's product of selected masses.
+def _proxy_factors(ws: WorldSpace) -> list[tuple[Fraction, ...] | None]:
+    """Per space, its class weights over their total, or ``None`` when the total is 0.
 
-    An atom selected by several overlapping alternatives counts once.
+    A class weight is the product of its selected masses; an atom
+    selected by several overlapping alternatives counts once.
     """
-    mu = ws.theory.mu
-    return [
-        [prod((mu[sp.atomic_choices[a]] for a in set(sel)), start=_ONE) for sel in sels]
-        for sp, sels in zip(ws.theory.spaces, ws.selections)
-    ]
-
-
-def _world_weights(ws: WorldSpace) -> list[Fraction]:
-    """Each world's product weight: the spaces' class weights multiplied out in world order."""
-    out = [_ONE]
-    for weights in _class_weights(ws):
-        out = [v * w for v in out for w in weights]
+    mu, out = ws.theory.mu, []
+    for sp, sels in zip(ws.theory.spaces, ws.selections):
+        raw = [prod((mu[sp.atomic_choices[a]] for a in set(sel)), start=_ONE) for sel in sels]
+        total = sum(raw, _ZERO)
+        out.append(MassFunction(tuple(v / total for v in raw)).values if total else None)
     return out
 
 
@@ -196,25 +193,25 @@ def _sum_out(table: list[int], nums: Sequence[int]) -> list[int]:
 def icl_probability(t: CCLTheory, q: Query, *, world_space: WorldSpace | None = None) -> Fraction:
     """Point-valued query probability under the independence reading.
 
-    Requires every choice space to hold exactly one alternative; the
-    probability of a world is then the product of its selected masses.
+    Requires every choice space to hold exactly one alternative whose
+    masses sum to one; the probability of a world is then the product of
+    its selected masses, and this is :func:`proxy_query_value`.
     """
     _require_independent(t)  # before the world space is built
-    ws = world_space or build_world_space(t)
-    weights = icl_mass_function(t, world_space=ws).values
-    return sum(compress(weights, query_table(ws, q)), _ZERO)
+    return proxy_query_value(t, q, world_space=world_space)
 
 
 def _require_independent(t: CCLTheory) -> None:
     if any(len(sp.alternatives) != 1 for sp in t.spaces):
         raise ValueError("the independence reading needs every choice space to be a single alternative")
+    for sp in t.spaces:  # each space's masses, non-negative and summing to one
+        MassFunction(tuple(map(t.mu.__getitem__, sp.atomic_choices)))
 
 
 def icl_mass_function(t: CCLTheory, *, world_space: WorldSpace | None = None) -> MassFunction:
-    """The world mass function of an independence-reading theory."""
+    """The world mass function of an independence-reading theory: the proxy's, behind the precondition."""
     _require_independent(t)
-    ws = world_space or build_world_space(t)
-    return MassFunction(tuple(_world_weights(ws)))
+    return proxy_mass_function(t, world_space=world_space)
 
 
 def credal_bounds_single_space(
@@ -313,27 +310,31 @@ def outer_bound(t: CCLTheory, q: Query, *, world_space: WorldSpace | None = None
 
 
 def proxy_mass_function(t: CCLTheory, *, world_space: WorldSpace | None = None) -> MassFunction:
-    """Product-of-masses weights over the worlds, renormalized.
+    """Product-of-masses weights over the worlds, renormalized: the spaces' factors multiplied out in world order.
 
     With pairwise-disjoint alternatives in every space the raw weights
     already sum to one and the proxy is a genuine member of the credal
     set; with overlapping alternatives it is only a heuristic reference
     point (use :func:`proxy_in_credal_set` to check membership).
     """
-    ws = world_space or build_world_space(t)
-    raw = _world_weights(ws)
-    total = sum(raw, _ZERO)
-    if total == 0:
-        raise ValueError("every world has zero product weight; proxy undefined")
-    return MassFunction(tuple(v / total for v in raw))
+    out = [_ONE]
+    for f in _proxy_factors(world_space or build_world_space(t)):
+        if f is None:
+            raise ValueError(_UNDEFINED)
+        out = [v * w for v in out for w in f]
+    return MassFunction(tuple(out))
 
 
-def proxy_query_value(
-    t: CCLTheory, q: Query, *, world_space: WorldSpace | None = None
-) -> Fraction:
+def proxy_query_value(t: CCLTheory, q: Query, *, world_space: WorldSpace | None = None) -> Fraction:
+    """The proxy's query mass: the query table summed out space by space against each factor's integer numerators."""
     ws = world_space or build_world_space(t)
-    proxy = proxy_mass_function(t, world_space=ws)
-    return sum(compress(proxy.values, query_table(ws, q)), _ZERO)
+    table, den = query_table(ws, q), 1
+    for f in _proxy_factors(ws):
+        if f is None:
+            raise ValueError(_UNDEFINED)
+        d = lcm(*(v.denominator for v in f))
+        table, den = _sum_out(table, [v.numerator * (d // v.denominator) for v in f]), den * d
+    return Fraction(table[0], den)
 
 
 def proxy_in_credal_set(t: CCLTheory, *, world_space: WorldSpace | None = None) -> bool:
@@ -343,8 +344,4 @@ def proxy_in_credal_set(t: CCLTheory, *, world_space: WorldSpace | None = None) 
     each factor satisfying its own marginal constraints.
     """
     ws = world_space or build_world_space(t)
-    for i, raw in enumerate(_class_weights(ws)):
-        total = sum(raw, _ZERO)
-        if total == 0 or not marginal_polytope(ws, i).contains([v / total for v in raw]):
-            return False
-    return True
+    return all(f is not None and marginal_polytope(ws, i).contains(f) for i, f in enumerate(_proxy_factors(ws)))

@@ -269,6 +269,8 @@ class FeasibleSystem:
             down = lo[1].priced(objective)
         except TypeError as e:
             raise TypeError(_NOT_INT) from e
+        if type(lo[0]) is not int:  # with no nonbasic column, pricing has no entry to meet ``gcd``
+            raise TypeError(_NOT_INT)
         ends = []
         for (value, tab), obj in ((lo, down), (hi, [-v for v in (down if hi is lo else hi[1].priced(objective))])):
             if min(obj, default=0) < 0:

@@ -149,14 +149,6 @@ def cnf(f: Formula, *, cap: int = DEFAULT_CLAUSE_CAP) -> tuple[Clause, ...]:
     everything else is negation-pushed and distributed, with a guard on
     the clause count.
     """
-    out: dict[Clause, None] = {}
-
-    def emit(cl: Clause | None) -> None:
-        if cl is not None:
-            out.setdefault(cl)
-            if len(out) > cap:
-                raise CapExceededError(f"CNF grew past {cap} clauses")
-
     def literal_of(g: Formula) -> tuple[Atom, bool] | None:
         if g.kind == "var":
             return (g.atom, True)
@@ -202,9 +194,10 @@ def cnf(f: Formula, *, cap: int = DEFAULT_CLAUSE_CAP) -> tuple[Clause, ...]:
                 return []  # one child is tautologically true
         return result
 
-    for cl in clauses_of(f, False):
-        emit(cl)
-    return tuple(out)
+    out = tuple(dict.fromkeys(clauses_of(f, False)))
+    if len(out) > cap:
+        raise CapExceededError(f"CNF grew past {cap} clauses")
+    return out
 
 
 def enumerate_models(

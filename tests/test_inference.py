@@ -11,6 +11,7 @@ from conftest import (
     multispace_theory,
     outer_bound_oracle,
     random_base_query,
+    random_masses,
     random_product_theory,
     random_query,
     random_single_space_theory,
@@ -57,7 +58,7 @@ from credalchoice.theory import (
     query,
     validate_theory,
 )
-from credalchoice.worlds import build_world_space
+from credalchoice.worlds import build_world_space, satisfies
 
 F = Fraction
 
@@ -130,6 +131,36 @@ def test_icl_rejects_multi_alternative_space(data_dir):
     doc = load_ccl(data_dir / "friends.ccl")
     with pytest.raises(ValueError):
         icl_probability(doc.theory, query("h"))
+
+
+def test_icl_point_values_are_the_product_of_the_selected_masses():
+    # the oracle weighs each world by the masses of its total choice's image
+    rng = random.Random(131)
+    for trial in range(20):
+        alts, mu = [], {}
+        for s in range(rng.randrange(1, 5)):
+            atoms_ = [atom(f"s{s}c{i}") for i in range(rng.randrange(1, 4))]
+            masses = random_masses(rng, len(atoms_))
+            if len(atoms_) > 1 and rng.random() < 0.3:  # a zero-mass atom
+                masses = [F(0), masses[0] + masses[1], *masses[2:]]
+            alts.append(Alternative(tuple(atoms_)))
+            mu.update(zip(atoms_, masses))
+        t, derived = with_derived_atoms(rng, from_icl(Program(), alts, mu), rng.randrange(1, 3))
+        ws = build_world_space(t)
+        weights = tuple(prod((t.mu[a] for a in w.choice.image), start=F(1)) for w in ws.worlds)
+        assert icl_mass_function(t, world_space=ws).values == weights, f"trial {trial}"
+        for q in (random_base_query(rng, t), query(derived[-1]), query()):
+            expected = sum((v for w, v in zip(ws.worlds, weights) if satisfies(w, q)), F(0))
+            assert icl_probability(t, q) == icl_probability(t, q, world_space=ws) == expected, f"trial {trial}: {q}"
+
+
+def test_icl_rejects_single_alternatives_whose_masses_do_not_sum_to_one():
+    t = CCLTheory(Program(), (ChoiceSpace((alternative("a", "b"),)),), {atom("a"): F(1, 4), atom("b"): F(1, 2)})
+    assert not validate_theory(t).ok
+    with pytest.raises(ValueError, match="^mass values must sum to 1$"):
+        icl_probability(t, query("a"))
+    with pytest.raises(ValueError, match="^mass values must sum to 1$"):
+        icl_mass_function(t)
 
 
 # ---------------------------------------------------------------------------
@@ -557,6 +588,21 @@ def test_proxy_equals_icl_on_icl_theories(data_dir):
     doc = load_ccl(data_dir / "urn.ccl")
     q = doc.queries[0]
     assert proxy_query_value(doc.theory, q) == icl_probability(doc.theory, q)
+
+
+def test_proxy_query_value_is_the_proxy_mass_of_the_query_worlds():
+    # the point value sums the table out space by space; the oracle adds up the satisfying worlds' proxy masses
+    rng = random.Random(89)
+    zero = ChoiceSpace((alternative("z0", "z1"),))  # z0 has mass 0
+    for trial in range(20):
+        t = random_product_theory(rng, rng.randrange(1, 5))  # shape-2 spaces have overlapping alternatives
+        t = CCLTheory(t.program, (*t.spaces, zero), {**t.mu, atom("z0"): F(0), atom("z1"): F(1)})
+        t, derived = with_derived_atoms(rng, t, rng.randrange(1, 4))
+        ws = build_world_space(t)
+        masses = proxy_mass_function(t, world_space=ws).values
+        for q in (random_base_query(rng, t), query(derived[-1]), query(Literal(atom("z0"), False), derived[0]), query("z0")):
+            expected = sum((m for w, m in zip(ws.worlds, masses) if satisfies(w, q)), F(0))
+            assert proxy_query_value(t, q, world_space=ws) == expected, f"trial {trial}: {q}"
 
 
 def test_proxy_is_member_for_disjoint_alternatives():

@@ -159,6 +159,10 @@ def test_a_fraction_row_or_objective_raises_a_type_error_naming_the_int_contract
         with pytest.raises(TypeError, match="lp takes int rows and objectives"):
             system.bound_numerators(objective)
     assert system.bound_numerators([0, 1, 2]) == (0, 2, 1)
+    every_column_basic = FeasibleSystem([[1, 0], [0, 1]], [1, Fraction(1, 3)])
+    with pytest.raises(TypeError, match="lp takes int rows and objectives"):
+        every_column_basic.bound_numerators([Fraction(1, 2), 1])
+    assert every_column_basic.bound_numerators([3, 1]) == (10, 10, 3)
 
 
 def test_feasible_point_satisfies_constraints():

@@ -117,7 +117,7 @@ def test_cnf_clause_cap():
     "f, cap, raised_in",
     [
         (and_(*(var_(atom(f"x{i}")) for i in range(5))), 3, "clauses_of"),  # one clause per conjunct
-        (xor_(*(var_(atom(f"x{i}")) for i in range(4))), 5, "emit"),  # 1 + 6 pairwise clauses
+        (xor_(*(var_(atom(f"x{i}")) for i in range(4))), 5, "cnf"),  # 1 + 6 pairwise clauses
     ],
     ids=["conjunction", "final-count"],
 )

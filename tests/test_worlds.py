@@ -10,7 +10,14 @@ import pytest
 from conftest import naive_stable_model, random_base_query, random_product_theory, with_derived_atoms
 
 from credalchoice import logic, worlds
-from credalchoice.inference import credal_bounds_single_space, credal_bounds_strong_extension, outer_bound, query_table
+from credalchoice.inference import (
+    credal_bounds_single_space,
+    credal_bounds_strong_extension,
+    icl_probability,
+    outer_bound,
+    proxy_query_value,
+    query_table,
+)
 from credalchoice.psat import bisect_bounds
 from credalchoice.errors import CapExceededError
 from credalchoice.logic import Clause, Literal, Program, atom
@@ -333,6 +340,8 @@ def test_a_theory_at_the_world_cap_builds_and_bounds_exactly():
     for bound in (credal_bounds_strong_extension, outer_bound):
         r = bound(doc.theory, doc.queries[0], world_space=ws)
         assert (r.lower, r.upper) == (F(2, 9), F(2, 9))
+    for point in (proxy_query_value, icl_probability):
+        assert point(doc.theory, doc.queries[0], world_space=ws) == F(2, 9)
 
 
 def test_world_count_is_product_of_class_counts():
