@@ -3,38 +3,37 @@
 For each choice space the admissible mass assignments over its classes
 form a polytope: non-negative weights that sum to one and whose totals
 over the classes containing each atomic choice equal that atom's mass.
-Queries are then bounded in three ways:
+
+A query is read once, by :class:`QueryGroups`: its worlds are the AND of
+its literals' world sets (complemented when negated), the bits of an
+``int``, and two classes of a space are in one group when the query
+holds in alike worlds of theirs, whatever the other spaces' classes.
+Its mass is multilinear in the spaces' class masses and reads a space
+only through its group sums, so every bound and point value sums the
+query's grouped table, one entry per profile of group representatives,
+one space at a time: a weighted sum of slices, one per group of non-zero
+weight.  Queries are bounded in three ways:
 
 * ``credal_bounds_strong_extension`` - exact bounds for any number of
-  spaces.  The query mass is linear in each space's class masses, so
-  its extremes are attained with every space but one at a vertex of its
-  polytope.  It depends on a space only through its group sums: two
-  classes are in one group when the query holds in alike worlds of
-  theirs, whatever the other spaces' classes.  The space with the most
-  classes (then groups, then the last declared) is solved by its
-  ``lp.FeasibleSystem``'s ``bound_numerators``; the other spaces'
-  vertices, projected to group sums and deduplicated, are walked, and
-  each combination sums the query out of a table with one entry per
-  profile of group representatives into an integer objective over the
-  LP space's groups, read back over its classes.  Leaf optima are
-  compared by cross-multiplying, and each space's vertices share one
-  denominator, so the walk divides once, at the end;
+  spaces, attained with every space but one at a vertex of its
+  polytope.  The space with the most classes (then groups, then the
+  last declared) is solved by its ``lp.FeasibleSystem``'s
+  ``bound_numerators``; the other spaces' vertices, projected to group
+  sums and deduplicated, are walked, and each combination sums the
+  table into an integer objective over the LP space's groups, read back
+  over its classes.  Leaf optima are compared by cross-multiplying, and
+  each space's vertices share one denominator, so the walk divides
+  once, at the end;
 * ``credal_bounds_single_space`` - the same bound for a one-space
   theory, where no vertex is enumerated and it is a pair of LPs;
-* ``outer_bound`` - a cheap factorized relaxation: per-world products of
-  classwise probability bounds, summed over the worlds satisfying the
-  query (upper end clipped to one).  Always contains the exact interval.
-
-A query is the AND of its literals' world sets (complemented when
-negated), the bits of an ``int``, read out as a dense 0/1 ``int`` table
-in world order (:func:`~credalchoice.worlds.class_blocks`).  Both
-multi-space bounds sum space 0 out of their table as one weighted sum of
-slices, one per class (or group) of non-zero mass, and repeat.
+* ``outer_bound`` - a cheap factorized relaxation: products of classwise
+  probability bounds, summed over the worlds satisfying the query (upper
+  end clipped to one).  Always contains the exact interval.
 
 The point values are the product-of-masses proxy, one factor per space
-(its class weights over their total), summed out of the table the same
-way.  When every space holds exactly one alternative the theory reads
-as a fully independent one, and the ``icl_*`` functions are the proxy's.
+(its class weights over their total).  When every space holds exactly
+one alternative the theory reads as a fully independent one, and the
+``icl_*`` functions are the proxy's.
 """
 
 from __future__ import annotations
@@ -142,24 +141,36 @@ def enumerate_vertices(p: MarginalPolytope, *, cap: int = lp.DEFAULT_BASIS_CAP) 
     return [MassFunction(tuple(Fraction(v, den) for v in x)) for x in vertices]
 
 
-_BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
+class QueryGroups:
+    """The query's worlds, ``hits``, as the bits of an ``int``, and each space's classes in groups (module docstring).
 
+    Class ``j`` of space ``s`` is in group ``group_of[s][j]``, and ``offsets[s][g]`` is group ``g``'s first
+    class's shift onto class 0, ``j * stride`` (:func:`~credalchoice.worlds.class_blocks`).
+    """
 
-def _query_hits(ws: WorldSpace, q: Query) -> int:
-    """The query's worlds as the bits of an ``int``: the AND of its literals' columns (complemented if negated)."""
-    q.check_against(ws.theory)
-    index = ws.theory.ground_program.index
-    hits = (1 << ws.n_worlds) - 1
-    for lit in q.literals:
-        column = ws.columns[index[lit.atom]]
-        hits &= column if lit.positive else ~column
-    return hits
+    def __init__(self, ws: WorldSpace, q: Query):
+        q.check_against(ws.theory)
+        index = ws.theory.ground_program.index
+        self.hits = (1 << ws.n_worlds) - 1
+        for lit in q.literals:
+            column = ws.columns[index[lit.atom]]
+            self.hits &= column if lit.positive else ~column
+        self.group_of, self.offsets, sizes = [], [], [len(sels) for sels in ws.selections]
+        for size, (stride, block) in zip(sizes, class_blocks(ws.n_worlds, sizes)):
+            keys: dict[int, int] = {}  # the query's bits over a class's worlds, shifted onto class 0's: its group
+            self.group_of.append([keys.setdefault(self.hits >> j * stride & block, len(keys)) for j in range(size)])
+            self.offsets.append([self.group_of[-1].index(g) * stride for g in range(len(keys))])
 
+    def table(self, order: Sequence[int]) -> list[int]:
+        """The query's 0/1 value at each profile of group representatives, ``order[0]`` the most significant space."""
+        return [self.hits >> sum(p) & 1 for p in product(*(self.offsets[s] for s in order))]
 
-def query_table(ws: WorldSpace, q: Query) -> list[int]:
-    """The query's 0/1 indicator over the worlds, in world order (space 0 the most significant digit)."""
-    # the binary digits below a sentinel bit n, least significant first, read as bytes
-    return list(bin(_query_hits(ws, q) | 1 << ws.n_worlds)[:2:-1].encode().translate(_BIT_VALUES))
+    def sums(self, s: int, nums: Sequence[int]) -> list[int]:
+        """Per group of space ``s``, the sum of its classes' ``nums``."""
+        out = [0] * len(self.offsets[s])
+        for g, x in zip(self.group_of[s], nums):
+            out[g] += x
+        return out
 
 
 def _proxy_factors(ws: WorldSpace) -> list[tuple[Fraction, ...] | None]:
@@ -177,10 +188,7 @@ def _proxy_factors(ws: WorldSpace) -> list[tuple[Fraction, ...] | None]:
 
 
 def _sum_out(table: list[int], nums: Sequence[int]) -> list[int]:
-    """Sum the most significant space out of a world-ordered ``table``, weighting its class ``j`` by ``nums[j]``.
-
-    Class ``j`` is the ``j``-th of ``len(nums)`` equal slices; a class of zero weight is skipped.
-    """
+    """Sum the most significant space out of ``table``, the ``j``-th of its ``len(nums)`` equal slices weighted by ``nums[j]``, skipping a zero weight."""
     size = len(table) // len(nums)
     out = None
     for j, w in enumerate(nums):
@@ -240,37 +248,23 @@ def credal_bounds_strong_extension(
     enumeration, ``combo_cap`` the vertex combinations before projection.
     """
     ws = world_space or build_world_space(t)
-    hits = _query_hits(ws, q)
+    groups = QueryGroups(ws, q)
     k = len(t.spaces)
     if k == 0:
-        return IntervalResult(Fraction(hits), Fraction(hits), "vertex_product")
+        return IntervalResult(Fraction(groups.hits), Fraction(groups.hits), "vertex_product")
     # every system first: a space with no coherent selection raises InfeasibleError here
     systems = [marginal_polytope(ws, i).feasible_system() for i in range(k)]
-    group_of, offsets, sizes = [], [], [len(sels) for sels in ws.selections]
-    for size, (stride, block) in zip(sizes, class_blocks(ws.n_worlds, sizes)):
-        keys: dict[int, int] = {}  # the query's bits over a class's worlds, shifted onto class 0's: its group
-        group_of.append([keys.setdefault(hits >> j * stride & block, len(keys)) for j in range(size)])
-        offsets.append([group_of[-1].index(g) * stride for g in range(len(keys))])  # each group's first class
-    last = max(range(k), key=lambda i: (len(ws.selections[i]), len(offsets[i]), i))
+    last = max(range(k), key=lambda i: (len(ws.selections[i]), len(groups.offsets[i]), i))
     walked = [i for i in range(k) if i != last]
-    # one entry per profile of group representatives, the LP space the least significant digit
-    table = [hits >> sum(p) & 1 for p in product(*(offsets[i] for i in walked), offsets[last])]
+    table = groups.table([*walked, last])  # the LP space the least significant digit
 
     vertex_sets = [lp.vertex_numerators(systems[i], cap=vertex_cap) for i in walked]
     combos = prod(len(vs) for vs, _ in vertex_sets)
     if combos > combo_cap:
         raise CapExceededError(f"{combos} vertex combinations, more than the cap of {combo_cap}")
     # each space's vertices as integer group sums over their one denominator, the repeats dropped
-    scaled, den = [], 1
-    for i, (vs, d) in zip(walked, vertex_sets):
-        projected = {}
-        for v in vs:
-            sums = [0] * len(offsets[i])
-            for g, x in zip(group_of[i], v):
-                sums[g] += x
-            projected[tuple(sums)] = None
-        scaled.append(list(projected))
-        den *= d
+    scaled = [list(dict.fromkeys(tuple(groups.sums(i, v)) for v in vs)) for i, (vs, _) in zip(walked, vertex_sets)]
+    den = prod(d for _, d in vertex_sets)
 
     lo = hi = None  # each a numerator and its denominator, compared by cross-multiplying
 
@@ -278,7 +272,7 @@ def credal_bounds_strong_extension(
         # the table summed out against the group sums chosen for the first ``depth`` walked spaces
         nonlocal lo, hi
         if depth == len(scaled):
-            low, high, d = systems[last].bound_numerators([table[g] for g in group_of[last]])
+            low, high, d = systems[last].bound_numerators([table[g] for g in groups.group_of[last]])
             if lo is None or low * lo[1] < lo[0] * d:
                 lo = (low, d)
             if hi is None or high * hi[1] > hi[0] * d:
@@ -292,15 +286,18 @@ def credal_bounds_strong_extension(
 
 
 def outer_bound(t: CCLTheory, q: Query, *, world_space: WorldSpace | None = None) -> IntervalResult:
-    """Factorized relaxation: products of classwise bounds, summed."""
+    """Factorized relaxation: each space's classwise bounds, summed per group, sum it out of the query's grouped table."""
     ws = world_space or build_world_space(t)
-    lo = hi = query_table(ws, q)
+    groups = QueryGroups(ws, q)
+    lo = hi = groups.table(range(len(t.spaces)))
     den = 1
     for i in range(len(t.spaces)):
         system = marginal_polytope(ws, i).feasible_system()
         ranges = [system.bound_numerators([int(jj == j) for jj in range(system.n)]) for j in range(system.n)]
         d = lcm(*(e for *_, e in ranges))  # every class's range over one denominator
-        lo, hi, den = _sum_out(lo, [r[0] * (d // r[2]) for r in ranges]), _sum_out(hi, [r[1] * (d // r[2]) for r in ranges]), den * d
+        lo = _sum_out(lo, groups.sums(i, [r[0] * (d // r[2]) for r in ranges]))
+        hi = _sum_out(hi, groups.sums(i, [r[1] * (d // r[2]) for r in ranges]))
+        den *= d
     # every space is summed out: each table holds one entry
     return IntervalResult(Fraction(lo[0], den), min(Fraction(hi[0], den), _ONE), "outer_bound")
 
@@ -326,14 +323,15 @@ def proxy_mass_function(t: CCLTheory, *, world_space: WorldSpace | None = None) 
 
 
 def proxy_query_value(t: CCLTheory, q: Query, *, world_space: WorldSpace | None = None) -> Fraction:
-    """The proxy's query mass: the query table summed out space by space against each factor's integer numerators."""
+    """The proxy's query mass: each factor's integer numerators, summed per group, sum its space out of the query's grouped table."""
     ws = world_space or build_world_space(t)
-    table, den = query_table(ws, q), 1
-    for f in _proxy_factors(ws):
+    groups = QueryGroups(ws, q)
+    table, den = groups.table(range(len(ws.selections))), 1
+    for i, f in enumerate(_proxy_factors(ws)):
         if f is None:
             raise ValueError(_UNDEFINED)
         d = lcm(*(v.denominator for v in f))
-        table, den = _sum_out(table, [v.numerator * (d // v.denominator) for v in f]), den * d
+        table, den = _sum_out(table, groups.sums(i, [v.numerator * (d // v.denominator) for v in f])), den * d
     return Fraction(table[0], den)
 
 

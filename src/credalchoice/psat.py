@@ -37,7 +37,7 @@ from typing import Iterable, Sequence
 
 from . import lp
 from .errors import CapExceededError, InfeasibleError
-from .inference import IntervalResult, marginal_polytope, query_table
+from .inference import IntervalResult, QueryGroups, marginal_polytope
 from .logic import Atom, GroundProgram, Literal
 from .rational import format_fraction
 from .theory import CCLTheory, Query
@@ -352,8 +352,9 @@ class BracketState:
 def _query_system(ws: WorldSpace, q: Query) -> tuple[lp.FeasibleSystem, list[int], tuple[int, int]]:
     """The one space's class-mass system, the query's 0/1 row over its
     classes, and the row's value at the phase-one point over its denominator."""
-    system = marginal_polytope(ws, 0).feasible_system()
-    row = query_table(ws, q)  # one space: its classes are the worlds
+    system, groups = marginal_polytope(ws, 0).feasible_system(), QueryGroups(ws, q)
+    table = groups.table([0])
+    row = [table[g] for g in groups.group_of[0]]
     nums, den = system.point_numerators()
     return system, row, (sum(compress(nums, row)), den)
 

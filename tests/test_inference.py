@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import compress, permutations
+from itertools import permutations
 from math import prod
 
 import pytest
@@ -35,7 +35,7 @@ from credalchoice.inference import (
     proxy_in_credal_set,
     proxy_mass_function,
     proxy_query_value,
-    query_table,
+    QueryGroups,
 )
 from credalchoice.logic import Literal, Program, atom
 from credalchoice.ranking import (
@@ -368,7 +368,7 @@ def test_strong_extension_equals_vertex_product_oracle(shape):
         ws = build_world_space(t)
         if shape == "multispace":
             # the derived atom holding in closest to half of the worlds
-            q = min(map(query, derived), key=lambda q: abs(2 * len(list(compress(ws.profiles, query_table(ws, q)))) - len(ws.profiles)))
+            q = min(map(query, derived), key=lambda q: abs(2 * QueryGroups(ws, q).hits.bit_count() - ws.n_worlds))
         iv = credal_bounds_strong_extension(t, q, world_space=ws)
         assert (iv.lower, iv.upper) == vertex_product_bounds(t, q, ws), f"trial {trial}"
 
@@ -388,7 +388,7 @@ def test_outer_bound_equals_product_sum_oracle():
 
 
 def test_bounds_do_not_depend_on_the_space_order():
-    # each space is one digit of the world-ordered query table, so reordering the spaces reorders its strides only
+    # each space is one digit of the query's grouped table, so reordering the spaces reorders its strides only
     rng = random.Random(53)
     for trial in range(10):
         k = rng.randrange(2, 5)
@@ -402,9 +402,12 @@ def test_bounds_do_not_depend_on_the_space_order():
             ws = build_world_space(theory)
             strong = credal_bounds_strong_extension(theory, q, world_space=ws)
             outer = outer_bound(theory, q, world_space=ws)
+            point = proxy_query_value(theory, q, world_space=ws)
             assert (strong.lower, strong.upper) == vertex_product_bounds(theory, q, ws), f"trial {trial}: {order}"
             assert (outer.lower, outer.upper) == outer_bound_oracle(theory, q, ws), f"trial {trial}: {order}"
-            seen.add((strong.lower, strong.upper, outer.lower, outer.upper))
+            masses = proxy_mass_function(theory, world_space=ws).values
+            assert point == sum((m for w, m in zip(ws.worlds, masses) if satisfies(w, q)), F(0)), f"trial {trial}: {order}"
+            seen.add((strong.lower, strong.upper, outer.lower, outer.upper, point))
         assert len(seen) == 1, f"trial {trial}: {seen}"
 
 
@@ -414,7 +417,7 @@ def _walked_leaves(ws, q):
     Two classes of a space share a group when the query holds in both alike, whatever the other spaces'
     classes; the LP space has the most classes, then the most groups, then the greatest index.
     """
-    truth = dict(zip(ws.profiles, query_table(ws, q)))
+    truth = {ws.profiles[w.index]: satisfies(w, q) for w in ws.worlds}
     spaces = []
     for i, sels in enumerate(ws.selections):
         rest = [p for p in ws.profiles if p[i] == 0]
@@ -446,7 +449,7 @@ def test_query_blind_classes_and_spaces(monkeypatch):
         visible, derived = with_derived_atoms(rng, CCLTheory(Program(), tuple(seen) or t.spaces[:1], t.mu), 12)
         ws = build_world_space(CCLTheory(visible.program, t.spaces, t.mu))
         # the derived atom holding in closest to half of the worlds
-        q = min(map(query, derived), key=lambda q: abs(2 * sum(query_table(ws, q)) - ws.n_worlds))
+        q = min(map(query, derived), key=lambda q: abs(2 * QueryGroups(ws, q).hits.bit_count() - ws.n_worlds))
         for order in permutations(range(k)):
             theory = CCLTheory(visible.program, tuple(t.spaces[i] for i in order), t.mu)
             ws = build_world_space(theory)

@@ -4,19 +4,18 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from itertools import compress
 
 import pytest
 from conftest import naive_stable_model, random_base_query, random_product_theory, with_derived_atoms
 
-from credalchoice import logic, worlds
+from credalchoice import inference, logic, worlds
 from credalchoice.inference import (
     credal_bounds_single_space,
     credal_bounds_strong_extension,
     icl_probability,
     outer_bound,
     proxy_query_value,
-    query_table,
+    QueryGroups,
 )
 from credalchoice.psat import bisect_bounds
 from credalchoice.errors import CapExceededError
@@ -35,6 +34,7 @@ from credalchoice.worlds import (
     coherent_partial_choices,
     enumerate_total_choices,
     satisfies,
+    set_bits,
     world_table,
 )
 
@@ -231,7 +231,7 @@ def test_world_space_builds_no_world_until_read(data_dir, monkeypatch):
     ws = build_world_space(t)
     # one evaluator pass over all eight worlds at once
     assert evaluated == [2**8 - 1] and built == []
-    assert len(list(compress(ws.profiles, query_table(ws, query(atom("h")))))) == 1 and built == []
+    assert QueryGroups(ws, query(atom("h"))).hits.bit_count() == 1 and built == []
     first = ws.worlds
     assert len(first) == 8 and built == list(range(8))
     assert ws.worlds is first and len(built) == 8
@@ -294,7 +294,7 @@ def test_world_models_and_query_filter_match_naive_oracle():
         for _ in range(3):
             q = random_base_query(rng, t)
             want = [ws.profiles[w.index] for w in ws.worlds if satisfies(w, q)]
-            assert list(compress(ws.profiles, query_table(ws, q))) == want, f"trial {trial}: {q}"
+            assert [ws.profiles[i] for i in set_bits(QueryGroups(ws, q).hits)] == want, f"trial {trial}: {q}"
     assert shapes == {0, 1, 2, 3, 4}
 
 
@@ -332,16 +332,20 @@ def test_class_blocks_hold_the_worlds_of_each_class():
                 assert tuple(worlds.set_bits(members)) == ws.classes_by_space[s][j].world_indices
 
 
-def test_a_theory_at_the_world_cap_builds_and_bounds_exactly():
+def test_a_theory_at_the_world_cap_builds_and_bounds_exactly(monkeypatch):
     spaces = "".join(f"choicespace {{ alternative {{ a{i}: 1/3, b{i}: 2/3 }} }}\n" for i in range(20))
     doc = parse_ccl("q :- a0, b1.\n" + spaces + "query q.\n")
     ws = build_world_space(doc.theory)
     assert ws.n_worlds == worlds.DEFAULT_WORLD_CAP == 2**20
+    sizes, real_sum_out = [], inference._sum_out
+    monkeypatch.setattr(inference, "_sum_out", lambda table, nums: sizes.append(len(table)) or real_sum_out(table, nums))
     for bound in (credal_bounds_strong_extension, outer_bound):
         r = bound(doc.theory, doc.queries[0], world_space=ws)
         assert (r.lower, r.upper) == (F(2, 9), F(2, 9))
     for point in (proxy_query_value, icl_probability):
         assert point(doc.theory, doc.queries[0], world_space=ws) == F(2, 9)
+    # the query reads spaces 0 and 1 through two groups each and the other 18 through one: no table is per world
+    assert sizes and max(sizes) <= 4
 
 
 def test_world_count_is_product_of_class_counts():
