@@ -22,9 +22,10 @@ the pivots are exactly those of a ``Fraction`` tableau.  A pivot combines
 rows over the gcd of the two multipliers, by ``row - (f/p)*prow`` when
 the pivot ``p`` divides the row's entry ``f``, and reduces a row only
 when its ``d`` has grown past the pivot, and the reduced costs only when
-they were scaled.  A pivot moves the leaving column into the entering
-one's place, so phase one stores an artificial column only once it has
-left the basis; each artificial has entry 1 in its row, which scales its
+they were scaled.  :func:`_combine` runs the unit combine, ``row ∓ prow``,
+as a C ``map``.  A pivot moves the leaving column into the entering one's
+place, so phase one stores an artificial column only once it has left
+the basis; each artificial has entry 1 in its row, which scales its
 column by a positive factor and changes no pivot.
 
 ``FeasibleSystem``, the one LP entry point, runs phase one once per
@@ -48,7 +49,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul, sub
 from typing import Sequence
 
 from .errors import CapExceededError, InfeasibleError, UnboundedError
@@ -64,6 +65,13 @@ def _coprime(row: IntRow) -> IntRow:
     """``row`` divided by the gcd of its entries."""
     g = gcd(*row)
     return [v // g for v in row] if g > 1 else row
+
+
+def _combine(a: int, row: IntRow, b: int, prow: IntRow) -> IntRow:
+    """A fresh ``a*row - b*prow``, to the shorter list's end; a C ``map`` for the unit combine, ``a == 1, b == ±1``."""
+    if a == 1 and (b == 1 or b == -1):
+        return list(map(sub if b == 1 else add, row, prow))
+    return [v - b * w for v, w in zip(row, prow)] if a == 1 else [a * v - b * w for v, w in zip(row, prow)]
 
 
 def _min_ratio_rows(rows: list[IntRow], col: int) -> list[int]:
@@ -115,7 +123,7 @@ class _Tableau:
         for row, b in zip(self.rows, self.basis):  # each basic cost eliminated by its row at weight big / d
             if costs[b]:
                 w = costs[b] * (big // row[-1])
-                obj = [o - w * v for o, v in zip(obj, row)]
+                obj = _combine(1, obj, w, row)
         return _coprime(obj)
 
     def pivot(self, r: int, k: int) -> None:
@@ -127,9 +135,10 @@ class _Tableau:
         ``(p/g)*row - (f/g)*prow`` for ``g = gcd(p, f)``: its leaving entry
         is ``-(f/g)`` times the pivot row's, and its new ``d`` is ``p/g``
         times its old one.  If ``p`` divides ``f`` (the unit multiplier) that
-        is ``row - (f/p)*prow``, keeping ``d``.  Only a row whose
-        new ``d`` exceeds ``p`` is reduced by the gcd of its entries, and
-        the objective only when it was scaled.
+        is ``row - (f/p)*prow``, keeping ``d``, and if ``f = ±p`` the unit
+        combine ``row ∓ prow``, a C ``map``.  Only a row whose new ``d``
+        exceeds ``p`` is reduced by the gcd of its entries, and the objective
+        only when it was scaled.
         """
         rows = self.rows
         row = rows[r]
@@ -141,15 +150,15 @@ class _Tableau:
             if f and i != r:
                 g = gcd(p, f)
                 a, b = p // g, f // g
-                new = [v - b * w for v, w in zip(row, prow)] if a == 1 else [a * v - b * w for v, w in zip(row, prow)]
+                new = _combine(a, row, b, prow)
                 new[k] = -b * leave
                 new[-1] = d = a * row[-1]
                 rows[i] = _coprime(new) if d > p else new
         f = self.obj[k]
-        if f:  # ``zip`` stops at the objective's end
+        if f:  # ``_combine`` stops at the objective's end
             g = gcd(p, f)
             a, b = p // g, f // g
-            new = [v - b * w for v, w in zip(self.obj, prow)] if a == 1 else [a * v - b * w for v, w in zip(self.obj, prow)]
+            new = _combine(a, self.obj, b, prow)
             new[k] = -b * leave
             self.obj = new if a == 1 else _coprime(new)
         self.basis[r], self.cols[k] = self.cols[k], self.basis[r]

@@ -516,11 +516,11 @@ def parse_rankings(text: str) -> RankingDataset:
 
 def parse_counts_csv(text: str) -> CountMatrix:
     """Read the counts CSV format (see the module docstring)."""
-    lines = [l.strip() for l in text.splitlines() if l.strip()]
+    lines = [(lineno, l.strip()) for lineno, l in enumerate(text.splitlines(), start=1) if l.strip()]
     if len(lines) < 3:
         raise ParseError("counts file needs a header, rows, and an N= line")
-    objects = tuple(name.strip() for name in lines[0].split(","))
-    last = lines[-1]
+    objects = tuple(name.strip() for name in lines[0][1].split(","))
+    last = lines[-1][1]
     if not last.startswith("N="):
         raise ParseError("counts file must end with an N=<total> line")
     try:
@@ -528,7 +528,7 @@ def parse_counts_csv(text: str) -> CountMatrix:
     except ValueError as exc:
         raise ParseError(f"bad total: {last!r}") from exc
     rows = []
-    for lineno, line in enumerate(lines[1:-1], start=2):
+    for lineno, line in lines[1:-1]:
         try:
             row = tuple(int(v.strip()) for v in line.split(","))
         except ValueError as exc:

@@ -293,11 +293,12 @@ def query(*literals: Literal | Atom | str) -> Query:
 
 
 def parse_query(text: str) -> Query:
-    """Parse ``lit, lit, ...`` where a literal is ``atom`` or ``\\+ atom``."""
+    """Parse ``lit, lit, ...`` where a literal is ``atom`` or ``\\+ atom``, and an optional final ``.``."""
     ts = TokenStream(tokenize(text))
     q = _parse_query_from(ts)
-    tok = ts.current
-    if tok.kind != "eof" and not ts.at("."):
+    if ts.at("."):
+        ts.advance()
+    if (tok := ts.current).kind != "eof":
         raise ParseError(f"unexpected {tok.text!r} after query", tok.line, tok.column)
     return q
 

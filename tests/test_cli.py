@@ -194,6 +194,14 @@ def test_infer_bad_query_text_exits_2(data_dir, capsys):
     assert "error" in err
 
 
+def test_infer_text_after_final_period_exits_2(data_dir, capsys):
+    code, out, err = run(
+        ["infer", str(data_dir / "urn-merged.ccl"), "--query", "a1r. a2r"], capsys
+    )
+    assert (code, out) == (2, "")
+    assert "unexpected 'a2r' after query" in err
+
+
 def test_infer_non_ground_query_exits_2(data_dir, capsys):
     code, _, err = run(
         ["infer", str(data_dir / "urn-merged.ccl"), "--query", "r(X)"], capsys

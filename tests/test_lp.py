@@ -10,6 +10,7 @@ from typing import NamedTuple, Sequence
 
 import pytest
 from conftest import solve_affine_system
+from hypothesis import given, settings, strategies as st
 
 from credalchoice import lp
 from credalchoice.errors import CapExceededError, InfeasibleError, UnboundedError
@@ -756,6 +757,66 @@ def test_beale_cycling_lp(monkeypatch):
         n, cons, costs = beale(False, slacks_first)
         with pytest.raises(UnboundedError):  # the least end, -1/20, is reached without cycling first
             ends(feasible_system(n, cons), costs)
+
+
+# ---------------------------------------------------------------------------
+# The row combine: pivots replace rows, and tableau copies share them, so a
+# combine must build a fresh row, on its fast unit path as on the others.
+
+ENTRIES = st.integers(-(10**20), 10**20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(st.just(1), st.integers(1, 10**6)),
+    st.lists(st.tuples(ENTRIES, ENTRIES), max_size=12),
+    st.one_of(st.sampled_from([1, -1]), st.integers(-(10**6), 10**6).filter(bool)),
+    st.lists(ENTRIES, max_size=2),
+)
+def test_combine_is_a_fresh_row_times_a_minus_prow_times_b(a, pairs, b, tail):
+    # ``prow`` may run past ``row``, as the pivot row runs past the objective
+    row, prow = [v for v, _ in pairs], [w for _, w in pairs] + tail
+    new = lp._combine(a, row, b, prow)
+    assert new == [a * v - b * w for v, w in zip(row, prow)]
+    assert new is not row and new is not prow
+
+
+def copy_isolation_systems() -> list[tuple[FeasibleSystem, list[list[int]]]]:
+    """Seeded n = 4 ranking polytopes and a four-space theory's class-mass systems, each with integer objectives."""
+    gen, rng = load_benchmark_generators(), random.Random(1968)
+    cases = []
+    for seed in (1, 2, 3):
+        perms, polytope, _ = permutation_polytope(ranking_marginals(seed, 4))
+        ahead = [[int(pos[i] < pos[j]) for pos in perms] for i, j in itertools.combinations(range(4), 2)]
+        cases.append((polytope.feasible_system(), ahead + [[rng.randint(-3, 3) for _ in perms] for _ in range(6)]))
+    ws = build_world_space(parse_ccl(gen.multi_space_ccl(1, spaces=4, derived=20, vertices=4)).theory)
+    for i in range(len(ws.selections)):
+        system = marginal_polytope(ws, i).feasible_system()
+        cases.append((system, [[rng.randint(-3, 3) for _ in range(system.n)] for _ in range(8)]))
+    return cases
+
+
+def test_bounds_and_the_vertex_walk_edit_no_kept_tableau():
+    cases, pools = copy_isolation_systems(), 0
+    for trial, (system, objectives) in enumerate(cases):
+        point_before = system.point_numerators()
+        kept = {}  # every tableau the system has kept, by identity, with its rows as first seen
+
+        def check_and_keep():
+            for tab in system._pool.values():
+                rows = kept.setdefault(id(tab), (tab, [row[:] for row in tab.rows]))[1]
+                assert tab.rows == rows, f"system {trial}"
+
+        check_and_keep()
+        for objective in objectives:
+            system.bound_numerators(objective)
+            check_and_keep()
+        vertex_numerators(system)
+        check_and_keep()
+        assert system.point_numerators() == point_before, f"system {trial}"
+        assert kept[id(system._tab)][0] is system._tab  # the phase-one tableau, checked with the rest
+        pools += len(kept)
+    assert pools > len(cases), "some end must keep a tableau of its own"
 
 
 # ---------------------------------------------------------------------------

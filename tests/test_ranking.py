@@ -688,6 +688,12 @@ def test_parse_counts_csv_errors():
         parse_counts_csv("a,,b\n1,0,0\n0,1,0\n0,0,1\nN=1\n")  # empty name
 
 
+def test_parse_counts_csv_numbers_the_raw_lines():
+    with pytest.raises(ParseError) as exc:
+        parse_counts_csv("a,b\n\n\n1,x\n1,1\nN=2\n")
+    assert (exc.value.line, str(exc.value)) == (4, "line 4: bad count row: '1,x'")
+
+
 def test_rankings_and_counts_ingestion_agree(data_dir):
     from_rankings = counts_from_rankings(
         parse_rankings((data_dir / "abc.rankings").read_text())

@@ -205,6 +205,10 @@ def test_query_requires_ground_literals():
         Query(frozenset({Literal(atom("p", "X"))}))
 
 
+def test_parse_query_takes_a_final_period():
+    assert parse_query("a.") == parse_query("a") == parse_query(" a . ")
+
+
 def test_parse_query_negation():
     q = parse_query("\\+ a1g, \\+ a2r")
     assert q.literals == frozenset({Literal(atom("a1g"), False), Literal(atom("a2r"), False)})
@@ -283,6 +287,8 @@ def test_parse_ccl_reserved_word_as_atom(text):
     "parse, text, message, line, column",
     [
         (parse_query, "a b", "unexpected 'b' after query", 1, 3),
+        (parse_query, "a. b", "unexpected 'b' after query", 1, 4),
+        (parse_query, "a. \\+ b, c", r"unexpected '\\+' after query", 1, 4),
         (parse_ccl, "choicespace { alternative { a: x } }", "expected a probability, found 'x'", 1, 32),
         (parse_ccl, "choicespace { alternative { a: 1/0.5 } }", "expected an integer denominator", 1, 34),
         (parse_ccl, "choicespace { alternative { a: 0.5/2 } }", "fractions need an integer numerator", 1, 32),
@@ -301,6 +307,8 @@ def test_parse_ccl_reserved_word_as_atom(text):
     ],
     ids=[
         "text-after-query",
+        "atom-after-final-period",
+        "literals-after-final-period",
         "no-probability",
         "non-integer-denominator",
         "non-integer-numerator",
