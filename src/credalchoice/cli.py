@@ -19,7 +19,7 @@ import argparse
 import json
 import sys
 
-from .errors import CCLError, ParseError, TheoryValidationError
+from .errors import CCLError, ParseError
 from .inference import (
     credal_bounds_single_space,
     credal_bounds_strong_extension,
@@ -35,7 +35,7 @@ from .ranking import (
     smooth_marginals,
 )
 from .rational import format_fraction, parse_fraction
-from .theory import TheoryDocument, load_ccl, parse_query, validate_theory
+from .theory import TheoryDocument, load_ccl, parse_query, require_valid, validate_theory
 from .worlds import build_world_space, class_table, world_space_json, world_table
 
 def _pick_query(doc: TheoryDocument, text: str | None):
@@ -48,9 +48,7 @@ def _pick_query(doc: TheoryDocument, text: str | None):
 
 def _load_valid(path: str) -> TheoryDocument:
     doc = load_ccl(path)
-    report = validate_theory(doc.theory)
-    if not report.ok:
-        raise TheoryValidationError(report)
+    require_valid(doc.theory)
     return doc
 
 

@@ -19,11 +19,11 @@ weight.  Queries are bounded in three ways:
   polytope.  The space with the most classes (then groups, then the
   last declared) is solved by its ``lp.FeasibleSystem``'s
   ``bound_numerators``; the other spaces' vertices, projected to group
-  sums and deduplicated, are walked, and each combination sums the
-  table into an integer objective over the LP space's groups, read back
-  over its classes.  Leaf optima are compared by cross-multiplying, and
-  each space's vertices share one denominator, so the walk divides
-  once, at the end;
+  sums and deduplicated, are folded in one space at a time: each table
+  is summed out against each projection, so each leaf is an integer
+  objective over the LP space's groups, read back over its classes.
+  Every leaf's ends go over one lcm, and each space's vertices share
+  one denominator, so the walk divides once, at the end;
 * ``credal_bounds_single_space`` - the same bound for a one-space
   theory, where no vertex is enumerated and it is a pair of LPs;
 * ``outer_bound`` - a cheap factorized relaxation: products of classwise
@@ -124,15 +124,18 @@ class MarginalPolytope:
         return lp.FeasibleSystem(self.rows, self.rhs)
 
 
-def marginal_polytope(ws: WorldSpace, s: int) -> MarginalPolytope:
-    """The equality system of the classes of space ``s``: 0/1 ``int`` rows, one per atomic choice."""
-    atoms = ws.theory.spaces[s].atomic_choices
-    sels = ws.selections[s]
-    rows = [[0] * len(sels) for _ in atoms]
+def class_polytope(sels: Sequence[Sequence[int]], masses: Sequence[Fraction]) -> MarginalPolytope:
+    """The equality system of classes given as atom-index selections: the all-ones row, then a 0/1 ``int`` row per atom, equal to its mass."""
+    rows = [[0] * len(sels) for _ in masses]
     for c, sel in enumerate(sels):
         for a in sel:
             rows[a][c] = 1
-    return MarginalPolytope(((1,) * len(sels), *map(tuple, rows)), (_ONE, *map(ws.theory.mu.__getitem__, atoms)))
+    return MarginalPolytope(((1,) * len(sels), *map(tuple, rows)), (_ONE, *masses))
+
+
+def marginal_polytope(ws: WorldSpace, s: int) -> MarginalPolytope:
+    """The :func:`class_polytope` of space ``s``'s classes, one row per atomic choice."""
+    return class_polytope(ws.selections[s], [ws.theory.mu[a] for a in ws.theory.spaces[s].atomic_choices])
 
 
 def enumerate_vertices(p: MarginalPolytope, *, cap: int = lp.DEFAULT_BASIS_CAP) -> list[MassFunction]:
@@ -244,8 +247,10 @@ def credal_bounds_strong_extension(
 ) -> IntervalResult:
     """Exact bounds over products of per-space admissible masses, on the query's grouped table.
 
-    The walk is described in the module docstring.  ``vertex_cap`` bounds each vertex
-    enumeration, ``combo_cap`` the vertex combinations before projection.
+    The walk is a fold, described in the module docstring: level by level, in product order, every
+    table is summed out against each distinct projection of the next walked space's vertices, then
+    each leaf table is one ``bound_numerators`` call, and the leaves' ends meet over one lcm.
+    ``vertex_cap`` bounds each vertex enumeration, ``combo_cap`` the vertex combinations before projection.
     """
     ws = world_space or build_world_space(t)
     groups = QueryGroups(ws, q)
@@ -256,33 +261,20 @@ def credal_bounds_strong_extension(
     systems = [marginal_polytope(ws, i).feasible_system() for i in range(k)]
     last = max(range(k), key=lambda i: (len(ws.selections[i]), len(groups.offsets[i]), i))
     walked = [i for i in range(k) if i != last]
-    table = groups.table([*walked, last])  # the LP space the least significant digit
-
     vertex_sets = [lp.vertex_numerators(systems[i], cap=vertex_cap) for i in walked]
     combos = prod(len(vs) for vs, _ in vertex_sets)
     if combos > combo_cap:
         raise CapExceededError(f"{combos} vertex combinations, more than the cap of {combo_cap}")
-    # each space's vertices as integer group sums over their one denominator, the repeats dropped
-    scaled = [list(dict.fromkeys(tuple(groups.sums(i, v)) for v in vs)) for i, (vs, _) in zip(walked, vertex_sets)]
-    den = prod(d for _, d in vertex_sets)
-
-    lo = hi = None  # each a numerator and its denominator, compared by cross-multiplying
-
-    def walk(depth: int, table: list[int]) -> None:
-        # the table summed out against the group sums chosen for the first ``depth`` walked spaces
-        nonlocal lo, hi
-        if depth == len(scaled):
-            low, high, d = systems[last].bound_numerators([table[g] for g in groups.group_of[last]])
-            if lo is None or low * lo[1] < lo[0] * d:
-                lo = (low, d)
-            if hi is None or high * hi[1] > hi[0] * d:
-                hi = (high, d)
-            return
-        for nums in scaled[depth]:
-            walk(depth + 1, _sum_out(table, nums))
-
-    walk(0, table)
-    return IntervalResult(Fraction(lo[0], lo[1] * den), Fraction(hi[0], hi[1] * den), "vertex_product")
+    tables = [groups.table([*walked, last])]  # the LP space the least significant digit
+    for i, (vs, _) in zip(walked, vertex_sets):
+        # the space's vertices as integer group sums over their one denominator, the repeats dropped
+        scaled = dict.fromkeys(tuple(groups.sums(i, v)) for v in vs)
+        tables = [_sum_out(table, nums) for table in tables for nums in scaled]
+    ends = [systems[last].bound_numerators([table[g] for g in groups.group_of[last]]) for table in tables]
+    d = lcm(*(e for *_, e in ends))  # every leaf's ends over one denominator
+    den = d * prod(e for _, e in vertex_sets)
+    low, high = min(a * (d // e) for a, _, e in ends), max(b * (d // e) for _, b, e in ends)
+    return IntervalResult(Fraction(low, den), Fraction(high, den), "vertex_product")
 
 
 def outer_bound(t: CCLTheory, q: Query, *, world_space: WorldSpace | None = None) -> IntervalResult:

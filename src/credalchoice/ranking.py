@@ -35,16 +35,16 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
+from operator import add
 from typing import Sequence
 
 from .errors import CapExceededError, ParseError
-from .inference import IntervalResult, MarginalPolytope
+from .inference import IntervalResult, MarginalPolytope, class_polytope
 from .logic import Atom, Clause, Literal, Program, Term, atom
 from .psat import _bracket
 from .rational import format_fraction, numerators
 from .theory import Alternative, CCLTheory, ChoiceSpace, Query, validate_theory
 
-_ONE = Fraction(1)
 _MAX_RANKINGS = factorial(7)  # phase one over 8! = 40 320 columns runs for minutes
 
 
@@ -193,26 +193,22 @@ def build_ranking_theory(m: MarginalMatrix) -> CCLTheory:
 def permutation_polytope(m: MarginalMatrix) -> tuple[list[tuple[int, ...]], MarginalPolytope, list[int]]:
     """The ranking theory's classes, marginal polytope and proxy, without building the theory.
 
-    Permutation ``pos`` puts object ``i`` at position ``pos[i]``; the rows
-    are the all-ones row, then ``pos[i] == j`` for each ``(i, j)``.  Its
-    weight, the product of its ``alpha`` numerators over their common
-    denominator, over ``sum(weights)`` is its :func:`proxy_mass_function`
-    value.  :class:`CapExceededError` if there are more than 7! = 5040
-    permutations, before any is listed.
+    Permutation ``pos`` puts object ``i`` at position ``pos[i]``: as a
+    class it selects atom ``i*n + pos[i]`` for each ``i``, the theory's
+    atom for that placement, and :func:`class_polytope` writes its rows.
+    Its weight, the product of its atoms' ``alpha`` numerators over their
+    common denominator, over ``sum(weights)`` is its
+    :func:`proxy_mass_function` value.  :class:`CapExceededError` if
+    there are more than 7! = 5040 permutations, before any is listed.
     """
     n = len(m.objects)
     if factorial(n) > _MAX_RANKINGS:
         raise CapExceededError(f"{n} objects have {factorial(n)} rankings, more than the cap of {_MAX_RANKINGS}")
     perms = list(itertools.permutations(range(n)))
-    rows = [[0] * len(perms) for _ in range(n * n)]  # row i*n + j: pos[i] == j
-    for c, pos in enumerate(perms):
-        for i, j in enumerate(pos):
-            rows[i * n + j][c] = 1
-    rhs = [v for row in m.alpha for v in row]
-    nums = numerators(rhs)[0]
-    alpha = [nums[i * n:(i + 1) * n] for i in range(n)]
-    weights = [prod(map(list.__getitem__, alpha, pos)) for pos in perms]
-    return perms, MarginalPolytope(((1,) * len(perms), *map(tuple, rows)), (_ONE, *rhs)), weights
+    sels = [list(map(add, range(0, n * n, n), pos)) for pos in perms]  # atom i*n + pos[i] for each i
+    masses = [v for row in m.alpha for v in row]
+    nums = numerators(masses)[0]
+    return perms, class_polytope(sels, masses), [prod(map(nums.__getitem__, sel)) for sel in sels]
 
 
 def pairwise_query(
@@ -520,13 +516,13 @@ def parse_counts_csv(text: str) -> CountMatrix:
     if len(lines) < 3:
         raise ParseError("counts file needs a header, rows, and an N= line")
     objects = tuple(name.strip() for name in lines[0][1].split(","))
-    last = lines[-1][1]
+    lineno, last = lines[-1]
     if not last.startswith("N="):
-        raise ParseError("counts file must end with an N=<total> line")
+        raise ParseError("counts file must end with an N=<total> line", lineno)
     try:
         total = int(last[2:])
     except ValueError as exc:
-        raise ParseError(f"bad total: {last!r}") from exc
+        raise ParseError(f"bad total: {last!r}", lineno) from exc
     rows = []
     for lineno, line in lines[1:-1]:
         try:

@@ -24,7 +24,7 @@ statement position in this format.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -212,6 +212,14 @@ def validate_theory(t: CCLTheory) -> ValidationReport:
     return ValidationReport(tuple(out))
 
 
+def require_valid(t: CCLTheory) -> CCLTheory:
+    """``t`` itself if :func:`validate_theory` finds nothing wrong, else :class:`TheoryValidationError` with the report."""
+    report = validate_theory(t)
+    if not report.ok:
+        raise TheoryValidationError(report)
+    return t
+
+
 def from_icl(
     program: Program,
     alternatives: Iterable[Alternative],
@@ -222,12 +230,7 @@ def from_icl(
     Alternatives must be pairwise disjoint.  The result is validated and
     a :class:`TheoryValidationError` is raised if anything is wrong.
     """
-    spaces = tuple(ChoiceSpace((alt,)) for alt in alternatives)
-    t = CCLTheory(program, spaces, dict(mu))
-    report = validate_theory(t)
-    if not report.ok:
-        raise TheoryValidationError(report)
-    return t
+    return require_valid(CCLTheory(program, tuple(ChoiceSpace((alt,)) for alt in alternatives), dict(mu)))
 
 
 def merge_spaces(t: CCLTheory, indices: Iterable[int]) -> CCLTheory:
@@ -249,11 +252,7 @@ def merge_spaces(t: CCLTheory, indices: Iterable[int]) -> CCLTheory:
             spaces.append(merged)
         elif i not in chosen:
             spaces.append(sp)
-    out = CCLTheory(t.program, tuple(spaces), t.mu)
-    report = validate_theory(out)
-    if not report.ok:
-        raise TheoryValidationError(report)
-    return out
+    return require_valid(CCLTheory(t.program, tuple(spaces), t.mu))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,13 @@
-"""The package's exported names, which callers and the CLI rely on."""
+"""The package's exported names, which callers and the CLI rely on, and no name a module never reads."""
+
+import ast
+from pathlib import Path
+
+import pytest
 
 import credalchoice
+
+MODULES = sorted(p for p in Path(credalchoice.__file__).parent.glob("*.py") if p.name != "__init__.py")
 
 EXPORTED = {
     "errors": [
@@ -40,3 +47,24 @@ def test_every_exported_name_is_a_package_attribute_from_its_module():
         source = getattr(credalchoice, module)
         for name in names:
             assert getattr(credalchoice, name) is getattr(source, name), f"{module}.{name}"
+
+
+def _unread_names(tree: ast.Module) -> set[str]:
+    """The names a module imports, or binds at top level with a leading ``_``, that it never loads."""
+    imported, defined = set(), set()
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    private = {n for n in defined if n.startswith("_") and not n.startswith("__")}
+    loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return (imported | private) - loaded
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_import_and_private_name_is_read(path):
+    assert _unread_names(ast.parse(path.read_text())) == set()

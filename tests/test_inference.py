@@ -477,6 +477,26 @@ def test_two_space_ranking_theory_finishes_in_either_order():
     assert (first.lower, first.upper) == (F(59, 260), F(81, 260))
 
 
+def test_two_ranking_theory_walks_thousands_of_vertices_in_either_order():
+    # two n = 4 ranking spaces, objects renamed apart, the query "object 0 beats object 1" in each: the walked
+    # space has 4081 vertices with 56 distinct group sums, so the fold ends in 56 LP leaves
+    from test_ranking import mallows_text
+
+    def ranking_marginals(seed, prefix):
+        text = mallows_text(random.Random(seed), 4, 50).replace("o", prefix)
+        return smooth_marginals(counts_from_rankings(parse_rankings(text)))
+
+    m1, m2 = ranking_marginals(1, "a"), ranking_marginals(2, "b")
+    t1, q1 = pairwise_query(build_ranking_theory(m1), m1, 0, 1)
+    t2 = build_ranking_theory(m2)
+    t, q2 = pairwise_query(CCLTheory(t1.program, (*t1.spaces, *t2.spaces), {**t1.mu, **t2.mu}), m2, 0, 1)
+    q = Query(q1.literals | q2.literals)
+    assert str(q) == "q, qq"
+    for spaces in (t.spaces, t.spaces[::-1]):
+        iv = credal_bounds_strong_extension(CCLTheory(t.program, spaces, t.mu), q)
+        assert (iv.lower, iv.upper) == (F(1809, 10816), F(385, 832))
+
+
 def test_space_without_coherent_selection_is_infeasible():
     # {a}, {b}, {a, b}: the third alternative cannot pick both a and b, so the space has no class and no world exists
     a, b = atom("a"), atom("b")

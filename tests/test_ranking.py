@@ -692,6 +692,12 @@ def test_parse_counts_csv_numbers_the_raw_lines():
     with pytest.raises(ParseError) as exc:
         parse_counts_csv("a,b\n\n\n1,x\n1,1\nN=2\n")
     assert (exc.value.line, str(exc.value)) == (4, "line 4: bad count row: '1,x'")
+    with pytest.raises(ParseError) as exc:
+        parse_counts_csv("a,b\n\n1,0\n0,1\nN=x\n")
+    assert (exc.value.line, str(exc.value)) == (5, "line 5: bad total: 'N=x'")
+    with pytest.raises(ParseError) as exc:  # the last non-blank line is named
+        parse_counts_csv("a,b\n1,0\n\n0,1\n\n")
+    assert (exc.value.line, str(exc.value)) == (4, "line 4: counts file must end with an N=<total> line")
 
 
 def test_rankings_and_counts_ingestion_agree(data_dir):
