@@ -9,31 +9,30 @@ its literals' world sets (complemented when negated), the bits of an
 ``int``, and two classes of a space are in one group when the query
 holds in alike worlds of theirs, whatever the other spaces' classes.
 Its mass is multilinear in the spaces' class masses and reads a space
-only through its group sums, so every bound and point value sums the
-query's grouped table, one entry per profile of group representatives,
-one space at a time: a weighted sum of slices, one per group of non-zero
-weight.  Queries are bounded in three ways:
+only through its group sums.  So every bound and point value is one
+fold, :meth:`QueryGroups.fold`: the query's 0/1 table, one entry per
+profile of group representatives, summed out one space at a time
+against integer class weights, each space's over one denominator.  The
+readouts differ only in those weights:
 
 * ``credal_bounds_strong_extension`` - exact bounds for any number of
   spaces, attained with every space but one at a vertex of its
-  polytope.  The space with the most classes (then groups, then the
-  last declared) is solved by its ``lp.FeasibleSystem``'s
-  ``bound_numerators``; the other spaces' vertices, projected to group
-  sums and deduplicated, are folded in one space at a time: each table
-  is summed out against each projection, so each leaf is an integer
-  objective over the LP space's groups, read back over its classes.
-  Every leaf's ends go over one lcm, and each space's vertices share
-  one denominator, so the walk divides once, at the end;
-* ``credal_bounds_single_space`` - the same bound for a one-space
-  theory, where no vertex is enumerated and it is a pair of LPs;
-* ``outer_bound`` - a cheap factorized relaxation: products of classwise
-  probability bounds, summed over the worlds satisfying the query (upper
-  end clipped to one).  Always contains the exact interval.
+  polytope.  The other spaces are folded against their vertices,
+  keeping the space with the most classes (then groups, then the last
+  declared), and each row is one ``bound_numerators`` objective of its
+  ``lp.FeasibleSystem``; every row's ends meet over one lcm, so the walk
+  divides once, at the end.  ``credal_bounds_single_space`` is its
+  one-space case, a pair of LPs with no vertex enumeration;
+* ``outer_bound`` - a cheap factorized relaxation, folded against each
+  space's classwise lower, then upper, probability bounds (upper end
+  clipped to one).  Always contains the exact interval;
+* the product-of-masses proxy, folded against one factor per space (its
+  class weights over their total).  When every space holds exactly one
+  alternative the theory reads as a fully independent one, and the
+  ``icl_*`` functions are the proxy's.
 
-The point values are the product-of-masses proxy, one factor per space
-(its class weights over their total).  When every space holds exactly
-one alternative the theory reads as a fully independent one, and the
-``icl_*`` functions are the proxy's.
+A ``world_space`` passed to a readout must have been built from its
+theory; one built from another theory raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -43,11 +42,11 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
 from math import lcm, prod
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from . import lp
 from .errors import CapExceededError
-from .rational import format_fraction
+from .rational import format_fraction, numerators
 from .theory import CCLTheory, Query
 from .worlds import WorldSpace, build_world_space, class_blocks
 
@@ -145,10 +144,11 @@ def enumerate_vertices(p: MarginalPolytope, *, cap: int = lp.DEFAULT_BASIS_CAP) 
 
 
 class QueryGroups:
-    """The query's worlds, ``hits``, as the bits of an ``int``, and each space's classes in groups (module docstring).
+    """The query's worlds, ``hits``, as the bits of an ``int``, its classes' groups and the fold (module docstring).
 
-    Class ``j`` of space ``s`` is in group ``group_of[s][j]``, and ``offsets[s][g]`` is group ``g``'s first
-    class's shift onto class 0, ``j * stride`` (:func:`~credalchoice.worlds.class_blocks`).
+    Class ``j`` of space ``s`` is in group ``group_of[s][j]``, and ``offsets[s][g]`` is group ``g``'s first class's
+    shift onto class 0, ``j * stride`` (:func:`~credalchoice.worlds.class_blocks`).  The grouped table holds the
+    query's 0/1 value at each profile of those representatives, spaces in declared order, the last fastest.
     """
 
     def __init__(self, ws: WorldSpace, q: Query):
@@ -163,17 +163,41 @@ class QueryGroups:
             keys: dict[int, int] = {}  # the query's bits over a class's worlds, shifted onto class 0's: its group
             self.group_of.append([keys.setdefault(self.hits >> j * stride & block, len(keys)) for j in range(size)])
             self.offsets.append([self.group_of[-1].index(g) * stride for g in range(len(keys))])
+        self._table = [self.hits >> sum(p) & 1 for p in product(*self.offsets)]
 
-    def table(self, order: Sequence[int]) -> list[int]:
-        """The query's 0/1 value at each profile of group representatives, ``order[0]`` the most significant space."""
-        return [self.hits >> sum(p) & 1 for p in product(*(self.offsets[s] for s in order))]
+    def fold(self, weights: Mapping[int, Sequence[Sequence[int]]], keep: int | None = None) -> list[list[int]]:
+        """Sum each space ``s`` but ``keep`` out of the grouped table against each of its integer class-weight vectors
+        ``weights[s]``, a repeated group sum once: per combination of the distinct sums, in product order (earlier spaces
+        more significant), the row over ``keep``'s classes, or one entry when ``keep`` is ``None``."""
+        tables = [self._table]
+        if keep is not None:  # keep's digit moved last, so each space summed out is the most significant one left
+            t, n, inner = self._table, len(self.offsets[keep]), prod(map(len, self.offsets[keep + 1:]))
+            tables = [[t[o + g * inner + i] for o in range(0, len(t), n * inner) for i in range(inner) for g in range(n)]]
+        for s in (s for s in range(len(self.offsets)) if s != keep):
+            distinct: dict[tuple[int, ...], None] = {}
+            for w in weights[s]:  # per group, the sum of its classes' weights
+                sums = [0] * len(self.offsets[s])
+                for g, x in zip(self.group_of[s], w):
+                    sums[g] += x
+                distinct[tuple(sums)] = None
+            size, folded = len(tables[0]) // len(self.offsets[s]), []
+            for t, nums in product(tables, distinct):
+                out = [0] * size
+                for j, w in enumerate(nums):
+                    if w:
+                        out = [o + w * v for o, v in zip(out, t[j * size:(j + 1) * size])]
+                folded.append(out)
+            tables = folded
+        return tables if keep is None else [[t[g] for g in self.group_of[keep]] for t in tables]
 
-    def sums(self, s: int, nums: Sequence[int]) -> list[int]:
-        """Per group of space ``s``, the sum of its classes' ``nums``."""
-        out = [0] * len(self.offsets[s])
-        for g, x in zip(self.group_of[s], nums):
-            out[g] += x
-        return out
+
+def _world_space(t: CCLTheory, ws: WorldSpace | None) -> WorldSpace:
+    """``t``'s world space: ``ws`` when given, which must have been built from ``t``, else built now."""
+    if ws is None:
+        return build_world_space(t)
+    if ws.theory is not t and ws.theory != t:
+        raise ValueError("the world space was built from another theory")
+    return ws
 
 
 def _proxy_factors(ws: WorldSpace) -> list[tuple[Fraction, ...] | None]:
@@ -188,17 +212,6 @@ def _proxy_factors(ws: WorldSpace) -> list[tuple[Fraction, ...] | None]:
         total = sum(raw, _ZERO)
         out.append(MassFunction(tuple(v / total for v in raw)).values if total else None)
     return out
-
-
-def _sum_out(table: list[int], nums: Sequence[int]) -> list[int]:
-    """Sum the most significant space out of ``table``, the ``j``-th of its ``len(nums)`` equal slices weighted by ``nums[j]``, skipping a zero weight."""
-    size = len(table) // len(nums)
-    out = None
-    for j, w in enumerate(nums):
-        if w:
-            part = table[j * size:(j + 1) * size]
-            out = [w * v for v in part] if out is None else [o + w * v for o, v in zip(out, part)]
-    return [0] * size if out is None else out
 
 
 def icl_probability(t: CCLTheory, q: Query, *, world_space: WorldSpace | None = None) -> Fraction:
@@ -245,53 +258,42 @@ def credal_bounds_strong_extension(
     vertex_cap: int = lp.DEFAULT_BASIS_CAP,
     combo_cap: int = DEFAULT_COMBO_CAP,
 ) -> IntervalResult:
-    """Exact bounds over products of per-space admissible masses, on the query's grouped table.
+    """Exact bounds over products of per-space admissible masses: the fold against vertices (module docstring).
 
-    The walk is a fold, described in the module docstring: level by level, in product order, every
-    table is summed out against each distinct projection of the next walked space's vertices, then
-    each leaf table is one ``bound_numerators`` call, and the leaves' ends meet over one lcm.
     ``vertex_cap`` bounds each vertex enumeration, ``combo_cap`` the vertex combinations before projection.
     """
-    ws = world_space or build_world_space(t)
+    ws = _world_space(t, world_space)
     groups = QueryGroups(ws, q)
-    k = len(t.spaces)
+    k = len(ws.selections)
     if k == 0:
         return IntervalResult(Fraction(groups.hits), Fraction(groups.hits), "vertex_product")
     # every system first: a space with no coherent selection raises InfeasibleError here
     systems = [marginal_polytope(ws, i).feasible_system() for i in range(k)]
     last = max(range(k), key=lambda i: (len(ws.selections[i]), len(groups.offsets[i]), i))
-    walked = [i for i in range(k) if i != last]
-    vertex_sets = [lp.vertex_numerators(systems[i], cap=vertex_cap) for i in walked]
-    combos = prod(len(vs) for vs, _ in vertex_sets)
+    walked = {i: lp.vertex_numerators(systems[i], cap=vertex_cap) for i in range(k) if i != last}
+    combos = prod(len(vs) for vs, _ in walked.values())
     if combos > combo_cap:
         raise CapExceededError(f"{combos} vertex combinations, more than the cap of {combo_cap}")
-    tables = [groups.table([*walked, last])]  # the LP space the least significant digit
-    for i, (vs, _) in zip(walked, vertex_sets):
-        # the space's vertices as integer group sums over their one denominator, the repeats dropped
-        scaled = dict.fromkeys(tuple(groups.sums(i, v)) for v in vs)
-        tables = [_sum_out(table, nums) for table in tables for nums in scaled]
-    ends = [systems[last].bound_numerators([table[g] for g in groups.group_of[last]]) for table in tables]
-    d = lcm(*(e for *_, e in ends))  # every leaf's ends over one denominator
-    den = d * prod(e for _, e in vertex_sets)
+    ends = [systems[last].bound_numerators(row) for row in groups.fold({i: vs for i, (vs, _) in walked.items()}, last)]
+    d = lcm(*(e for *_, e in ends))  # every row's ends over one denominator
+    den = d * prod(e for _, e in walked.values())
     low, high = min(a * (d // e) for a, _, e in ends), max(b * (d // e) for _, b, e in ends)
     return IntervalResult(Fraction(low, den), Fraction(high, den), "vertex_product")
 
 
 def outer_bound(t: CCLTheory, q: Query, *, world_space: WorldSpace | None = None) -> IntervalResult:
-    """Factorized relaxation: each space's classwise bounds, summed per group, sum it out of the query's grouped table."""
-    ws = world_space or build_world_space(t)
+    """Factorized relaxation: the fold against classwise bounds (module docstring)."""
+    ws = _world_space(t, world_space)
     groups = QueryGroups(ws, q)
-    lo = hi = groups.table(range(len(t.spaces)))
-    den = 1
-    for i in range(len(t.spaces)):
+    lows, highs, den = {}, {}, 1
+    for i in range(len(ws.selections)):
         system = marginal_polytope(ws, i).feasible_system()
         ranges = [system.bound_numerators([int(jj == j) for jj in range(system.n)]) for j in range(system.n)]
         d = lcm(*(e for *_, e in ranges))  # every class's range over one denominator
-        lo = _sum_out(lo, groups.sums(i, [r[0] * (d // r[2]) for r in ranges]))
-        hi = _sum_out(hi, groups.sums(i, [r[1] * (d // r[2]) for r in ranges]))
+        lows[i], highs[i] = [[a * (d // e) for a, _, e in ranges]], [[b * (d // e) for _, b, e in ranges]]
         den *= d
-    # every space is summed out: each table holds one entry
-    return IntervalResult(Fraction(lo[0], den), min(Fraction(hi[0], den), _ONE), "outer_bound")
+    [[lo]], [[hi]] = groups.fold(lows), groups.fold(highs)
+    return IntervalResult(Fraction(lo, den), min(Fraction(hi, den), _ONE), "outer_bound")
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +309,7 @@ def proxy_mass_function(t: CCLTheory, *, world_space: WorldSpace | None = None) 
     point (use :func:`proxy_in_credal_set` to check membership).
     """
     out = [_ONE]
-    for f in _proxy_factors(world_space or build_world_space(t)):
+    for f in _proxy_factors(_world_space(t, world_space)):
         if f is None:
             raise ValueError(_UNDEFINED)
         out = [v * w for v in out for w in f]
@@ -315,16 +317,14 @@ def proxy_mass_function(t: CCLTheory, *, world_space: WorldSpace | None = None) 
 
 
 def proxy_query_value(t: CCLTheory, q: Query, *, world_space: WorldSpace | None = None) -> Fraction:
-    """The proxy's query mass: each factor's integer numerators, summed per group, sum its space out of the query's grouped table."""
-    ws = world_space or build_world_space(t)
-    groups = QueryGroups(ws, q)
-    table, den = groups.table(range(len(ws.selections))), 1
-    for i, f in enumerate(_proxy_factors(ws)):
-        if f is None:
-            raise ValueError(_UNDEFINED)
-        d = lcm(*(v.denominator for v in f))
-        table, den = _sum_out(table, groups.sums(i, [v.numerator * (d // v.denominator) for v in f])), den * d
-    return Fraction(table[0], den)
+    """The proxy's query mass: the fold against its factors (module docstring)."""
+    ws = _world_space(t, world_space)
+    groups, factors = QueryGroups(ws, q), _proxy_factors(ws)
+    if None in factors:
+        raise ValueError(_UNDEFINED)
+    scaled = [numerators(f) for f in factors]
+    [[value]] = groups.fold({i: [nums] for i, (nums, _) in enumerate(scaled)})
+    return Fraction(value, prod(d for _, d in scaled))
 
 
 def proxy_in_credal_set(t: CCLTheory, *, world_space: WorldSpace | None = None) -> bool:
@@ -333,5 +333,5 @@ def proxy_in_credal_set(t: CCLTheory, *, world_space: WorldSpace | None = None) 
     The proxy always factorizes across spaces, so membership reduces to
     each factor satisfying its own marginal constraints.
     """
-    ws = world_space or build_world_space(t)
+    ws = _world_space(t, world_space)
     return all(f is not None and marginal_polytope(ws, i).contains(f) for i, f in enumerate(_proxy_factors(ws)))

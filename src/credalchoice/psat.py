@@ -37,7 +37,7 @@ from typing import Iterable, Sequence
 
 from . import lp
 from .errors import CapExceededError, InfeasibleError
-from .inference import IntervalResult, QueryGroups, marginal_polytope
+from .inference import IntervalResult, QueryGroups, _world_space, marginal_polytope
 from .logic import Atom, GroundProgram, Literal
 from .rational import format_fraction
 from .theory import CCLTheory, Query
@@ -352,9 +352,8 @@ class BracketState:
 def _query_system(ws: WorldSpace, q: Query) -> tuple[lp.FeasibleSystem, list[int], tuple[int, int]]:
     """The one space's class-mass system, the query's 0/1 row over its
     classes, and the row's value at the phase-one point over its denominator."""
-    system, groups = marginal_polytope(ws, 0).feasible_system(), QueryGroups(ws, q)
-    table = groups.table([0])
-    row = [table[g] for g in groups.group_of[0]]
+    system = marginal_polytope(ws, 0).feasible_system()
+    (row,) = QueryGroups(ws, q).fold({}, keep=0)
     nums, den = system.point_numerators()
     return system, row, (sum(compress(nums, row)), den)
 
@@ -366,7 +365,7 @@ def inner_point(t: CCLTheory, q: Query, *, world_space: WorldSpace | None = None
     so probing it always answers satisfiable.
     """
     t.require_one_space("inner_point")
-    return Fraction(*_query_system(world_space or build_world_space(t), q)[2])
+    return Fraction(*_query_system(_world_space(t, world_space), q)[2])
 
 
 def _bracket(

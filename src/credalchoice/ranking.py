@@ -48,6 +48,14 @@ from .theory import Alternative, CCLTheory, ChoiceSpace, Query, validate_theory
 _MAX_RANKINGS = factorial(7)  # phase one over 8! = 40 320 columns runs for minutes
 
 
+class _RowError(ValueError):
+    """A failed check that keeps the index of the input row at fault (a ranking, or a position's counts), or ``None``."""
+
+    def __init__(self, message: str, row: int | None):
+        super().__init__(message)
+        self.row = row
+
+
 def _check_object_names(objects: Sequence[str]) -> None:
     """Object names must be distinct constants: they become atom arguments."""
     if len(set(objects)) != len(objects):
@@ -68,10 +76,10 @@ class RankingDataset:
         _check_object_names(self.objects)
         n = len(self.objects)
         expected = frozenset(range(n))
-        for r in self.rankings:
+        for k, r in enumerate(self.rankings):
             if frozenset(r) != expected or len(r) != n:
                 names = ",".join(self.objects[i] for i in r if i < n)
-                raise ValueError(f"malformed ranking (not a permutation): {names}")
+                raise _RowError(f"malformed ranking (not a permutation): {names}", k)
 
     @property
     def n(self) -> int:
@@ -93,17 +101,18 @@ class CountMatrix:
     def __post_init__(self):
         _check_object_names(self.objects)
         n = len(self.objects)
-        if len(self.counts) != n or any(len(row) != n for row in self.counts):
-            raise ValueError("counts must be a square matrix over the objects")
+        short = next((j for j, row in enumerate(self.counts) if len(row) != n), None)
+        if len(self.counts) != n or short is not None:
+            raise _RowError("counts must be a square matrix over the objects", short)
         for j, row in enumerate(self.counts):
             if any(c < 0 for c in row):
-                raise ValueError("counts must be non-negative")
+                raise _RowError("counts must be non-negative", j)
             if sum(row) != self.total:
-                raise ValueError(f"row {j} sums to {sum(row)}, expected {self.total}")
+                raise _RowError(f"row {j} sums to {sum(row)}, expected {self.total}", j)
         for i in range(n):
             col = sum(row[i] for row in self.counts)
             if col != self.total:
-                raise ValueError(f"column {i} sums to {col}, expected {self.total}")
+                raise _RowError(f"column {i} sums to {col}, expected {self.total}", None)
 
 
 def counts_from_rankings(d: RankingDataset) -> CountMatrix:
@@ -484,6 +493,7 @@ def parse_rankings(text: str) -> RankingDataset:
     names: list[str] = []
     index: dict[str, int] = {}
     rankings: list[tuple[int, ...]] = []
+    lines: list[int] = []  # each ranking's line
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("%", 1)[0].strip()
         if not line:
@@ -499,15 +509,20 @@ def parse_rankings(text: str) -> RankingDataset:
             raise ParseError("empty object name in ranking", lineno)
         for p in items:
             if p not in index:
+                try:
+                    _check_object_names((p,))
+                except ValueError as exc:
+                    raise ParseError(str(exc), lineno) from exc
                 index[p] = len(names)
                 names.append(p)
         rankings.extend([tuple(index[p] for p in items)] * count)
+        lines.extend([lineno] * count)
     if not rankings:
         raise ParseError("no rankings found")
     try:
         return RankingDataset(tuple(names), tuple(rankings))
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    except _RowError as exc:
+        raise ParseError(str(exc), lines[exc.row]) from exc
 
 
 def parse_counts_csv(text: str) -> CountMatrix:
@@ -532,5 +547,7 @@ def parse_counts_csv(text: str) -> CountMatrix:
         rows.append(row)
     try:
         return CountMatrix(objects, tuple(rows), total)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    except _RowError as exc:  # a row's own line; a column or the number of rows is no one line's
+        raise ParseError(str(exc), None if exc.row is None else lines[exc.row + 1][0]) from exc
+    except ValueError as exc:  # an object name: the header's
+        raise ParseError(str(exc), lines[0][0]) from exc

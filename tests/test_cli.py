@@ -383,8 +383,8 @@ def test_rank_threshold_at_zero_or_one_is_accepted(data_dir, capsys, threshold):
 @pytest.mark.parametrize(
     "name, text, code, message",
     [
-        ("negative.csv", "a,b\n-1,2\n2,-1\nN=1\n", 2, "counts must be non-negative"),
-        ("short-row.csv", "a,b,c\n1,1,0\n1,1,1\n1,1,2\nN=3\n", 2, "row 0 sums to 2, expected 3"),
+        ("negative.csv", "a,b\n-1,2\n2,-1\nN=1\n", 2, "line 2: counts must be non-negative"),
+        ("short-row.csv", "a,b,c\n1,1,0\n1,1,1\n1,1,2\nN=3\n", 2, "line 2: row 0 sums to 2, expected 3"),
         ("one.rankings", "a\na\n", 1, "need at least two objects"),
     ],
     ids=["negative-count", "row-sum", "one-object"],

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from math import prod
 
 import pytest
@@ -462,6 +462,47 @@ def test_query_blind_classes_and_spaces(monkeypatch):
     assert blind and branching
 
 
+def test_fold_equals_the_per_world_sum_for_every_combination_of_weights():
+    # the kernel behind every readout: per combination of one weight vector per summed space, the sum over the
+    # query's worlds of the product of each summed space's weight for the world's class, by the kept space's class
+    rng = random.Random(83)
+    for trial in range(10):
+        k = rng.randrange(1, 5)
+        t = multispace_theory(rng, min(k, 3)) if trial % 2 else random_product_theory(rng, k)
+        t, derived = with_derived_atoms(rng, t, 8)
+        ws = build_world_space(t)
+        k = len(ws.selections)
+        # mostly the derived atom holding in closest to half of the worlds
+        q = random_base_query(rng, t) if trial % 3 == 0 else min(
+            map(query, derived), key=lambda q: abs(2 * QueryGroups(ws, q).hits.bit_count() - ws.n_worlds)
+        )
+        truth = [satisfies(w, q) for w in ws.worlds]
+        weights = {}
+        for s, sels in enumerate(ws.selections):
+            v = [rng.choice([0, 0, 1, 2, 3, 7]) for _ in sels]
+            # classes whose worlds the query holds in alike, whatever the other spaces' classes: moving weight
+            # between two of them keeps every group sum
+            alike = {}
+            for j in range(len(sels)):
+                alike.setdefault(tuple(h for p, h in zip(ws.profiles, truth) if p[s] == j), []).append(j)
+            moved = list(v)
+            for a, b, *_ in (m for m in alike.values() if len(m) > 1):
+                moved[a], moved[b] = v[a] + v[b], 0
+            weights[s] = [v, [0] * len(sels), moved, [rng.randrange(5) for _ in sels]]
+        for keep in (None, *range(k)):
+            summed = [s for s in range(k) if s != keep]
+            want = set()
+            for combo in product(*(weights[s] for s in summed)):
+                row = [0] * (1 if keep is None else len(ws.selections[keep]))
+                for p, hit in zip(ws.profiles, truth):
+                    if hit:
+                        row[0 if keep is None else p[keep]] += prod(v[p[s]] for s, v in zip(summed, combo))
+                want.add(tuple(row))
+            rows = QueryGroups(ws, q).fold(weights, keep)
+            assert {tuple(r) for r in rows} == want, f"trial {trial}, keep {keep}"
+            assert len(rows) <= 4 ** len(summed), f"trial {trial}, keep {keep}"
+
+
 def test_two_space_ranking_theory_finishes_in_either_order():
     # n = 5 rankings: the ranking space has 120 classes and goes to the LP, declared first or last
     from test_ranking import mallows_text
@@ -565,6 +606,30 @@ def test_friends_merge_monotonicity(data_dir):
     iv1 = credal_bounds_single_space(merged, query("h"))
     assert iv1.lower <= iv2.lower <= iv2.upper <= iv1.upper
     assert (iv1.lower, iv1.upper) == (F(1, 5), F(1, 2))
+
+
+def test_a_world_space_built_from_another_theory_is_rejected(data_dir):
+    # the readouts take their spaces from the world space, so one built from another theory would be misread
+    from credalchoice.psat import inner_point
+
+    two = load_ccl(data_dir / "friends.ccl").theory
+    merged, q = merge_spaces(two, [0, 1]), query("h")
+    iv = credal_bounds_strong_extension(merged, q, world_space=build_world_space(merge_spaces(two, [0, 1])))
+    assert (iv.lower, iv.upper) == (F(1, 5), F(1, 2))  # an equal theory's world space is its own
+    for theory, other in ((merged, two), (two, merged)):
+        ws = build_world_space(other)
+        readouts = [
+            lambda: credal_bounds_strong_extension(theory, q, world_space=ws),
+            lambda: outer_bound(theory, q, world_space=ws),
+            lambda: proxy_query_value(theory, q, world_space=ws),
+            lambda: proxy_mass_function(theory, world_space=ws),
+            lambda: proxy_in_credal_set(theory, world_space=ws),
+        ]
+        if theory is merged:  # the one-space readouts
+            readouts += [lambda: credal_bounds_single_space(theory, q, world_space=ws), lambda: inner_point(theory, q, world_space=ws)]
+        for readout in readouts:
+            with pytest.raises(ValueError, match="the world space was built from another theory"):
+                readout()
 
 
 # ---------------------------------------------------------------------------

@@ -698,6 +698,41 @@ def test_parse_counts_csv_numbers_the_raw_lines():
     with pytest.raises(ParseError) as exc:  # the last non-blank line is named
         parse_counts_csv("a,b\n1,0\n\n0,1\n\n")
     assert (exc.value.line, str(exc.value)) == (4, "line 4: counts file must end with an N=<total> line")
+    # the count matrix's own checks name the header or the row at fault
+    with pytest.raises(ParseError) as exc:
+        parse_counts_csv("a,a\n1,0\n0,1\nN=1\n")
+    assert (exc.value.line, str(exc.value)) == (1, "line 1: object names must be distinct")
+    with pytest.raises(ParseError) as exc:
+        parse_counts_csv("\na,b\n\n1,0\n0,1,0\nN=1\n")
+    assert (exc.value.line, str(exc.value)) == (5, "line 5: counts must be a square matrix over the objects")
+    with pytest.raises(ParseError) as exc:
+        parse_counts_csv("a,b\n1,0,0\n0,1\nN=1\n")
+    assert (exc.value.line, str(exc.value)) == (2, "line 2: counts must be a square matrix over the objects")
+    with pytest.raises(ParseError) as exc:
+        parse_counts_csv("a,b\n1,0\n1,1\nN=1\n")
+    assert (exc.value.line, str(exc.value)) == (3, "line 3: row 1 sums to 2, expected 1")
+    with pytest.raises(ParseError) as exc:
+        parse_counts_csv("a,b\n1,0\n\n0,-1\nN=1\n")
+    assert (exc.value.line, str(exc.value)) == (4, "line 4: counts must be non-negative")
+    # a column sum, or too few rows, is no one line's fault
+    with pytest.raises(ParseError) as exc:
+        parse_counts_csv("a,b\n1,0\n1,0\nN=1\n")
+    assert (exc.value.line, str(exc.value)) == (None, "column 0 sums to 2, expected 1")
+    with pytest.raises(ParseError) as exc:
+        parse_counts_csv("a,b\n1,0\nN=1\n")
+    assert (exc.value.line, str(exc.value)) == (None, "counts must be a square matrix over the objects")
+
+
+def test_parse_rankings_numbers_the_line_of_a_bad_ranking_or_name():
+    with pytest.raises(ParseError) as exc:
+        parse_rankings("a,b,c\n\n% c\na,b\n")
+    assert (exc.value.line, str(exc.value)) == (4, "line 4: malformed ranking (not a permutation): a,b")
+    with pytest.raises(ParseError) as exc:
+        parse_rankings("a,b\nB,a\n")
+    assert (exc.value.line, str(exc.value)) == (2, "line 2: object name 'B' is not a constant (lowercase letter first)")
+    with pytest.raises(ParseError) as exc:  # a multiplied ranking is one line; the first bad ranking is named
+        parse_rankings("a,b,c x3\nb,a x2\nc,a\n")
+    assert (exc.value.line, str(exc.value)) == (2, "line 2: malformed ranking (not a permutation): b,a")
 
 
 def test_rankings_and_counts_ingestion_agree(data_dir):

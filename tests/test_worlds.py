@@ -337,8 +337,9 @@ def test_a_theory_at_the_world_cap_builds_and_bounds_exactly(monkeypatch):
     doc = parse_ccl("q :- a0, b1.\n" + spaces + "query q.\n")
     ws = build_world_space(doc.theory)
     assert ws.n_worlds == worlds.DEFAULT_WORLD_CAP == 2**20
-    sizes, real_sum_out = [], inference._sum_out
-    monkeypatch.setattr(inference, "_sum_out", lambda table, nums: sizes.append(len(table)) or real_sum_out(table, nums))
+    # every fold sums out from the query's grouped table, so its size bounds every table the kernel makes
+    sizes, real_fold = [], inference.QueryGroups.fold
+    monkeypatch.setattr(inference.QueryGroups, "fold", lambda self, *a, **kw: sizes.append(len(self._table)) or real_fold(self, *a, **kw))
     for bound in (credal_bounds_strong_extension, outer_bound):
         r = bound(doc.theory, doc.queries[0], world_space=ws)
         assert (r.lower, r.upper) == (F(2, 9), F(2, 9))
