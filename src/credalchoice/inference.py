@@ -163,7 +163,8 @@ class QueryGroups:
             keys: dict[int, int] = {}  # the query's bits over a class's worlds, shifted onto class 0's: its group
             self.group_of.append([keys.setdefault(self.hits >> j * stride & block, len(keys)) for j in range(size)])
             self.offsets.append([self.group_of[-1].index(g) * stride for g in range(len(keys))])
-        self._table = [self.hits >> sum(p) & 1 for p in product(*self.offsets)]
+        bits = bin(self.hits | 1 << ws.n_worlds)[:2:-1].encode()  # bits[i] is world i's b"0" or b"1", odd iff set
+        self._table = [bits[sum(p)] & 1 for p in product(*self.offsets)]
 
     def fold(self, weights: Mapping[int, Sequence[Sequence[int]]], keep: int | None = None) -> list[list[int]]:
         """Sum each space ``s`` but ``keep`` out of the grouped table against each of its integer class-weight vectors

@@ -265,20 +265,16 @@ def parse_literal_from(ts: TokenStream) -> tuple[Literal, Token]:
     return Literal(a), tok
 
 
-def parse_clause_from(
-    ts: TokenStream, sink: list[tuple[Atom, Token]] | None = None
-) -> Clause:
+def parse_clause_from(ts: TokenStream, sink: list[tuple[Atom, Token]]) -> Clause:
     head, head_tok = parse_atom_from(ts)
-    if sink is not None:
-        sink.append((head, head_tok))
+    sink.append((head, head_tok))
     body: list[Literal] = []
     if ts.at(":-"):
         ts.advance()
         while True:
             lit, tok = parse_literal_from(ts)
             body.append(lit)
-            if sink is not None:
-                sink.append((lit.atom, tok))
+            sink.append((lit.atom, tok))
             if not ts.at(","):
                 break
             ts.advance()
@@ -431,11 +427,7 @@ def ground(
             binding = dict(zip(variables, combo))
             out.append(cl.substitute(binding))
 
-    base: set[Atom] = set(extras)
-    for cl in out:
-        base.add(cl.head)
-        base.update(l.atom for l in cl.body)
-    return GroundProgram(tuple(out), frozenset(base))
+    return GroundProgram(tuple(out), frozenset(Program(tuple(out)).atoms().union(extras)))
 
 
 # ---------------------------------------------------------------------------

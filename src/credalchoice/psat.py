@@ -23,15 +23,16 @@ query, and compares each probe with its two ends; :func:`psat_decide`
 still decides a probe through the models, independently of the bracket.
 
 The ``xor`` connective here is n-ary *exclusive selection*: true when
-exactly one operand is true.  Its CNF is one disjunction plus pairwise
-negative clauses, so no auxiliary variables are introduced.
+exactly one operand is true.  Its CNF is its operands' disjunction plus
+each pair's negated conjunction, whatever the operands (a negated one's is
+its minterms), so no auxiliary variables are introduced.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress
+from itertools import combinations, compress
 from math import lcm
 from typing import Iterable, Sequence
 
@@ -133,7 +134,7 @@ def _mk_clause(literals: Iterable[tuple[Atom, bool]]) -> Clause | None:
 
 
 def _xor_as_or(children: Sequence[Formula]) -> Formula:
-    """Exclusive selection as a plain disjunction of minterms."""
+    """Exclusive selection as minterms, for negating: n clauses for n literals, not the pairwise form's n * 2**(n(n-1)/2)."""
     return or_(
         *(
             and_(c, *(not_(d) for j, d in enumerate(children) if j != i))
@@ -145,17 +146,10 @@ def _xor_as_or(children: Sequence[Formula]) -> Formula:
 def cnf(f: Formula, *, cap: int = DEFAULT_CLAUSE_CAP) -> tuple[Clause, ...]:
     """An equivalent CNF over the same variables (no auxiliaries).
 
-    Exclusive selections over plain literals use the pairwise encoding;
-    everything else is negation-pushed and distributed, with a guard on
-    the clause count.
+    An exclusive selection is its operands' disjunction and each pair's
+    negated conjunction (a negated one, its minterms: :func:`_xor_as_or`);
+    everything is negation-pushed and distributed, with a guard on the clause count.
     """
-    def literal_of(g: Formula) -> tuple[Atom, bool] | None:
-        if g.kind == "var":
-            return (g.atom, True)
-        if g.kind == "not" and g.children[0].kind == "var":
-            return (g.children[0].atom, False)
-        return None
-
     def clauses_of(g: Formula, negate: bool) -> list[Clause]:
         kind = g.kind
         if kind == "var":
@@ -163,11 +157,10 @@ def cnf(f: Formula, *, cap: int = DEFAULT_CLAUSE_CAP) -> tuple[Clause, ...]:
         if kind == "not":
             return clauses_of(g.children[0], not negate)
         if kind == "xor":
-            lits = [literal_of(c) for c in g.children]
-            if not negate and all(l is not None for l in lits):  # the whole clause, then each pair negated
-                pairs = [[(a, not p), (b, not q)] for i, (a, p) in enumerate(lits) for b, q in lits[i + 1:]]
-                return [cl for cl in map(_mk_clause, [lits, *pairs]) if cl is not None]
-            return clauses_of(_xor_as_or(g.children), negate)
+            if negate:
+                return clauses_of(_xor_as_or(g.children), True)
+            cs = g.children  # exactly one: some operand, and no two
+            return clauses_of(or_(*cs), False) + [cl for c, d in combinations(cs, 2) for cl in clauses_of(and_(c, d), True)]
         # Clause sets are kept free of repeats (in first-seen order), so
         # the cap bounds distinct clauses, not copies of one clause.
         if (kind == "and" and not negate) or (kind == "or" and negate):

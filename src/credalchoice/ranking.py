@@ -43,7 +43,7 @@ from .inference import IntervalResult, MarginalPolytope, class_polytope
 from .logic import Atom, Clause, Literal, Program, Term, atom
 from .psat import _bracket
 from .rational import format_fraction, numerators
-from .theory import Alternative, CCLTheory, ChoiceSpace, Query, validate_theory
+from .theory import Alternative, CCLTheory, ChoiceSpace, Query, require_valid
 
 _MAX_RANKINGS = factorial(7)  # phase one over 8! = 40 320 columns runs for minutes
 
@@ -78,7 +78,7 @@ class RankingDataset:
         expected = frozenset(range(n))
         for k, r in enumerate(self.rankings):
             if frozenset(r) != expected or len(r) != n:
-                names = ",".join(self.objects[i] for i in r if i < n)
+                names = ",".join(self.objects[i] for i in r if 0 <= i < n)
                 raise _RowError(f"malformed ranking (not a permutation): {names}", k)
 
     @property
@@ -192,11 +192,7 @@ def build_ranking_theory(m: MarginalMatrix) -> CCLTheory:
         Alternative(tuple(position_atom(j + 1, name) for name in m.objects))
         for j in range(n)
     ]
-    theory = CCLTheory(Program(), (ChoiceSpace(tuple(per_object + per_position)),), mu)
-    report = validate_theory(theory)
-    if not report.ok:
-        raise ValueError(f"ranking theory failed validation: {report}")
-    return theory
+    return require_valid(CCLTheory(Program(), (ChoiceSpace(tuple(per_object + per_position)),), mu))
 
 
 def permutation_polytope(m: MarginalMatrix) -> tuple[list[tuple[int, ...]], MarginalPolytope, list[int]]:

@@ -124,8 +124,8 @@ def class_blocks(n: int, sizes: Sequence[int]) -> list[tuple[int, int]]:
 
     The ``n`` worlds are the product of the spaces' classes, ``sizes[s]`` in space ``s``: world ``i``
     is its class profile read as a mixed-radix number, the last space fastest.  ``stride`` is the
-    later spaces' world count, and class ``j`` is ``block << j * stride``, a run of ``stride`` worlds
-    in every ``sizes[s] * stride``.
+    world count of the spaces after ``s``, and class ``j`` is ``block << j * stride``, a run of
+    ``stride`` worlds in every ``sizes[s] * stride``.
     """
     out, period = [], n
     for size in sizes:
@@ -148,30 +148,28 @@ def coherent_selections(space: ChoiceSpace, space_index: int = 0, cap: int = DEF
     index = {a: i for i, a in enumerate(space.atomic_choices)}
     alts = [[index[a] for a in alt.atoms] for alt in space.alternatives]
     masks = [sum(1 << a for a in ids) for ids in alts]
-    # conflict[i][a]: every later holder of a must pick a too, so no other atom of i or of them may be picked
-    later, conflict = [0] * len(index), [{}] * len(alts)  # later[a]: the atoms of the alternatives after i that hold a
-    for i in reversed(range(len(alts))):
-        conflict[i] = {a: (masks[i] | later[a]) & ~(1 << a) for a in alts[i]}
-        for a in alts[i]:
-            later[a] |= masks[i]
+    touch = [0] * len(index)  # touch[a]: the atoms of every alternative that holds a
+    for ids, mask in zip(alts, masks):
+        for a in ids:
+            touch[a] |= mask
     out: list[tuple[int, ...]] = []
     chosen: list[int] = []
 
-    def walk(i: int, picked: int, banned: int) -> None:
-        # banned: the atoms an earlier alternative holds but did not pick
+    # The walk's one invariant: no alternative holds two picked atoms.  Each alternative gets one pick
+    # in turn, so a leaf has exactly one picked atom in every alternative: a coherent selection.
+    def walk(i: int, picked: int) -> None:
         if i == len(alts):
             out.append(tuple(chosen))
             if len(out) > cap:
                 raise CapExceededError(f"more than {cap} coherent selections in choice space {space_index}")
             return
         held = picked & masks[i]  # a picked atom that alternative i holds is its only candidate
-        for a in (held.bit_length() - 1,) if held else alts[i]:
-            if not (picked & conflict[i][a] or banned >> a & 1):
-                chosen.append(a)
-                walk(i + 1, picked | 1 << a, banned | masks[i] & ~(1 << a))
-                chosen.pop()
+        for a in (held.bit_length() - 1,) if held else [a for a in alts[i] if not picked & touch[a]]:
+            chosen.append(a)
+            walk(i + 1, picked | 1 << a)
+            chosen.pop()
 
-    walk(0, 0, 0)
+    walk(0, 0)
     return out
 
 

@@ -85,6 +85,18 @@ def test_cnf_of_xor_pairwise_encoding():
     assert len(clauses) == 4
 
 
+def test_cnf_of_xor_pairwise_on_compound_operands():
+    # the disjunction of the operands, distributed, then each pair's conjunction negated
+    a, b, c, d = (atom(n) for n in "abcd")
+    assert cnf(xor_(and_(var_(a), var_(b)), var_(c), var_(d))) == (
+        ((a, True), (c, True), (d, True)),
+        ((b, True), (c, True), (d, True)),
+        ((a, False), (b, False), (c, False)),
+        ((a, False), (b, False), (d, False)),
+        ((c, False), (d, False)),
+    )
+
+
 formula_st = st.deferred(
     lambda: st.one_of(
         st.sampled_from("abcd").map(lambda n: var_(atom(n))),

@@ -104,6 +104,11 @@ def test_malformed_ranking_rejected():
         RankingDataset(("a", "b", "c"), ((0, 1),))
 
 
+def test_malformed_ranking_names_only_valid_indices():
+    with pytest.raises(ValueError, match=r"^malformed ranking \(not a permutation\): a$"):
+        RankingDataset(("a", "b"), ((0, -1),))
+
+
 def test_count_matrix_checks_margins():
     with pytest.raises(ValueError):
         CountMatrix(("a", "b"), ((1, 0), (1, 0)), 1)  # column sums broken
