@@ -18,8 +18,10 @@ the accepted values form an interval: the least and greatest query mass
 over distributions meeting the other assessments.  The hard formula's
 models are the theory's worlds, one per class of its one space, so that
 interval is the exact one over the space's class masses.
-:func:`bisect_bounds` reads it off one world space and one phase one per
-query, and compares each probe with its two ends; :func:`psat_decide`
+:func:`bracket` probes any 0/1 objective of an ``lp.FeasibleSystem`` from
+its value at the phase-one point (:func:`_start`, also :func:`inner_point`)
+against its two ends: :func:`bisect_bounds` runs it on one world space per
+query, the ranking ``psat`` backend on each pair.  :func:`psat_decide`
 still decides a probe through the models, independently of the bracket.
 
 The ``xor`` connective here is n-ary *exclusive selection*: true when
@@ -342,13 +344,16 @@ class BracketState:
         return len(self.probes)
 
 
-def _query_system(ws: WorldSpace, q: Query) -> tuple[lp.FeasibleSystem, list[int], tuple[int, int]]:
-    """The one space's class-mass system, the query's 0/1 row over its
-    classes, and the row's value at the phase-one point over its denominator."""
+def _query_system(ws: WorldSpace, q: Query) -> tuple[lp.FeasibleSystem, list[int]]:
+    """The one space's class-mass system and the query's 0/1 row over its classes."""
     system = marginal_polytope(ws, 0).feasible_system()
-    (row,) = QueryGroups(ws, q).fold({}, keep=0)
+    return system, QueryGroups(ws, q).fold({}, keep=0)[0]  # one space: the one row over its classes
+
+
+def _start(system: lp.FeasibleSystem, row: Sequence[int]) -> tuple[int, int]:
+    """Where every bracket starts: the 0/1 row's value at the phase-one point, over its denominator."""
     nums, den = system.point_numerators()
-    return system, row, (sum(compress(nums, row)), den)
+    return sum(compress(nums, row)), den
 
 
 def inner_point(t: CCLTheory, q: Query, *, world_space: WorldSpace | None = None) -> Fraction:
@@ -358,26 +363,24 @@ def inner_point(t: CCLTheory, q: Query, *, world_space: WorldSpace | None = None
     so probing it always answers satisfiable.
     """
     t.require_one_space("inner_point")
-    return Fraction(*_query_system(_world_space(t, world_space), q)[2])
+    return Fraction(*_start(*_query_system(_world_space(t, world_space), q)))
 
 
-def _bracket(
-    start: tuple[int, int], ends: tuple[int, int, int], epsilon: Fraction, state: BracketState | None = None
+def bracket(
+    system: lp.FeasibleSystem, row: Sequence[int], epsilon: Fraction, state: BracketState | None = None
 ) -> IntervalResult:
-    """Bracket ``[lo, hi]``, which holds ``mid``, by probes ``lo <= alpha <= hi``.
+    """Bracket any 0/1 objective ``row`` of ``system``, over its range ``[lo, hi]``, by probes ``lo <= alpha <= hi``.
 
-    ``start`` is ``mid`` over a positive denominator, and ``ends`` is ``lo``
-    and ``hi`` as ``bound_numerators`` gives them.  Probes 0 and 1 first (a
-    satisfiable boundary is an exact endpoint), then two independent
-    bisections between ``mid`` and the nearest unsatisfiable probe, each to
-    within ``epsilon > 0``.  Every value is an integer numerator over
-    ``den << t``, for ``den`` the lcm of the three denominators and ``t`` the
-    bisection depth; only the probes a given ``state`` records and the ends
-    become ``Fraction``s.
+    The probes start at ``mid``, the row's value at the phase-one point (:func:`_start`, which is also
+    :func:`inner_point`).  Probes 0 and 1 first (a satisfiable boundary is an exact endpoint), then two
+    independent bisections between ``mid`` and the nearest unsatisfiable probe, each to within
+    ``epsilon > 0``.  Every value is an integer numerator over ``den << t``, for ``den`` the lcm of the
+    three denominators and ``t`` the bisection depth; only the probes a given ``state`` records and the
+    ends become ``Fraction``s.
     """
     st = state if state is not None else BracketState(epsilon)
     st.epsilon = epsilon
-    (m, m_den), (low, high, ends_den) = start, ends
+    (m, m_den), (low, high, ends_den) = _start(system, row), system.bound_numerators(row)
     den = lcm(m_den, ends_den, epsilon.denominator)
     m, low, high = m * (den // m_den), low * (den // ends_den), high * (den // ends_den)
     eps = epsilon.numerator * (den // epsilon.denominator)
@@ -421,17 +424,16 @@ def bisect_bounds(
 ) -> IntervalResult:
     """Bracket the exact interval with probes, to within ``epsilon``.
 
-    The probes start from the inner point and are decided against the
-    least and greatest query mass of the class-mass system.  The returned
-    interval contains the exact one and each endpoint is within
-    ``epsilon`` of it; ``epsilon`` must be positive.
+    :func:`bracket` on the query row of the class-mass system: the probes
+    start from the inner point and are decided against its least and
+    greatest query mass.  The returned interval contains the exact one and
+    each endpoint is within ``epsilon`` of it; ``epsilon`` must be positive.
     """
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     t.require_one_space("the psat method")
-    system, row, start = _query_system(build_world_space(t), q)
-    return _bracket(start, system.bound_numerators(row), epsilon, state)
+    return bracket(*_query_system(build_world_space(t), q), epsilon, state)
 
 
 # ---------------------------------------------------------------------------
@@ -443,12 +445,9 @@ def export_psat(inst: PSATInstance) -> str:
     lines = [f"{format_fraction(a.prob)} {a.formula}" for a in inst.assessments]
     variables = inst.variables()
     index = {a: i + 1 for i, a in enumerate(variables)}
-    clauses: list[Clause] = []
-    for f in inst.hard_formulas():
-        clauses.extend(cnf(f))
+    clauses = [cl for f in inst.hard_formulas() for cl in cnf(f)]
     lines.append("c hard formula as CNF")
-    for a in variables:
-        lines.append(f"c {index[a]} = {a}")
+    lines += [f"c {index[a]} = {a}" for a in variables]
     lines.append(f"p cnf {len(variables)} {len(clauses)}")
     for cl in clauses:
         nums = [index[a] if pos else -index[a] for a, pos in cl]

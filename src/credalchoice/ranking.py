@@ -14,8 +14,8 @@ Evaluation skips that theory: :func:`permutation_polytope` builds its
 marginal system straight from the permutations, once per matrix.  Each
 pair is a 0/1 objective over them ("A ahead of B"): the ``lp`` backend
 reports its minimum and maximum, and the ``psat`` backend brackets the
-two by bisection, as :func:`~credalchoice.psat.bisect_bounds` does for
-:func:`pairwise_query`.
+two with :func:`~credalchoice.psat.bracket`, the function
+:func:`~credalchoice.psat.bisect_bounds` calls.
 
 Ranking files hold one ranking per line, best first, comma separated,
 with an optional ``xK`` multiplicity suffix::
@@ -41,7 +41,7 @@ from typing import Sequence
 from .errors import CapExceededError, ParseError
 from .inference import IntervalResult, MarginalPolytope, class_polytope
 from .logic import Atom, Clause, Literal, Program, Term, atom
-from .psat import _bracket
+from .psat import bracket
 from .rational import format_fraction, numerators
 from .theory import Alternative, CCLTheory, ChoiceSpace, Query, require_valid
 
@@ -373,6 +373,8 @@ def report_from_marginals(
 ) -> EvaluationReport:
     """Interval and point decisions for every unordered pair.
 
+    The ``psat`` backend brackets each pair with :func:`~credalchoice.psat.bracket`,
+    the function :func:`~credalchoice.psat.bisect_bounds` calls.
     Ground truth (majority preference) is filled in when rankings are
     provided; otherwise the truth fields stay empty and no accuracies
     are reported.  ``counts`` is echoed into the report untouched.
@@ -385,34 +387,27 @@ def report_from_marginals(
     n = len(marginals.objects)
     perms, polytope, weights = permutation_polytope(marginals)
     system = polytope.feasible_system()
-    # the proxy weights and, for psat, the phase-one point as integers, so a pair's value is one integer sum
-    total = sum(weights)
-    if backend == "psat":
-        start_nums, start_den = system.point_numerators()
-    if truth_rankings is not None:  # each ranking inverted once: positions[k][i] is object i's place
-        positions = [sorted(range(n), key=r.__getitem__) for r in truth_rankings]
+    total = sum(weights)  # the proxy weights are integers, so a pair's value is one integer sum
+    positions = [sorted(range(n), key=r.__getitem__) for r in truth_rankings or ()]  # positions[k][i]: object i's place
     outcomes: list[PairOutcome] = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            ahead = [1 if pos[i] < pos[j] else 0 for pos in perms]
-            low, high, den = ends = system.bound_numerators(ahead)
-            if backend == "lp":
-                interval = IntervalResult(Fraction(low, den), Fraction(high, den), "lp")
-            else:
-                interval = _bracket((sum(itertools.compress(start_nums, ahead)), start_den), ends, epsilon)
-            point = Fraction(sum(itertools.compress(weights, ahead)), total)
-            icl_verdict = _verdict(point, point, threshold)
-            truth = _majority_truth(positions, i, j) if truth_rankings is not None else None
-            outcomes.append(
-                PairOutcome(
-                    (marginals.objects[i], marginals.objects[j]),
-                    interval,
-                    _verdict(interval.lower, interval.upper, threshold),
-                    point,
-                    None if icl_verdict == "indeterminate" else icl_verdict,
-                    truth,
-                )
+    for i, j in itertools.combinations(range(n), 2):
+        ahead = [1 if pos[i] < pos[j] else 0 for pos in perms]
+        if backend == "lp":
+            low, high, den = system.bound_numerators(ahead)
+            interval = IntervalResult(Fraction(low, den), Fraction(high, den), "lp")
+        else:
+            interval = bracket(system, ahead, epsilon)
+        point = Fraction(sum(itertools.compress(weights, ahead)), total)
+        outcomes.append(
+            PairOutcome(
+                (marginals.objects[i], marginals.objects[j]),
+                interval,
+                _verdict(interval.lower, interval.upper, threshold),
+                point,
+                None if point == threshold else _verdict(point, point, threshold),
+                _majority_truth(positions, i, j),
             )
+        )
 
     total_pairs = len(outcomes)
     determinate = [p for p in outcomes if p.ccl_verdict != "indeterminate"]
@@ -422,8 +417,7 @@ def report_from_marginals(
         scored = [p for p in group if p.truth is not None and p.icl_verdict is not None]
         if not scored:
             return None
-        hits = sum(1 for p in scored if p.icl_verdict == p.truth)
-        return Fraction(hits, len(scored))
+        return Fraction(sum(p.icl_verdict == p.truth for p in scored), len(scored))
 
     indeterminate = [p for p in outcomes if p.ccl_verdict == "indeterminate"]
     return EvaluationReport(

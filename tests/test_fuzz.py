@@ -8,8 +8,9 @@ example count, so they are deterministic.
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from credalchoice.errors import ParseError
+from credalchoice.logic import parse_program
 from credalchoice.ranking import parse_counts_csv, parse_rankings
-from credalchoice.theory import parse_ccl
+from credalchoice.theory import parse_ccl, parse_query
 
 FUZZ = settings(
     max_examples=300,
@@ -58,6 +59,18 @@ def parses_or_raises_parse_error(parse, text):
 @given(soup(CCL_TOKENS, CCL_STATEMENTS))
 def test_parse_ccl_token_soup(text):
     parses_or_raises_parse_error(parse_ccl, text)
+
+
+@FUZZ
+@given(soup(CCL_TOKENS, CCL_STATEMENTS))
+def test_parse_query_token_soup(text):
+    parses_or_raises_parse_error(parse_query, text)
+
+
+@FUZZ
+@given(soup(CCL_TOKENS, CCL_STATEMENTS))
+def test_parse_program_token_soup(text):
+    parses_or_raises_parse_error(parse_program, text)
 
 
 @FUZZ

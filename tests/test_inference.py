@@ -87,6 +87,11 @@ def test_interval_result_validates_order():
         IntervalResult(F(-1, 10), F(1, 2), "lp")
 
 
+def test_interval_result_rejects_negative_epsilon():
+    with pytest.raises(ValueError, match="^epsilon must be non-negative$"):
+        IntervalResult(F(0), F(1), "lp", F(-1))
+
+
 def test_interval_json_shape():
     d = IntervalResult(F(1, 5), F(1, 2), "lp").to_json_dict()
     assert d == {
@@ -713,8 +718,10 @@ def test_proxy_undefined_when_every_world_has_zero_weight():
         "}"
     ).theory
     assert validate_theory(t).ok
-    with pytest.raises(ValueError, match="^every world has zero product weight; proxy undefined$"):
-        proxy_mass_function(t)
+    for proxy in (proxy_mass_function, lambda t: proxy_query_value(t, query("d"))):
+        with pytest.raises(ValueError, match="^every world has zero product weight; proxy undefined$"):
+            proxy(t)
+    assert proxy_in_credal_set(t) is False
 
 
 def test_sandwich_property():

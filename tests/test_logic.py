@@ -48,6 +48,44 @@ def test_atom_str_and_ground():
     assert str(atom("p")) == "p"
 
 
+def test_term_str():
+    assert str(Term("a")) == "a"
+
+
+_X = Atom("p", (Term("X"),))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Atom("P"), "not a valid relation name: 'P'"),
+        (lambda: GroundProgram((Clause(_X),), frozenset({_X})), r"clause is not ground: p\(X\)\."),
+        (lambda: GroundProgram((Clause(atom("p")),), frozenset()), "head outside the Herbrand base: p"),
+        (
+            lambda: GroundProgram((Clause(atom("p"), (Literal(atom("q")),)),), frozenset({atom("p")})),
+            "body atom outside the Herbrand base: q",
+        ),
+        (lambda: ground(Program(), ["X"]), "substitution universe must contain constants only: X"),
+        (lambda: ground(Program(), [], [_X]), r"extra atom is not ground: p\(X\)"),
+        (lambda: Interpretation(frozenset(), frozenset({atom("p")})), "true atoms must lie inside the domain"),
+        (lambda: stable_model(ground(Program()), [_X]), r"fact is not ground: p\(X\)"),
+    ],
+    ids=[
+        "uppercase-relation",
+        "non-ground-clause",
+        "head-outside-base",
+        "body-atom-outside-base",
+        "variable-in-universe",
+        "non-ground-extra-atom",
+        "true-atom-outside-domain",
+        "non-ground-fact",
+    ],
+)
+def test_input_check_message(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
 def test_parse_empty_program():
     assert parse_program("") == Program()
 

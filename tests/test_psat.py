@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -72,6 +73,11 @@ def test_xor_is_exactly_one():
     assert not f.evaluate({atom("a"), atom("b"), atom("c")})
 
 
+def test_formula_rejects_an_unknown_kind():
+    with pytest.raises(ValueError, match="^unknown formula kind 'nand'$"):
+        psat.Formula("nand").evaluate(frozenset())
+
+
 def test_unary_xor_is_the_variable():
     f = xor_(var_(atom("a")))
     assert f.evaluate({atom("a")})
@@ -119,7 +125,7 @@ def test_cnf_equivalent_to_formula(f):
 
 
 def test_cnf_clause_cap():
-    # nested xor of xors needs minterm expansion, which is capped
+    # an xor of six xors: its operands' disjunction distributes their two clauses each into 2**6 = 64, past the cap
     f = xor_(*(xor_(var_(atom(f"x{i}")), var_(atom(f"y{i}"))) for i in range(6)))
     with pytest.raises(CapExceededError):
         cnf(f, cap=50)
@@ -533,7 +539,7 @@ def test_bisect_builds_one_world_space_and_never_decides(data_dir, monkeypatch):
 
 
 def reference_bracket(mid, lo, hi, epsilon, st):
-    """The bisection of ``psat._bracket`` in ``Fraction`` arithmetic, recording into ``st``."""
+    """The bisection of ``psat.bracket`` in ``Fraction`` arithmetic, recording into ``st``."""
     st.epsilon = epsilon
     st.sat_low = st.sat_high = mid
 
@@ -567,6 +573,20 @@ def reference_bracket(mid, lo, hi, epsilon, st):
     return IntervalResult(lower, upper, "psat_bisect", epsilon)
 
 
+@dataclass
+class StandInSystem:
+    """A one-column ``FeasibleSystem`` stand-in: its phase-one point is ``mid``, and every row's ends are ``ends``."""
+
+    mid: F
+    ends: tuple[int, int, int]
+
+    def point_numerators(self):
+        return [self.mid.numerator], self.mid.denominator
+
+    def bound_numerators(self, row):
+        return self.ends
+
+
 def test_integer_bracket_matches_the_fraction_bisection():
     rng = random.Random(1024)
     epsilons = [F(1, 1024), F(1, 64), F(1, 3), F(2, 7), F(1), F(3, 2), F(1, 1000)]
@@ -586,13 +606,12 @@ def test_integer_bracket_matches_the_fraction_bisection():
         want = BracketState()
         expected = reference_bracket(mid, lo, hi, eps, want)
         # the integer forms, the ends over a multiple of their least denominator as ``bound_numerators`` may give them
-        start = (mid.numerator, mid.denominator)
         over = math.lcm(lo.denominator, hi.denominator) * rng.randint(1, 3)
-        ends = (int(lo * over), int(hi * over), over)
+        system = StandInSystem(mid, (int(lo * over), int(hi * over), over))
         got = BracketState()
-        assert psat._bracket(start, ends, eps, got) == expected, (trial, mid, lo, hi, eps)
+        assert psat.bracket(system, [1], eps, got) == expected, (trial, mid, lo, hi, eps)
         assert got == want, (trial, mid, lo, hi, eps)
-        assert psat._bracket(start, ends, eps) == expected, (trial, mid, lo, hi, eps)
+        assert psat.bracket(system, [1], eps) == expected, (trial, mid, lo, hi, eps)
     assert len(shapes) >= 10, shapes
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from credalchoice.errors import ArityConflictError, ParseError, TheoryValidationError
-from credalchoice.logic import Literal, Program, atom, parse_program
+from credalchoice.logic import Atom, Literal, Program, Term, atom, parse_program
 from credalchoice.theory import (
     Alternative,
     CCLTheory,
@@ -44,6 +44,23 @@ def test_alternative_rejects_duplicates_and_nonground():
         Alternative((atom("a"), atom("a")))
     with pytest.raises(ValueError):
         Alternative(())
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Alternative((Atom("p", (Term("X"),)),)), r"alternative atom is not ground: p\(X\)"),
+        (lambda: ChoiceSpace(()), "a choice space needs at least one alternative"),
+    ],
+    ids=["non-ground-atom", "no-alternative"],
+)
+def test_choice_construction_check_message(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
+def test_choice_space_str():
+    assert str(ChoiceSpace((alternative("a", "b"),))) == "{{a, b}}"
 
 
 def test_friends_theory_validates():
