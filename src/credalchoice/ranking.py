@@ -15,7 +15,16 @@ marginal system straight from the permutations, once per matrix.  Each
 pair is a 0/1 objective over them ("A ahead of B"): the ``lp`` backend
 reports its minimum and maximum, and the ``psat`` backend brackets the
 two with :func:`~credalchoice.psat.bracket`, the function
-:func:`~credalchoice.psat.bisect_bounds` calls.
+:func:`~credalchoice.psat.bisect_bounds` calls.  The two solve on
+different but equivalent systems.  As every position holds one object
+and every object one position, and the matrix is doubly stochastic, the
+rows "object ``n-1`` at position ``j``" and "object ``i`` at position
+``n-1``" are combinations of the all-ones row and the other rows.  The
+``lp`` backend drops them and solves on the 1 + (n-1)² rows left, as
+many as the permutations span, so its phase one carries no redundant
+row; an optimum is the same on either system.  The ``psat`` backend
+keeps all 1 + n² rows: its bracket starts at the phase-one point, and
+dropping rows can move that point.
 
 Ranking files hold one ranking per line, best first, comma separated,
 with an optional ``xK`` multiplicity suffix::
@@ -38,6 +47,7 @@ from math import factorial, prod
 from operator import add
 from typing import Sequence
 
+from . import lp
 from .errors import CapExceededError, ParseError
 from .inference import IntervalResult, MarginalPolytope, class_polytope
 from .logic import Atom, Clause, Literal, Program, Term, atom
@@ -373,8 +383,11 @@ def report_from_marginals(
 ) -> EvaluationReport:
     """Interval and point decisions for every unordered pair.
 
-    The ``psat`` backend brackets each pair with :func:`~credalchoice.psat.bracket`,
-    the function :func:`~credalchoice.psat.bisect_bounds` calls.
+    The ``lp`` backend solves each pair on the 1 + (n-1)² independent
+    rows of the marginal system, the ``psat`` backend brackets it with
+    :func:`~credalchoice.psat.bracket`, the function
+    :func:`~credalchoice.psat.bisect_bounds` calls, on all 1 + n² rows of
+    :func:`permutation_polytope` (module docstring).
     Ground truth (majority preference) is filled in when rankings are
     provided; otherwise the truth fields stay empty and no accuracies
     are reported.  ``counts`` is echoed into the report untouched.
@@ -386,7 +399,11 @@ def report_from_marginals(
         raise ValueError("epsilon must be positive")
     n = len(marginals.objects)
     perms, polytope, weights = permutation_polytope(marginals)
-    system = polytope.feasible_system()
+    if backend == "lp":  # the all-ones row and "object i at position j" for i, j < n - 1 (module docstring)
+        keep = [0, *(1 + i * n + j for i in range(n - 1) for j in range(n - 1))]
+        system = lp.FeasibleSystem([polytope.rows[r] for r in keep], [polytope.rhs[r] for r in keep])
+    else:
+        system = polytope.feasible_system()
     total = sum(weights)  # the proxy weights are integers, so a pair's value is one integer sum
     positions = [sorted(range(n), key=r.__getitem__) for r in truth_rankings or ()]  # positions[k][i]: object i's place
     outcomes: list[PairOutcome] = []

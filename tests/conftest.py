@@ -1,11 +1,14 @@
 import importlib.resources
+import importlib.util
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from credalchoice.logic import Clause, Literal, Program, atom
+from credalchoice.ranking import counts_from_rankings, parse_rankings, smooth_marginals
 from credalchoice.theory import Alternative, CCLTheory, ChoiceSpace, Query
 
 # Filled in by the tests marked `acceptance`; rendered as one line per
@@ -42,6 +45,20 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 @pytest.fixture(scope="session")
 def data_dir():
     return importlib.resources.files("credalchoice") / "data"
+
+
+def load_benchmark_generators():
+    """``perfbench/gen.py``, loaded from its file so that the repository root need not be on ``sys.path``."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen", Path(__file__).resolve().parents[1] / "perfbench" / "gen.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def ranking_marginals(seed: int, n: int):
+    """The smoothed marginals of the benchmark generator's 50 seeded rankings of ``n`` objects."""
+    text = load_benchmark_generators().rankings_text(seed, n=n, count=50)
+    return smooth_marginals(counts_from_rankings(parse_rankings(text)))
 
 
 def random_masses(rng: random.Random, k: int) -> list[Fraction]:

@@ -1,28 +1,20 @@
 """Exact integer simplex and vertex enumeration."""
 
-import importlib.util
 import itertools
 import math
 import random
 from fractions import Fraction
-from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import pytest
-from conftest import solve_affine_system
+from conftest import load_benchmark_generators, ranking_marginals, solve_affine_system
 from hypothesis import given, settings, strategies as st
 
 from credalchoice import lp
 from credalchoice.errors import CapExceededError, InfeasibleError, UnboundedError
 from credalchoice.inference import marginal_polytope
 from credalchoice.lp import FeasibleSystem, vertex_numerators
-from credalchoice.ranking import (
-    counts_from_rankings,
-    parse_rankings,
-    permutation_polytope,
-    report_from_marginals,
-    smooth_marginals,
-)
+from credalchoice.ranking import permutation_polytope, report_from_marginals
 from credalchoice.theory import parse_ccl
 from credalchoice.worlds import build_world_space
 
@@ -824,19 +816,6 @@ def test_bounds_and_the_vertex_walk_edit_no_kept_tableau():
 # the pivot, which must keep the integers machine-sized on a real polytope.
 
 
-def load_benchmark_generators():
-    """``perfbench/gen.py``, loaded from its file so that the repository root need not be on ``sys.path``."""
-    spec = importlib.util.spec_from_file_location("perfbench_gen", Path(__file__).resolve().parents[1] / "perfbench" / "gen.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def ranking_marginals(seed: int, n: int):
-    text = load_benchmark_generators().rankings_text(seed, n=n, count=50)
-    return smooth_marginals(counts_from_rankings(parse_rankings(text)))
-
-
 def measure_pivots(monkeypatch) -> list[int]:
     """The bit width of the widest tableau entry after each pivot from now on, one entry per pivot."""
     pivot, widths = lp._Tableau.pivot, []
@@ -873,7 +852,8 @@ def test_ranking_bounds_take_few_pivots_within_64_bits_on_six_objects(monkeypatc
     marginals = ranking_marginals(1, 6)
     widths = measure_pivots(monkeypatch)
     report = report_from_marginals(marginals, backend="lp")
-    # phase one and both ends of 15 pairs: 952 pivots warm-started by Dantzig's rule, 4375 by Bland's rule alone
+    # phase one on the 26 independent marginal rows and both ends of 15 pairs: 1000 pivots warm-started by Dantzig's
+    # rule (952 on all 37 rows), 5147 by Bland's rule alone from the phase-one basis
     assert len(report.pairs) == 15
     assert len(widths) <= 1200 and max(widths) <= 64, (len(widths), max(widths))
 
@@ -956,9 +936,9 @@ def test_warm_started_bounds_keep_their_pivot_count_on_ranking_polytopes(monkeyp
     for n in (3, 4, 5):
         for seed in (1, 2, 3):
             report_from_marginals(ranking_marginals(seed, n), backend="lp")
-    # phase one and both ends of every pair, by Bland's and Dantzig's rules: a count pinned so that no change
-    # to the pivot loop moves a decision unnoticed
-    assert len(widths) == 604
+    # phase one on the independent marginal rows and both ends of every pair, by Bland's and Dantzig's rules: a
+    # count pinned so that no change to the pivot loop moves a decision unnoticed
+    assert len(widths) == 565
 
 
 def fraction_row_system(rng: random.Random, n: int) -> tuple[list[list[Fraction]], list[Fraction]]:

@@ -1,10 +1,12 @@
 """Rank-count ingestion, smoothing, pairwise queries, and decisions."""
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from conftest import load_benchmark_generators, ranking_marginals
 from hypothesis import given, settings, strategies as st
 
 from credalchoice.errors import CapExceededError, ParseError
@@ -16,7 +18,7 @@ from credalchoice.inference import (
     proxy_mass_function,
     proxy_query_value,
 )
-from credalchoice.psat import bisect_bounds
+from credalchoice.psat import bisect_bounds, bracket
 from credalchoice.ranking import (
     CountMatrix,
     MarginalMatrix,
@@ -597,6 +599,57 @@ def test_psat_report_builds_no_world_space_and_one_system(monkeypatch):
     rep = report_from_marginals(oracle_marginals("random-4"), backend="psat", epsilon=F(1, 64))
     assert len(rep.pairs) == 6
     assert calls == {"build_world_space": 0, "FeasibleSystem": 1, "pairwise_query": 0, "bisect_bounds": 0}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_lp_report_solves_on_the_independent_rows_and_psat_on_all(monkeypatch, n):
+    import credalchoice.lp as lp
+
+    built = []  # each system a report builds, with the rows and right-hand sides it was given
+
+    class RecordedSystem(lp.FeasibleSystem):
+        def __init__(self, rows, rhs):
+            super().__init__(rows, rhs)
+            built.append((rows, rhs, self))
+
+    monkeypatch.setattr(lp, "FeasibleSystem", RecordedSystem)
+    for seed in (1, 2, 3):
+        m = ranking_marginals(seed, n)
+        perms, polytope, _ = permutation_polytope(m)
+        built.clear()
+        lp_report, psat_report = [report_from_marginals(m, backend=b) for b in ("lp", "psat")]
+        (rows, _, reduced), (*psat_given, full) = built
+        # the lp backend's rows are independent, so phase one keeps them all; the psat backend has
+        # ``permutation_polytope(m)[1].feasible_system()``, on all 1 + n² rows
+        assert (len(rows), len(reduced._tab.rows)) == (1 + (n - 1) ** 2, len(rows)), seed
+        assert psat_given == [polytope.rows, polytope.rhs], seed
+        pairs = itertools.combinations(range(n), 2)
+        for lp_pair, psat_pair, (i, j) in zip(lp_report.pairs, psat_report.pairs, pairs, strict=True):
+            ahead = [1 if pos[i] < pos[j] else 0 for pos in perms]
+            ends = [(F(lo, den), F(hi, den)) for lo, hi, den in (system.bound_numerators(ahead) for system in (reduced, full))]
+            assert ends[0] == ends[1] == (lp_pair.interval.lower, lp_pair.interval.upper), (seed, i, j)
+            # the psat bracket starts at the phase-one point, which dropping the implied rows can move
+            assert psat_pair.interval == bracket(full, ahead, F(1, 1024)), (seed, i, j)
+
+
+# SHA-256 of ``evaluate(...).to_json()`` on the benchmark generator's seeded rankings, recorded when both backends
+# solved on all 1 + n² marginal rows; the benchmark's digests cover n = 4 only and the goldens n = 3.
+PINNED_REPORT_DIGESTS = {
+    (5, 1, "lp"): "5f0a8ee971a74fe2dc8bad79ba849a123be3e5c2941a212b8e92f4fe9a732bc3",
+    (5, 1, "psat"): "ed74b076423a2831b216ecf37adb95e932dee0dde8b1184b287adc099e856c5d",
+    (5, 2, "lp"): "ac9604beec2dfaf968bc0738b43e8440d4a7e851462d7dbca2d878fac723e570",
+    (5, 2, "psat"): "b9561e6412b05e553e00bb8d6f97451b2a0d03fded74757a0515dcb799246aba",
+    (5, 3, "lp"): "5603142eacdee6ca9ef594aa0cd021443f49cc6f30e40418a305bf46ae13d5ed",
+    (5, 3, "psat"): "cb5192d33f001d083c3157d5daba21f4b4e6a0ca8c4c9ba98df1ce5487eda496",
+    (6, 1, "lp"): "108c93237797e8a9fea5e2a7b65417675c284bdb576470d7239590672b1aefff",
+}
+
+
+@pytest.mark.parametrize(("n", "seed", "backend"), list(PINNED_REPORT_DIGESTS))
+def test_evaluate_keeps_its_pinned_report_bytes(n, seed, backend):
+    text = load_benchmark_generators().rankings_text(seed, n=n, count=50)
+    report = evaluate(parse_rankings(text), backend=backend)
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == PINNED_REPORT_DIGESTS[n, seed, backend]
 
 
 def test_report_rejects_a_threshold_outside_zero_one_before_any_lp_work(monkeypatch):
