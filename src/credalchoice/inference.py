@@ -25,7 +25,10 @@ readouts differ only in those weights:
   one-space case, a pair of LPs with no vertex enumeration;
 * ``outer_bound`` - a cheap factorized relaxation, folded against each
   space's classwise lower, then upper, probability bounds (upper end
-  clipped to one).  Always contains the exact interval;
+  clipped to one).  Always contains the exact interval.  A space with
+  pairwise-disjoint alternatives reads each class's range in closed form,
+  its Fréchet bounds (Fréchet 1935; Hailperin 1965); coherence couples
+  overlapping alternatives, so their classes take a pair of LPs each;
 * the product-of-masses proxy, folded against one factor per space (its
   class weights over their total).  When every space holds exactly one
   alternative the theory reads as a fully independent one, and the
@@ -45,7 +48,7 @@ from math import lcm, prod
 from typing import Mapping, Sequence
 
 from . import lp
-from .errors import CapExceededError
+from .errors import CapExceededError, InfeasibleError
 from .rational import format_fraction, numerators
 from .theory import CCLTheory, Query
 from .worlds import WorldSpace, build_world_space, class_blocks
@@ -283,13 +286,25 @@ def credal_bounds_strong_extension(
 
 
 def outer_bound(t: CCLTheory, q: Query, *, world_space: WorldSpace | None = None) -> IntervalResult:
-    """Factorized relaxation: the fold against classwise bounds (module docstring)."""
+    """Factorized relaxation: the fold against classwise bounds (module docstring).
+
+    Disjoint alternatives fix only their marginals, so a class picking k atoms ranges over ``[max(0, Σ μ − (k−1)), min μ]``,
+    both ends attained (Fréchet 1935; Hailperin 1965); phase one's ``InfeasibleError`` is raised on a negative mass or an
+    alternative not summing to one.  Coherence couples overlapping alternatives, so their classes take a pair of LPs each.
+    """
     ws = _world_space(t, world_space)
     groups = QueryGroups(ws, q)
     lows, highs, den = {}, {}, 1
-    for i in range(len(ws.selections)):
-        system = marginal_polytope(ws, i).feasible_system()
-        ranges = [system.bound_numerators([int(jj == j) for jj in range(system.n)]) for j in range(system.n)]
+    for i, (sp, sels) in enumerate(zip(ws.theory.spaces, ws.selections)):
+        if sum(len(alt.atoms) for alt in sp.alternatives) == len(sp.atomic_choices):
+            nums, d = numerators([ws.theory.mu[a] for a in sp.atomic_choices])
+            num, k = dict(zip(sp.atomic_choices, nums)), len(sp.alternatives)
+            if min(nums) < 0 or any(sum(map(num.__getitem__, alt.atoms)) != d for alt in sp.alternatives):
+                raise InfeasibleError("no feasible point")
+            ranges = [(max(0, sum(nums[a] for a in sel) - (k - 1) * d), min(nums[a] for a in sel), d) for sel in sels]
+        else:
+            system = marginal_polytope(ws, i).feasible_system()
+            ranges = [system.bound_numerators([int(jj == j) for jj in range(system.n)]) for j in range(system.n)]
         d = lcm(*(e for *_, e in ranges))  # every class's range over one denominator
         lows[i], highs[i] = [[a * (d // e) for a, _, e in ranges]], [[b * (d // e) for _, b, e in ranges]]
         den *= d

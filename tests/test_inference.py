@@ -11,6 +11,7 @@ from conftest import (
     multispace_theory,
     outer_bound_oracle,
     random_base_query,
+    random_low_dim_space,
     random_masses,
     random_product_theory,
     random_query,
@@ -671,6 +672,79 @@ def test_outer_bound_wraps_exact_on_random_theories():
         ob = outer_bound(t, q)
         assert ob.lower <= exact.lower <= exact.upper <= ob.upper
         assert ob.upper <= 1
+
+
+def _disjoint_space(rng, prefix):
+    """One to four pairwise-disjoint alternatives of one to three atoms each, with masses that may be 0."""
+    alts, mu = [], {}
+    for i in range(rng.randrange(1, 5)):
+        names = [atom(f"{prefix}{i}x{j}") for j in range(rng.randrange(1, 4))]
+        weights = [rng.randrange(4) for _ in names]
+        weights[rng.randrange(len(names))] += 1  # a positive total
+        mu.update((a, F(w, sum(weights))) for a, w in zip(names, weights))
+        alts.append(Alternative(tuple(names)))
+    return ChoiceSpace(tuple(alts)), mu
+
+
+def test_outer_bound_closed_form_equals_the_lp_class_by_class():
+    # a query naming a class's picked atoms holds in that class's world only, so its outer bound is the class's range
+    rng = random.Random(101)
+    zero_lows = positive_lows = 0
+    for trial in range(500):
+        sp, mu = _disjoint_space(rng, "c")
+        t = CCLTheory(Program(), (sp,), mu)
+        ws = build_world_space(t)
+        system = marginal_polytope(ws, 0).feasible_system()
+        for j, sel in enumerate(ws.selections[0]):
+            lo, hi, den = system.bound_numerators([int(jj == j) for jj in range(system.n)])
+            iv = outer_bound(t, query(*(sp.atomic_choices[a] for a in sel)), world_space=ws)
+            assert (iv.lower, iv.upper) == (F(lo, den), F(hi, den)), f"trial {trial}, class {j}"
+            zero_lows, positive_lows = zero_lows + (0 == lo < hi), positive_lows + (0 < lo < hi)
+    assert zero_lows and positive_lows  # both arms of the lower end's max, with room between the ends
+
+
+def test_outer_bound_solves_lps_for_overlapping_spaces_only(monkeypatch):
+    # disjoint spaces read their class ranges in closed form; each overlapping space builds one system
+    import credalchoice.lp as lp
+
+    built = []
+    original = lp.FeasibleSystem.__init__
+    monkeypatch.setattr(lp.FeasibleSystem, "__init__", lambda self, *args: built.append(1) or original(self, *args))
+    rng = random.Random(103)
+    cases = []
+    for _ in range(5):
+        t, derived = with_derived_atoms(rng, multispace_theory(rng, 4), 6)
+        cases.append((t, query(derived[-1]), 0))
+        # shape 2's alternatives share an atom, shapes 0 and 1 are disjoint: both kinds, in any order
+        shapes = [(2,), (0, 1), *rng.choices([(2,), (0, 1)], k=rng.randrange(3))]
+        rng.shuffle(shapes)
+        drawn = [random_low_dim_space(rng, prefix, shape) for prefix, shape in zip("wxyz", shapes)]
+        t = CCLTheory(Program(), tuple(sp for sp, _ in drawn), {a: p for _, m in drawn for a, p in m.items()})
+        t, derived = with_derived_atoms(rng, t, 6)
+        cases.append((t, query(derived[-1]), shapes.count((2,))))
+    m = smooth_marginals(counts_from_rankings(parse_rankings("a,b,c x3\na,c,b x5\nb,c,a x4\nc,b,a x1\n")))
+    cases.append((*pairwise_query(build_ranking_theory(m), m, 0, 1), 1))
+    for t, q, overlapping in cases:
+        ws = build_world_space(t)
+        built.clear()
+        iv = outer_bound(t, q, world_space=ws)
+        assert len(built) == overlapping, t.spaces
+        assert (iv.lower, iv.upper) == outer_bound_oracle(t, q, ws), t.spaces
+
+
+def test_outer_bound_is_infeasible_wherever_the_strong_extension_is():
+    # a negative mass, or an alternative whose masses sum to 9/10, declared first or last beside valid spaces
+    a, b, c, d = (atom(x) for x in "abcd")
+    bad = ChoiceSpace((Alternative((a, b)), Alternative((c, d))))
+    valid = multispace_theory(random.Random(107), 2)
+    for masses in ((F(3, 2), F(-1, 2), F(1, 2), F(1, 2)), (F(1, 3), F(2, 3), F(1, 2), F(2, 5))):
+        for spaces in ((bad,), (bad, *valid.spaces), (*valid.spaces, bad)):
+            t = CCLTheory(Program(), spaces, {**valid.mu, **dict(zip((a, b, c, d), masses))})
+            for bound in (credal_bounds_strong_extension, outer_bound):
+                with pytest.raises(InfeasibleError):
+                    bound(t, query("a"))
+    for bound in (credal_bounds_strong_extension, outer_bound):  # the valid spaces alone are feasible
+        bound(valid, query("s0a0"))
 
 
 # ---------------------------------------------------------------------------
