@@ -10,8 +10,9 @@ Deciding a sequence of probes brackets the exact query interval by
 bisection, without ever enumerating the credal set itself.
 
 Satisfiability is decided exactly: the models of the hard formula are
-enumerated by backtracking over its CNF, and a rational linear program
-looks for a distribution over them meeting the soft assessments.
+enumerated by backtracking over its CNF, each clause checked once at its
+last variable, and a rational linear program looks for a distribution
+over them meeting the soft assessments.
 
 Probes of one query differ only in the query row's right-hand side, so
 the accepted values form an interval: the least and greatest query mass
@@ -204,41 +205,33 @@ def enumerate_models(
 ) -> list[frozenset[Atom]]:
     """All assignments over the variables satisfying every formula.
 
-    Backtracks over the variables in sorted order, pruning with the
-    formulas' CNF.  The variable set may be widened explicitly so that
-    assignments cover atoms the formulas do not mention.
+    Backtracks over the variables in sorted order, False before True, so
+    the models come in product order; each clause of the formulas' CNF is
+    checked once, at its last variable, where it is first fully assigned.
+    The variable set may be widened to atoms the formulas do not mention.
     """
     atoms = sorted(frozenset(variables or ()).union(*(f.atoms() for f in formulas)))
     if len(atoms) > var_cap:
         raise CapExceededError(f"{len(atoms)} variables, more than the cap of {var_cap}")
 
     index = {a: i for i, a in enumerate(atoms)}
-    clauses = [tuple((index[a], pos) for a, pos in cl) for f in formulas for cl in cnf(f, cap=clause_cap)]
+    clauses = [cl for f in formulas for cl in cnf(f, cap=clause_cap)]
     if () in clauses:  # the empty clause names no variable, so no assignment satisfies it
         return []
-    by_var: list[list[int]] = [[] for _ in atoms]
-    for ci, cl in enumerate(clauses):
-        for vi, _ in cl:
-            by_var[vi].append(ci)
-
-    n = len(atoms)
-    assign: list[bool | None] = [None] * n
+    last: list[list[tuple[tuple[int, bool], ...]]] = [[] for _ in atoms]
+    for cl in clauses:  # last[i]: the clauses whose last variable is i, first fully assigned there
+        last[max(index[a] for a, _ in cl)].append(tuple((index[a], pos) for a, pos in cl))
     out: list[frozenset[Atom]] = []
 
-    def violated(ci: int) -> bool:  # every literal of the clause assigned, and false
-        return all(assign[vi] is not None and assign[vi] != pos for vi, pos in clauses[ci])
-
-    def walk(i: int) -> None:
-        if i == n:
-            out.append(frozenset(a for a, v in zip(atoms, assign) if v))
+    def walk(i: int, bits: int) -> None:  # bit v of bits: the value of variable v < i
+        if i == len(atoms):
+            out.append(frozenset(a for v, a in enumerate(atoms) if bits >> v & 1))
             return
-        for value in (False, True):
-            assign[i] = value
-            if not any(violated(ci) for ci in by_var[i]):
-                walk(i + 1)
-        assign[i] = None
+        for b in (bits, bits | 1 << i):
+            if all(any(b >> v & 1 == pos for v, pos in cl) for cl in last[i]):
+                walk(i + 1, b)
 
-    walk(0)
+    walk(0, 0)
     return out
 
 

@@ -146,6 +146,8 @@ class MarginalMatrix:
 
     def __post_init__(self):
         n = len(self.objects)
+        if len(self.alpha) != n or any(len(row) != n for row in self.alpha):
+            raise ValueError(f"marginal matrix must be {n} x {n}, one row and one column per object")
         # the entries as integer numerators over one denominator: one is ``den``
         nums, den = numerators([v for row in self.alpha for v in row])
         it = iter(nums)
@@ -235,9 +237,11 @@ def pairwise_query(
     ``better=False`` flips the comparison.  One clause is added per
     position pair, so the query atom is decided in every world.
     """
+    n = len(m.objects)
+    if not (first in range(n) and second in range(n)):
+        raise ValueError(f"objects {first} and {second} must be indices in range({n})")
     if first == second:
         raise ValueError("need two distinct objects")
-    n = len(m.objects)
     name = "q"
     taken = {a.relation for a in t.herbrand_base}
     while name in taken:

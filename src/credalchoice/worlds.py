@@ -12,7 +12,9 @@ order, atoms inside an alternative in declaration order, spaces in
 declaration order.  Re-running the enumeration therefore reproduces
 identical indices, which the textual world tables rely on.
 
-The worlds are the product of the spaces' coherent selections, laid out
+A space's coherent selections are built level by level, one alternative
+at a time, so no space recurses; the world cap bounds every level.  The
+worlds are the product of the spaces' coherent selections, laid out
 by :func:`class_blocks`.  A world space keeps each selection as atom
 indices and, per atom, a column: the set of worlds holding the atom, as
 the bits of an ``int``.  So every world is evaluated in one bit-sliced
@@ -25,7 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from math import prod
+from math import log10, prod
 from typing import Sequence
 
 from .errors import CapExceededError
@@ -144,7 +146,10 @@ def set_bits(mask: int) -> list[int]:
 
 
 def coherent_selections(space: ChoiceSpace, space_index: int = 0, cap: int = DEFAULT_WORLD_CAP) -> list[tuple[int, ...]]:
-    """All coherent selections of one space, in canonical order, as indices into ``space.atomic_choices``."""
+    """All coherent selections of one space, in canonical order, as indices into ``space.atomic_choices``.
+
+    Built level by level on one invariant, no alternative holds two picked atoms; ``cap`` bounds every level.
+    """
     index = {a: i for i, a in enumerate(space.atomic_choices)}
     alts = [[index[a] for a in alt.atoms] for alt in space.alternatives]
     masks = [sum(1 << a for a in ids) for ids in alts]
@@ -152,25 +157,14 @@ def coherent_selections(space: ChoiceSpace, space_index: int = 0, cap: int = DEF
     for ids, mask in zip(alts, masks):
         for a in ids:
             touch[a] |= mask
-    out: list[tuple[int, ...]] = []
-    chosen: list[int] = []
-
-    # The walk's one invariant: no alternative holds two picked atoms.  Each alternative gets one pick
-    # in turn, so a leaf has exactly one picked atom in every alternative: a coherent selection.
-    def walk(i: int, picked: int) -> None:
-        if i == len(alts):
-            out.append(tuple(chosen))
-            if len(out) > cap:
-                raise CapExceededError(f"more than {cap} coherent selections in choice space {space_index}")
-            return
-        held = picked & masks[i]  # a picked atom that alternative i holds is its only candidate
-        for a in (held.bit_length() - 1,) if held else [a for a in alts[i] if not picked & touch[a]]:
-            chosen.append(a)
-            walk(i + 1, picked | 1 << a)
-            chosen.pop()
-
-    walk(0, 0)
-    return out
+    level: list[tuple[tuple[int, ...], int]] = [((), 0)]  # each partial selection: its picks, its picked atoms' bits
+    for ids, mask in zip(alts, masks):  # a picked atom that the alternative holds is its only candidate
+        grown = ((sel + (a,), picked | 1 << a) for sel, picked in level
+                 for a in ([(picked & mask).bit_length() - 1] if picked & mask else [a for a in ids if not picked & touch[a]]))
+        level = list(itertools.islice(grown, cap + 1))  # a level past the cap is never built whole
+        if len(level) > cap:
+            raise CapExceededError(f"more than {cap} partial selections in choice space {space_index}")
+    return [sel for sel, _ in level]
 
 
 def coherent_partial_choices(space: ChoiceSpace, space_index: int = 0, cap: int = DEFAULT_WORLD_CAP) -> list[PartialChoice]:
@@ -188,8 +182,9 @@ def _selections_by_space(t: CCLTheory, cap: int) -> tuple[tuple[tuple[tuple[int,
     """Each space's coherent selections (none if some space has none) and the world count, checked against the cap."""
     per_space = [coherent_selections(sp, i, cap) for i, sp in enumerate(t.spaces)]
     total = prod(len(lst) for lst in per_space)
-    if total > cap:
-        raise CapExceededError(f"theory has {total} total choices, more than the cap of {cap}")
+    if total > cap:  # a count of many digits by its order of magnitude
+        shown = total if total < 10**12 else f"about 10^{int(log10(total))}"
+        raise CapExceededError(f"theory has {shown} total choices, more than the cap of {cap}")
     return tuple(tuple(lst) if total else () for lst in per_space), total
 
 

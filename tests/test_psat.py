@@ -185,11 +185,11 @@ childless_formula_st = st.deferred(
 @given(st.lists(childless_formula_st, max_size=3))
 @settings(max_examples=150, deadline=None)
 def test_enumerate_models_equals_brute_force_over_assignments(formulas):
+    # in product order: the sorted variables, the first slowest, False before True
     atoms = [atom(n) for n in "abc"]
-    subsets = (frozenset(c) for r in range(4) for c in itertools.combinations(atoms, r))
-    expected = {m for m in subsets if all(f.evaluate(m) for f in formulas)}
-    models = enumerate_models(formulas, atoms)
-    assert len(models) == len(expected) and set(models) == expected
+    assignments = (frozenset(itertools.compress(atoms, bits)) for bits in itertools.product((False, True), repeat=3))
+    expected = [m for m in assignments if all(f.evaluate(m) for f in formulas)]
+    assert enumerate_models(formulas, atoms) == expected
 
 
 def test_enumerate_models_var_cap():

@@ -162,6 +162,14 @@ def test_marginal_matrix_validation():
     MarginalMatrix(("a", "b"), ((F(1, 3), F(2, 3)), (F(2, 3), F(1, 3))))
 
 
+def test_marginal_matrix_must_be_square_over_its_objects():
+    half = F(1, 2)
+    with pytest.raises(ValueError, match=r"^marginal matrix must be 3 x 3, one row and one column per object$"):
+        MarginalMatrix(("a", "b", "c"), ((half, half), (half, half)))  # two rows for three objects
+    with pytest.raises(ValueError, match=r"^marginal matrix must be 2 x 2"):
+        MarginalMatrix(("a", "b"), ((half, half), (half, F(1, 4), F(1, 4))))  # a ragged row
+
+
 @pytest.mark.parametrize("s", [F(2), F(1, 3), F(5, 2)])
 def test_smoothing_matches_the_fraction_formula(s):
     rng = random.Random(7)
@@ -254,6 +262,14 @@ def test_pairwise_query_rejects_same_object():
     t = build_ranking_theory(m)
     with pytest.raises(ValueError):
         pairwise_query(t, m, 1, 1)
+
+
+@pytest.mark.parametrize("first, second", [(2, -1), (0, 3)])
+def test_pairwise_query_rejects_an_index_outside_the_objects(first, second):
+    # (2, -1) used to compare object 2 with itself, and (0, 3) to raise IndexError
+    m = smooth_marginals(counts_from_rankings(abc_dataset()))
+    with pytest.raises(ValueError, match=rf"^objects {first} and {second} must be indices in range\(3\)$"):
+        pairwise_query(build_ranking_theory(m), m, first, second)
 
 
 def test_each_world_orders_each_pair_exactly_one_way():

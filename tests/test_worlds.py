@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import naive_stable_model, random_base_query, random_product_theory, with_derived_atoms
+from conftest import multispace_theory, naive_stable_model, random_base_query, random_product_theory, with_derived_atoms
 
 from credalchoice import inference, logic, worlds
 from credalchoice.inference import (
@@ -168,6 +168,23 @@ def test_forced_picks_leave_out_an_alternative_holding_two_picked_atoms():
     assert got == [(a, d, a), (b, c, c)]
     assert not any(a in sel and c in sel for sel in got)
     assert got == brute_force_coherent(space)
+
+
+def test_cap_bounds_every_level_of_the_walk():
+    # the middle level holds (a, d), (b, c) and (b, d); {a, c} gives (b, d) no candidate
+    space = ChoiceSpace((alternative("a", "b"), alternative("c", "d"), alternative("a", "c")))
+    a, b, c, d = map(atom, "abcd")
+    with pytest.raises(CapExceededError, match="^more than 2 partial selections in choice space 4$"):
+        coherent_partial_choices(space, 4, cap=2)
+    assert [pc.selected for pc in coherent_partial_choices(space, cap=3)] == [(a, d, a), (b, c, c)]
+
+
+def test_a_space_of_1200_alternatives_does_not_recurse():
+    single = ChoiceSpace(tuple(alternative(f"a{i}") for i in range(1200)))
+    assert [pc.selected for pc in coherent_partial_choices(single)] == [single.atomic_choices]
+    pairs = ChoiceSpace(tuple(alternative(f"a{i}", f"b{i}") for i in range(1200)))
+    with pytest.raises(CapExceededError, match="^more than 1024 partial selections in choice space 0$"):
+        coherent_partial_choices(pairs, cap=1024)
 
 
 def test_classes_partition_worlds(data_dir):
@@ -402,6 +419,15 @@ def test_world_cap_enforced(data_dir):
         enumerate_total_choices(doc.theory, cap=8)
     with pytest.raises(CapExceededError):
         build_world_space(doc.theory, cap=8)
+
+
+def test_world_cap_message_gives_a_large_count_by_its_order_of_magnitude():
+    # 6**1000 total choices: the exact count would take 779 digits
+    t = multispace_theory(random.Random(0), 1000)
+    with pytest.raises(CapExceededError, match=r"^theory has about 10\^778 total choices, more than the cap of 1048576$"):
+        build_world_space(t)
+    with pytest.raises(CapExceededError, match="^theory has 470184984576 total choices, more than the cap of 1048576$"):
+        build_world_space(multispace_theory(random.Random(0), 15))  # 6**15, twelve digits, is shown whole
 
 
 def test_partial_choice_cap_enforced():
