@@ -14,11 +14,11 @@ constant set always terminates.
 Acyclicity is witnessed by a level mapping: every ground rule must give
 its head a strictly higher level than each body atom (negated or not).
 For such programs the stable model of the program plus a set of facts is
-unique.  It is computed in one pass over the rules in level order
-(``GroundProgram.compiled``), bit-sliced: each atom holds a column, the
-set of worlds where it is true as the bits of a Python ``int``, so one
-pass evaluates every world together, and a single model is the case of
-one world.
+unique.  It is computed in one pass over the rules in placement order,
+each head after every atom its bodies read (``GroundProgram.compiled``),
+bit-sliced: each atom holds a column, the set of worlds where it is true
+as the bits of a Python ``int``, so one pass evaluates every world
+together, and a single model is the case of one world.
 """
 
 from __future__ import annotations
@@ -346,19 +346,16 @@ class GroundProgram:
 
     @cached_property
     def evaluation_order(self) -> tuple[tuple[Atom, tuple[tuple[Literal, ...], ...]], ...]:
-        """Each clause head with its bodies (in clause order), heads in level order.
+        """Each clause head with its bodies (in clause order), heads in :func:`check_acyclic`'s placement order.
 
         This is the one acyclicity check per ground program: the first use
         runs :func:`check_acyclic` and keeps the result.  A cyclic program
         raises :class:`CyclicityError` on every use, since nothing is kept.
         """
-        levels = check_acyclic(self).levels
         bodies: dict[Atom, list[tuple[Literal, ...]]] = {}
         for cl in self.clauses:
             bodies.setdefault(cl.head, []).append(cl.body)
-        return tuple(
-            (head, tuple(bodies[head])) for head in sorted(bodies, key=lambda a: (levels[a], a))
-        )
+        return tuple((head, tuple(bodies[head])) for head in check_acyclic(self).levels if head in bodies)
 
     @cached_property
     def index(self) -> dict[Atom, int]:
@@ -377,7 +374,7 @@ class GroundProgram:
 
     def evaluate(self, columns: Sequence[int], every: int) -> list[int]:
         """The stable models of many worlds at once: ``columns[i]`` is the set of worlds (bits of ``every``)
-        holding atom ``i`` as a fact.  In level order, a head gains the worlds where some body holds:
+        holding atom ``i`` as a fact.  In placement order, a head gains the worlds where some body holds:
         the AND of its positive atoms' columns and of its negated atoms' complements.
         """
         cols = list(columns)
@@ -445,26 +442,27 @@ def check_acyclic(gp: GroundProgram) -> LevelMapping:
     """Return a level mapping for ``gp`` or raise :class:`CyclicityError`.
 
     Levels are the longest dependency chains ending at each atom, so the
-    mapping is canonical; iteration order is lexicographic for determinism.
+    mapping is canonical.  One placement pass (Kahn 1962), from the sorted
+    Herbrand base, places each atom once its last dependency is placed;
+    ``levels`` keeps that placement order.
     """
-    deps: dict[Atom, set[Atom]] = {a: set() for a in gp.herbrand_base}
+    deps: dict[Atom, set[Atom]] = {a: set() for a in sorted(gp.herbrand_base)}
+    users: dict[Atom, dict[Atom, None]] = {a: {} for a in deps}  # in clause order, not hash order
     for cl in gp.clauses:
-        deps[cl.head].update(l.atom for l in cl.body)
-
+        for l in cl.body:
+            deps[cl.head].add(l.atom)
+            users[l.atom][cl.head] = None
+    waiting = {a: len(ds) for a, ds in deps.items()}  # each atom's count of unplaced dependencies
+    placed = [a for a, n in waiting.items() if not n]
     levels: dict[Atom, int] = {}
-    pending = sorted(gp.herbrand_base)
-    while pending:
-        progressed = False
-        remaining: list[Atom] = []
-        for a in pending:
-            if deps[a] <= levels.keys():
-                levels[a] = 1 + max((levels[b] for b in deps[a]), default=0)
-                progressed = True
-            else:
-                remaining.append(a)
-        if not progressed:
-            raise CyclicityError(_find_cycle(deps, remaining))
-        pending = remaining
+    for a in placed:  # grows as the atoms waiting on ``a`` reach a count of zero
+        levels[a] = 1 + max((levels[b] for b in deps[a]), default=0)
+        for u in users[a]:
+            waiting[u] -= 1
+            if not waiting[u]:
+                placed.append(u)
+    if len(levels) < len(deps):
+        raise CyclicityError(_find_cycle(deps, [a for a in deps if a not in levels]))
     return LevelMapping(levels)
 
 

@@ -303,9 +303,9 @@ def vertex_numerators(system: FeasibleSystem, *, cap: int = DEFAULT_BASIS_CAP) -
     Walks the graph of feasible bases depth first on one tableau, starting
     from the phase-one basis, so the polytope must be bounded (unbounded
     edge directions are ignored).  A move is a min-ratio pivot ``(r, k)``,
-    ordered by ``cols[k]``, then by ``r``; the same pivot leads back,
-    restoring the basis, and every row up to a positive factor, which
-    changes no ratio tie, so the scan of moves resumes just after it.
+    ordered by tableau position ``k``, then by ``r``; the same pivot leads
+    back, restoring the basis, every position, and every row up to a positive
+    factor, which changes no ratio tie, so the scan of moves resumes after it.
     Every tied leaving row is followed, so degenerate vertices are reached
     through several bases; points are deduplicated as integers.  Raises
     :class:`CapExceededError` when more than ``cap`` bases are visited.
@@ -315,15 +315,14 @@ def vertex_numerators(system: FeasibleSystem, *, cap: int = DEFAULT_BASIS_CAP) -
     seen = {tuple(sorted(tab.basis))}
     points = set()  # each vertex as integers over its least denominator, which comes first
     back: list[tuple[int, int]] = []  # per level: the pivot back down
-    var = row = -1  # the scan resumes past the move of variable ``var`` entering at ``row``
+    col, row = 0, -1  # the scan resumes past the move at position ``col``, row ``row``
     while True:
-        if var < 0:  # a basis reached for the first time
+        if row < 0:  # a basis reached for the first time
             x = dict(zip(tab.basis, tab.valued().values))
             big = tab.big * scale
             g = gcd(big, *x.values())
             points.add((big // g, *(x.get(j, 0) // g for j in range(n))))
-        moves = ((r, k) for k in sorted(range(len(tab.cols)), key=tab.cols.__getitem__) if tab.cols[k] >= var
-                 for r in _min_ratio_rows(tab.rows, k) if tab.cols[k] > var or r > row)
+        moves = ((r, k) for k in range(col, len(tab.cols)) for r in _min_ratio_rows(tab.rows, k) if k > col or r > row)
         for r, k in moves:  # the moves are computed only until the first unseen basis
             basis = tuple(sorted(tab.basis[:r] + tab.basis[r + 1:] + [tab.cols[k]]))
             if basis not in seen:
@@ -332,12 +331,11 @@ def vertex_numerators(system: FeasibleSystem, *, cap: int = DEFAULT_BASIS_CAP) -
                     raise CapExceededError(f"more than {cap} feasible bases")
                 tab.pivot(r, k)
                 back.append((r, k))
-                var = row = -1
+                col, row = 0, -1
                 break
         else:
             if not back:  # over one denominator, sorted
                 den = lcm(*(p[0] for p in points))
                 return sorted([v * (den // p[0]) for v in p[1:]] for p in points), den
-            row, k = back.pop()
-            tab.pivot(row, k)
-            var = tab.cols[k]
+            row, col = back.pop()
+            tab.pivot(row, col)

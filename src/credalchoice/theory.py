@@ -173,6 +173,10 @@ def validate_theory(t: CCLTheory) -> ValidationReport:
     choice is also a clause head, and that distinct spaces share no atom.
     """
     out: list[Violation] = []
+    holders: dict[Atom, list[int]] = {}  # each atomic choice's spaces, in order
+    for si, sp in enumerate(t.spaces):
+        for a in sp.atomic_choices:
+            holders.setdefault(a, []).append(si)
 
     heads: frozenset[Atom] = frozenset()
     try:
@@ -199,16 +203,16 @@ def validate_theory(t: CCLTheory) -> ValidationReport:
                 total += t.mu.get(a, Fraction(0))
             if complete and total != one:
                 out.append(Violation("mass-sum", f"alternative {alt}: masses sum to {total}, expected 1"))
+        shared: dict[int, list[Atom]] = {}  # each later space's atoms in common with this one
         for a in sp.atomic_choices:
             if a in heads:
                 out.append(Violation("choice-heads-clause", f"atomic choice {a} is the head of a clause"))
-        for sj in range(si + 1, len(t.spaces)):
-            shared = sp.atom_set & t.spaces[sj].atom_set
-            if shared:
-                names = ", ".join(str(a) for a in sorted(shared))
-                out.append(
-                    Violation("overlapping-spaces", f"spaces {si} and {sj} share atomic choices: {names}")
-                )
+            for sj in holders[a]:
+                if sj > si:
+                    shared.setdefault(sj, []).append(a)
+        for sj in sorted(shared):
+            names = ", ".join(str(a) for a in sorted(shared[sj]))
+            out.append(Violation("overlapping-spaces", f"spaces {si} and {sj} share atomic choices: {names}"))
     return ValidationReport(tuple(out))
 
 
@@ -351,7 +355,7 @@ def _parse_number(ts: TokenStream) -> Fraction:
 def _parse_alternative(ts: TokenStream, mu: dict[Atom, Fraction], positions: list[tuple[Atom, Token]]) -> Alternative:
     ts.expect("alternative")
     ts.expect("{")
-    atoms: list[Atom] = []
+    atoms: dict[Atom, None] = {}  # insertion-ordered, with a constant-time duplicate test
     while True:
         a, tok = parse_atom_from(ts)
         positions.append((a, tok))
@@ -368,7 +372,7 @@ def _parse_alternative(ts: TokenStream, mu: dict[Atom, Fraction], positions: lis
                 f"conflicting probabilities for {a}: {mu[a]} and {p}", tok.line, tok.column
             )
         mu[a] = p
-        atoms.append(a)
+        atoms[a] = None
         if ts.at(","):
             ts.advance()
             continue

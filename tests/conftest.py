@@ -161,6 +161,34 @@ def random_acyclic_program(rng: random.Random, n_atoms: int):
     return GroundProgram(tuple(clauses), frozenset(atoms))
 
 
+def sweep_levels(gp):
+    """The level mapping by sweeps: each sweep, over the pending atoms in sorted order, levels every atom whose
+    dependencies all have levels by then, and a sweep that levels none hands the pending atoms to ``_find_cycle``.
+    Quadratic on a chain whose sorted order runs against its dependencies; a reference for small programs.
+    """
+    from credalchoice.errors import CyclicityError
+    from credalchoice.logic import _find_cycle
+
+    deps = {a: set() for a in gp.herbrand_base}
+    for cl in gp.clauses:
+        deps[cl.head].update(l.atom for l in cl.body)
+    levels = {}
+    pending = sorted(gp.herbrand_base)
+    while pending:
+        progressed = False
+        remaining = []
+        for a in pending:
+            if deps[a] <= levels.keys():
+                levels[a] = 1 + max((levels[b] for b in deps[a]), default=0)
+                progressed = True
+            else:
+                remaining.append(a)
+        if not progressed:
+            raise CyclicityError(_find_cycle(deps, remaining))
+        pending = remaining
+    return levels
+
+
 def naive_stable_model(gp, facts):
     """Iterate the one-step consequence operator until it stabilizes.
 
@@ -319,6 +347,24 @@ def vertex_product_bounds(t, q, ws):
         total = sum(math.prod(nums[c] for (nums, _), c in zip(parts, profile)) for profile in profiles)
         values.append(Fraction(total, math.prod(d for _, d in parts)))
     return min(values), max(values)
+
+
+def two_ranking_theory() -> tuple[CCLTheory, Query]:
+    """The ranking theories of two n = 4 Mallows datasets (seeds 1 and 2, objects renamed apart) joined, with the
+    query "object 0 beats object 1" in each: the literals ``q`` and ``qq``."""
+    from test_ranking import mallows_text
+
+    from credalchoice.ranking import build_ranking_theory, pairwise_query
+
+    def marginals(seed, prefix):
+        text = mallows_text(random.Random(seed), 4, 50).replace("o", prefix)
+        return smooth_marginals(counts_from_rankings(parse_rankings(text)))
+
+    m1, m2 = marginals(1, "a"), marginals(2, "b")
+    t1, q1 = pairwise_query(build_ranking_theory(m1), m1, 0, 1)
+    t2 = build_ranking_theory(m2)
+    t, q2 = pairwise_query(CCLTheory(t1.program, (*t1.spaces, *t2.spaces), {**t1.mu, **t2.mu}), m2, 0, 1)
+    return t, Query(q1.literals | q2.literals)
 
 
 def random_product_theory(rng: random.Random, n_spaces: int) -> CCLTheory:

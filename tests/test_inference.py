@@ -17,6 +17,7 @@ from conftest import (
     random_query,
     random_single_space_theory,
     random_two_space_theory,
+    two_ranking_theory,
     vertex_product_bounds,
     with_derived_atom,
     with_derived_atoms,
@@ -527,17 +528,7 @@ def test_two_space_ranking_theory_finishes_in_either_order():
 def test_two_ranking_theory_walks_thousands_of_vertices_in_either_order():
     # two n = 4 ranking spaces, objects renamed apart, the query "object 0 beats object 1" in each: the walked
     # space has 4081 vertices with 56 distinct group sums, so the fold ends in 56 LP leaves
-    from test_ranking import mallows_text
-
-    def ranking_marginals(seed, prefix):
-        text = mallows_text(random.Random(seed), 4, 50).replace("o", prefix)
-        return smooth_marginals(counts_from_rankings(parse_rankings(text)))
-
-    m1, m2 = ranking_marginals(1, "a"), ranking_marginals(2, "b")
-    t1, q1 = pairwise_query(build_ranking_theory(m1), m1, 0, 1)
-    t2 = build_ranking_theory(m2)
-    t, q2 = pairwise_query(CCLTheory(t1.program, (*t1.spaces, *t2.spaces), {**t1.mu, **t2.mu}), m2, 0, 1)
-    q = Query(q1.literals | q2.literals)
+    t, q = two_ranking_theory()
     assert str(q) == "q, qq"
     for spaces in (t.spaces, t.spaces[::-1]):
         iv = credal_bounds_strong_extension(CCLTheory(t.program, spaces, t.mu), q)

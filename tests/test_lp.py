@@ -7,7 +7,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 import pytest
-from conftest import load_benchmark_generators, ranking_marginals, solve_affine_system
+from conftest import load_benchmark_generators, ranking_marginals, solve_affine_system, two_ranking_theory
 from hypothesis import given, settings, strategies as st
 
 from credalchoice import lp
@@ -668,6 +668,72 @@ def test_condensed_tableau_matches_fraction_reference():
             assert vertices(system, n, cap=cap) == expected, f"trial {trial}"
             outcomes["vertices"] += 1
     assert min(outcomes.values()) >= 30, outcomes
+
+
+def walk_by_variable(system: FeasibleSystem) -> tuple[list[list[int]], int, int]:
+    """The vertex walk with each basis's moves ordered by entering variable, then by row: ``vertex_numerators``'s
+    walk before it scanned them by tableau position.  Returns its vertices, their denominator and the bases seen."""
+    n, scale = system.n, system._scale
+    tab = system._tab.copy([0] * len(system._tab.cols))
+    seen, points, back = {tuple(sorted(tab.basis))}, set(), []
+    var = row = -1  # the scan resumes past the move of variable ``var`` entering at ``row``
+    while True:
+        if var < 0:
+            x = dict(zip(tab.basis, tab.valued().values))
+            big = tab.big * scale
+            g = math.gcd(big, *x.values())
+            points.add((big // g, *(x.get(j, 0) // g for j in range(n))))
+        moves = ((r, k) for k in sorted(range(len(tab.cols)), key=tab.cols.__getitem__) if tab.cols[k] >= var
+                 for r in lp._min_ratio_rows(tab.rows, k) if tab.cols[k] > var or r > row)
+        for r, k in moves:
+            basis = tuple(sorted(tab.basis[:r] + tab.basis[r + 1:] + [tab.cols[k]]))
+            if basis not in seen:
+                seen.add(basis)
+                tab.pivot(r, k)
+                back.append((r, k))
+                var = row = -1
+                break
+        else:
+            if not back:
+                den = math.lcm(*(p[0] for p in points))
+                return sorted([v * (den // p[0]) for v in p[1:]] for p in points), den, len(seen)
+            row, k = back.pop()
+            tab.pivot(row, k)
+            var = tab.cols[k]
+
+
+def test_vertex_walk_by_position_keeps_the_walk_by_variable(monkeypatch):
+    rng = random.Random(1962)
+    systems = []
+    for trial in range(300):  # the random systems of the tests above, bounded and feasible
+        if trial % 3 == 0:
+            systems.append(FeasibleSystem(*integer_system(*random_transportation(rng, rng.randint(2, 3), rng.randint(2, 3)))))
+            continue
+        n = rng.randint(2, 5) if trial % 3 == 1 else rng.randint(4, 8)
+        cons = random_bounded_system(rng, n) if trial % 3 == 1 else degenerate_system(rng, n)
+        if any(c.sense == "==" and set(c.coeffs) == {1} for c in cons):
+            try:
+                systems.append(feasible_system(n, cons))
+            except InfeasibleError:
+                pass
+    t, _ = two_ranking_theory()  # two ranking spaces: 8010 feasible bases and 4081 vertices, 6804 and 4111
+    ws = build_world_space(t)
+    systems += [marginal_polytope(ws, i).feasible_system() for i in range(2)]
+    pivots = []
+    monkeypatch.setattr(lp._Tableau, "pivot", lambda tab, r, k, pivot=lp._Tableau.pivot: pivots.append(pivot(tab, r, k)))
+    capped, walked = 0, []
+    for i, system in enumerate(systems):
+        nums, den, bases = walk_by_variable(system)
+        walked.append((bases, len(nums)))
+        del pivots[:]
+        assert vertex_numerators(system, cap=bases) == (nums, den), f"system {i}"
+        assert len(pivots) == 2 * (bases - 1), f"system {i}"  # one pivot out of and one back into every basis but the first
+        if bases > 1:  # a one-basis walk adds no basis, so no cap stops it
+            with pytest.raises(CapExceededError, match=f"more than {bases - 1} feasible bases"):
+                vertex_numerators(system, cap=bases - 1)
+            capped += 1
+    assert len(systems) >= 200 and capped >= 100, (len(systems), capped)
+    assert walked[-2:] == [(8010, 4081), (6804, 4111)]
 
 
 def reference_ends(reference, n, objective):

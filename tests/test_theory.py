@@ -1,16 +1,19 @@
 """Theory construction, validation, merging, and the .ccl file format."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from credalchoice.errors import ArityConflictError, ParseError, TheoryValidationError
-from credalchoice.logic import Atom, Literal, Program, Term, atom, parse_program
+from credalchoice.errors import ArityConflictError, CyclicityError, ParseError, TheoryValidationError
+from credalchoice.logic import Atom, Clause, Literal, Program, Term, atom, parse_program
 from credalchoice.theory import (
     Alternative,
     CCLTheory,
     ChoiceSpace,
     Query,
+    ValidationReport,
+    Violation,
     alternative,
     from_icl,
     load_ccl,
@@ -142,6 +145,67 @@ def test_cyclic_program_flagged():
     t = CCLTheory(program, (), {})
     report = validate_theory(t)
     assert any(v.code == "cyclic-program" for v in report.violations)
+
+
+def pairwise_report(t: CCLTheory) -> ValidationReport:
+    """``validate_theory`` with its overlap rule stated pairwise: space ``si`` against every later space ``sj``."""
+    out = []
+    heads = frozenset()
+    try:
+        heads = frozenset(head for head, _ in t.ground_program.evaluation_order)
+    except CyclicityError as exc:
+        out.append(Violation("cyclic-program", f"dependency cycle: {' -> '.join(str(a) for a in exc.cycle)}"))
+    for si, sp in enumerate(t.spaces):
+        for alt in sp.alternatives:
+            for a in alt.atoms:
+                if a not in t.mu:
+                    out.append(Violation("missing-probability", f"no probability for atom {a}"))
+                elif not 0 <= t.mu[a] <= 1:
+                    out.append(Violation("probability-range", f"probability of {a} is {t.mu[a]}, outside [0, 1]"))
+            total = sum(t.mu.get(a, F(0)) for a in alt.atoms)
+            if all(a in t.mu for a in alt.atoms) and total != 1:
+                out.append(Violation("mass-sum", f"alternative {alt}: masses sum to {total}, expected 1"))
+        out += [Violation("choice-heads-clause", f"atomic choice {a} is the head of a clause")
+                for a in sp.atomic_choices if a in heads]
+        for sj in range(si + 1, len(t.spaces)):
+            if shared := sp.atom_set & t.spaces[sj].atom_set:
+                names = ", ".join(str(a) for a in sorted(shared))
+                out.append(Violation("overlapping-spaces", f"spaces {si} and {sj} share atomic choices: {names}"))
+    return ValidationReport(tuple(out))
+
+
+def random_overlapping_theory(rng: random.Random) -> CCLTheory:
+    """Up to six spaces over a pool of up to nine choice atoms, so spaces often share atoms, some three ways.
+
+    About one atom in ten has no mass, and masses range over [0, 2]; the program's clauses draw heads and bodies
+    from the pool and three derived atoms, so some head a choice atom and some close a cycle.
+    """
+    pool = [atom(f"x{i}") for i in range(rng.randint(2, 9))]
+    spaces = tuple(
+        ChoiceSpace(tuple(Alternative(tuple(rng.sample(pool, rng.randint(1, min(3, len(pool))))))
+                          for _ in range(rng.randint(1, 3))))
+        for _ in range(rng.randint(1, 6))
+    )
+    mu = {a: F(rng.randint(0, 4), rng.choice((2, 3, 4))) for a in pool if rng.random() < 0.9}
+    names = pool + [atom(f"d{i}") for i in range(3)]
+    clauses = [Clause(rng.choice(names[-4:] if rng.random() < 0.9 else names), (Literal(rng.choice(names)),))
+               for _ in range(rng.randint(0, 4))]
+    return CCLTheory(Program(tuple(clauses)), spaces, mu)
+
+
+def test_validate_theory_matches_the_pairwise_overlap_rule():
+    rng = random.Random(1962)
+    codes = {}
+    for trial in range(2000):
+        t = random_overlapping_theory(rng)
+        report = validate_theory(t)
+        assert report == pairwise_report(t), f"trial {trial}"
+        for code in {v.code for v in report.violations}:
+            codes[code] = codes.get(code, 0) + 1
+        three_way = any(v.code == "overlapping-spaces" for v in report.violations) and any(
+            sum(a in sp.atom_set for sp in t.spaces) >= 3 for a in t.mu)
+        codes["three-way"] = codes.get("three-way", 0) + three_way
+    assert len(codes) == 7 and min(codes.values()) >= 50, codes
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +430,19 @@ def test_parse_ccl_checks_choice_atoms_arities(text, line, column, message):
         parse_ccl(text)
     assert (exc.value.line, exc.value.column) == (line, column)
     assert str(exc.value) == f"line {line}, column {column}: {message}"
+
+
+def test_an_eight_thousand_atom_alternative_parses_and_reports_a_duplicate_at_its_token():
+    names = [f"c{i}" for i in range(7999)]
+    text = "choicespace {\n  alternative { " + ", ".join(f"{n}: 0" for n in names) + ", z: 1 }\n}\n"
+    (space,) = parse_ccl(text).theory.spaces
+    assert space.alternatives[0].atoms == tuple(atom(n) for n in (*names, "z"))
+    duplicated = text.replace("c7000: 0", "c17: 0")
+    with pytest.raises(ParseError) as exc:
+        parse_ccl(duplicated)
+    column = duplicated.splitlines()[1].index("c17: 0, c7001") + 1
+    assert (str(exc.value), exc.value.line, exc.value.column) == (
+        f"line 2, column {column}: duplicate atom c17 in alternative", 2, column)
 
 
 def test_load_ccl_bundled(data_dir):
