@@ -39,7 +39,7 @@ from .theory import TheoryDocument, load_ccl, parse_query, require_valid, valida
 from .worlds import build_world_space, class_table, world_space_json, world_table
 
 def _pick_query(doc: TheoryDocument, text: str | None):
-    if text:
+    if text is not None:
         return parse_query(text)
     if doc.queries:
         return doc.queries[0]
@@ -121,7 +121,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
     epsilon = parse_fraction(args.epsilon)
     if args.counts or args.data.endswith(".csv"):
         # counts carry no individual rankings, so no ground truth
-        if args.holdout:
+        if args.holdout is not None:
             raise ValueError("--holdout needs a rankings file: a counts CSV has no rankings to hold out")
         counts = parse_counts_csv(text)
         report = report_from_marginals(
@@ -138,7 +138,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
             threshold=threshold,
             backend=args.backend,
             epsilon=epsilon,
-            holdout=parse_fraction(args.holdout) if args.holdout else None,
+            holdout=parse_fraction(args.holdout) if args.holdout is not None else None,
             seed=args.seed,
         )
     payload = report.to_json_dict()

@@ -109,10 +109,6 @@ class Clause:
     head: Atom
     body: tuple[Literal, ...] = ()
 
-    @property
-    def is_fact(self) -> bool:
-        return not self.body
-
     def variables(self) -> set[Term]:
         out = self.head.variables()
         for lit in self.body:
@@ -123,7 +119,7 @@ class Clause:
         return Clause(self.head.substitute(binding), tuple(l.substitute(binding) for l in self.body))
 
     def __str__(self) -> str:
-        if self.is_fact:
+        if not self.body:
             return f"{self.head}."
         return f"{self.head} :- {', '.join(str(l) for l in self.body)}."
 
@@ -146,9 +142,6 @@ class Program:
 
     def extend(self, clauses: Iterable[Clause]) -> "Program":
         return Program(self.clauses + tuple(clauses))
-
-    def to_text(self) -> str:
-        return "\n".join(str(cl) for cl in self.clauses)
 
     def __iter__(self) -> Iterator[Clause]:
         return iter(self.clauses)
@@ -387,9 +380,6 @@ class GroundProgram:
                     worlds &= ~cols[a]
                 cols[head] |= worlds
         return cols
-
-    def heads(self) -> frozenset[Atom]:
-        return frozenset(cl.head for cl in self.clauses)
 
 
 def ground(

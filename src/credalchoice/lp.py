@@ -204,7 +204,7 @@ def _phase_one(rows: list[IntRow], nreal: int) -> _Tableau:
     are made coprime.
     """
     m = len(rows)
-    obj = _coprime([-sum(col) for col in zip(*rows, [0] * (nreal + 1))])
+    obj = _coprime([-sum(col) for col in zip(*rows)])
     tab = _Tableau([row + [1] for row in rows], list(range(nreal, nreal + m)), list(range(nreal)), obj)
     tab.minimize()
     if tab.obj[-1] != 0:

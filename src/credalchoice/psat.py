@@ -323,18 +323,10 @@ def psat_decide(inst: PSATInstance) -> bool:
 
 @dataclass
 class BracketState:
-    """Bisection bookkeeping; ``None`` marks a side settled exactly."""
+    """Bisection bookkeeping: the tolerance, and every probe with its answer in order."""
 
     epsilon: Fraction = Fraction(1, 1024)
-    sat_low: Fraction | None = None
-    sat_high: Fraction | None = None
-    unsat_low: Fraction | None = None
-    unsat_high: Fraction | None = None
     probes: list[tuple[Fraction, bool]] = field(default_factory=list)
-
-    @property
-    def calls(self) -> int:
-        return len(self.probes)
 
 
 def _query_system(ws: WorldSpace, q: Query) -> tuple[lp.FeasibleSystem, list[int]]:
@@ -371,8 +363,8 @@ def bracket(
     three denominators and ``t`` the bisection depth; only the probes a given ``state`` records and the
     ends become ``Fraction``s.
     """
-    st = state if state is not None else BracketState(epsilon)
-    st.epsilon = epsilon
+    if state is not None:
+        state.epsilon = epsilon
     (m, m_den), (low, high, ends_den) = _start(system, row), system.bound_numerators(row)
     den = lcm(m_den, ends_den, epsilon.denominator)
     m, low, high = m * (den // m_den), low * (den // ends_den), high * (den // ends_den)
@@ -381,30 +373,20 @@ def bracket(
     def probe(alpha: int, t: int) -> bool:
         result = low << t <= alpha <= high << t
         if state is not None:
-            st.probes.append((Fraction(alpha, den << t), result))
+            state.probes.append((Fraction(alpha, den << t), result))
         return result
 
-    def bisect(sat: int, unsat: int) -> tuple[Fraction, Fraction]:
-        """Halve between a satisfiable and an unsatisfiable numerator over ``den`` until they are within ``epsilon``."""
+    def bisect(sat: int, unsat: int) -> Fraction:
+        """The last unsatisfiable value, halving from a satisfiable and an unsatisfiable numerator over ``den`` to ``epsilon``."""
         t = 0
         while abs(sat - unsat) > eps << t:
             t += 1
             alpha = sat + unsat  # their midpoint over den << t
             sat, unsat = (alpha, unsat << 1) if probe(alpha, t) else (sat << 1, alpha)
-        return Fraction(sat, den << t), Fraction(unsat, den << t)
+        return Fraction(unsat, den << t)
 
-    if probe(0, 0):
-        st.sat_low = lower = _ZERO
-    else:
-        st.sat_low, st.unsat_low = bisect(m, 0)
-        lower = st.unsat_low
-
-    if probe(den, 0):
-        st.sat_high = upper = _ONE
-    else:
-        st.sat_high, st.unsat_high = bisect(m, den)
-        upper = st.unsat_high
-
+    lower = _ZERO if probe(0, 0) else bisect(m, 0)
+    upper = _ONE if probe(den, 0) else bisect(m, den)
     return IntervalResult(lower, upper, "psat_bisect", epsilon)
 
 

@@ -27,7 +27,7 @@ keeps all 1 + n² rows: its bracket starts at the phase-one point, and
 dropping rows can move that point.
 
 Ranking files hold one ranking per line, best first, comma separated,
-with an optional ``xK`` multiplicity suffix::
+with an optional ``xK`` multiplicity after the last name::
 
     a,b,c x3
     b,a,c
@@ -511,7 +511,7 @@ def parse_rankings(text: str) -> RankingDataset:
             continue
         count = 1
         parts = line.rsplit(None, 1)
-        if len(parts) == 2 and parts[1].startswith("x") and parts[1][1:].isdecimal():
+        if len(parts) == 2 and not parts[0].endswith(",") and parts[1].startswith("x") and parts[1][1:].isdecimal():
             line, count = parts[0], int(parts[1][1:])
             if count < 1:
                 raise ParseError("multiplicity must be at least 1", lineno)

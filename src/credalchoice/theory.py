@@ -64,10 +64,6 @@ class Alternative:
             if not a.is_ground:
                 raise ValueError(f"alternative atom is not ground: {a}")
 
-    @cached_property
-    def atom_set(self) -> frozenset[Atom]:
-        return frozenset(self.atoms)
-
     def __str__(self) -> str:
         return "{" + ", ".join(str(a) for a in self.atoms) + "}"
 
@@ -93,10 +89,6 @@ class ChoiceSpace:
             for a in alt.atoms:
                 seen.setdefault(a)
         return tuple(seen)
-
-    @cached_property
-    def atom_set(self) -> frozenset[Atom]:
-        return frozenset(self.atomic_choices)
 
     def __str__(self) -> str:
         return "{" + ", ".join(str(alt) for alt in self.alternatives) + "}"
@@ -200,7 +192,7 @@ def validate_theory(t: CCLTheory) -> ValidationReport:
                 p = t.mu[a]
                 if not (0 <= p <= 1):
                     out.append(Violation("probability-range", f"probability of {a} is {p}, outside [0, 1]"))
-                total += t.mu.get(a, Fraction(0))
+                total += p
             if complete and total != one:
                 out.append(Violation("mass-sum", f"alternative {alt}: masses sum to {total}, expected 1"))
         shared: dict[int, list[Atom]] = {}  # each later space's atoms in common with this one

@@ -393,7 +393,7 @@ def with_derived_atoms(rng: random.Random, t: CCLTheory, n: int) -> tuple[CCLThe
     about 40% negated, from the choice atoms and the earlier derived
     atoms; with no atom to draw from a clause is a fact.
     """
-    pool = sorted({a for sp in t.spaces for a in sp.atom_set})
+    pool = sorted({a for sp in t.spaces for a in sp.atomic_choices})
     clauses, derived = [], []
     for i in range(n):
         head = atom(f"d{i}")
@@ -413,7 +413,7 @@ def random_base_query(rng: random.Random, t: CCLTheory, max_literals: int = 3) -
 
 
 def random_query(rng: random.Random, t: CCLTheory, max_literals: int = 3) -> Query:
-    pool = sorted({a for sp in t.spaces for a in sp.atom_set})
+    pool = sorted({a for sp in t.spaces for a in sp.atomic_choices})
     k = rng.randrange(1, min(max_literals, len(pool)) + 1)
     chosen = rng.sample(pool, k)
     return Query(frozenset(Literal(a, rng.random() < 0.6) for a in chosen))
@@ -421,7 +421,7 @@ def random_query(rng: random.Random, t: CCLTheory, max_literals: int = 3) -> Que
 
 def with_derived_atom(rng: random.Random, t: CCLTheory) -> tuple[CCLTheory, Query]:
     """Extend a theory with one derived atom over random choice literals."""
-    pool = sorted({a for sp in t.spaces for a in sp.atom_set})
+    pool = sorted({a for sp in t.spaces for a in sp.atomic_choices})
     head = atom("d")
     n_clauses = rng.randrange(1, 3)
     clauses = []

@@ -165,7 +165,7 @@ def test_criterion_4_psat_cross_validation(data_dir):
         bracket = bisect_bounds(t, q, epsilon, state=state)
         assert abs(bracket.lower - exact.lower) <= epsilon
         assert abs(bracket.upper - exact.upper) <= epsilon
-        assert state.calls <= 24
+        assert len(state.probes) <= 24
 
 
 @pytest.mark.acceptance(
@@ -211,7 +211,7 @@ def test_criterion_6_stable_model_oracle():
     for _ in range(200):
         gp = random_acyclic_program(rng, rng.randrange(2, 13))
         base = sorted(gp.herbrand_base)
-        facts = frozenset(a for a in base if rng.random() < 0.3 and a not in gp.heads())
+        facts = frozenset(a for a in base if rng.random() < 0.3 and a not in {cl.head for cl in gp.clauses})
         assert stable_model(gp, facts).true_atoms == naive_stable_model(gp, facts)
 
     for _ in range(20):

@@ -194,6 +194,13 @@ def test_infer_bad_query_text_exits_2(data_dir, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("command", ["infer", "psat-export"])
+def test_empty_query_is_parsed_not_taken_as_absent(data_dir, capsys, command):
+    code, out, err = run([command, str(data_dir / "urn-merged.ccl"), "--query", ""], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "expected an atom, found 'end of input'" in err
+
+
 def test_infer_text_after_final_period_exits_2(data_dir, capsys):
     code, out, err = run(
         ["infer", str(data_dir / "urn-merged.ccl"), "--query", "a1r. a2r"], capsys
@@ -442,6 +449,14 @@ def test_rank_holdout_of_a_single_ranking_exits_1(tmp_path, capsys):
     p.write_text("a,b,c\n")
     code, out, err = run(["rank", str(p), "--holdout", "1/2"], capsys)
     assert (code, out, err) == (1, "", "error: holdout leaves no training rankings\n")
+
+
+def test_rank_empty_holdout_is_parsed_not_taken_as_absent(data_dir, capsys):
+    code, out, err = run(["rank", str(data_dir / "abc.rankings"), "--holdout", ""], capsys)
+    assert (code, out, err) == (2, "", "error: not a rational number: ''\n")
+    code, out, err = run(["rank", str(data_dir / "abc-counts.csv"), "--holdout", ""], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: --holdout needs a rankings file: a counts CSV has no rankings to hold out\n"
 
 
 @pytest.mark.parametrize("flag", [[], ["--counts"]])

@@ -68,3 +68,18 @@ def _unread_names(tree: ast.Module) -> set[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_every_import_and_private_name_is_read(path):
     assert _unread_names(ast.parse(path.read_text())) == set()
+
+
+def _unread_members(trees: list[ast.Module]) -> set[str]:
+    """Every ``Class.method`` (a property too) of the given modules, dunders aside, never read as an attribute in any."""
+    read = {n.attr for t in trees for n in ast.walk(t) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    return {
+        f"{cls.name}.{f.name}"
+        for t in trees for cls in ast.walk(t) if isinstance(cls, ast.ClassDef)
+        for f in cls.body if isinstance(f, ast.FunctionDef) and not f.name.startswith("__") and f.name not in read
+    }
+
+
+def test_every_class_member_is_read():
+    trees = [ast.parse(p.read_text()) for p in Path(credalchoice.__file__).parent.glob("*.py")]
+    assert _unread_members(trees) == set()

@@ -113,7 +113,7 @@ def test_parse_facts():
 def test_serialize_round_trip():
     text = "q :- r2(h1), r1(h2).\np(X) :- e(X, b), \\+ q."
     once = parse_program(text)
-    again = parse_program(once.to_text())
+    again = parse_program("\n".join(map(str, once)))
     assert once == again
 
 
@@ -166,7 +166,7 @@ def test_parser_round_trip_random(clauses):
             if relations.setdefault(a.relation, len(a.args)) != len(a.args):
                 return  # arity conflicts are rejected by design, skip
     program = Program(tuple(clauses))
-    assert parse_program(program.to_text()) == program
+    assert parse_program("\n".join(map(str, program))) == program
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +245,6 @@ def test_random_dags_accepted_and_back_edges_rejected():
         # Inject one upward edge to close a cycle.
         heads = [c.head for c in gp.clauses]
         target = rng.choice(heads)
-        top = max(gp.herbrand_base, key=lambda a: a.relation)
         bad = Clause(
             min(l.atom for c in gp.clauses if c.head == target for l in c.body)
             if any(c.head == target and c.body for c in gp.clauses)
@@ -255,7 +254,6 @@ def test_random_dags_accepted_and_back_edges_rejected():
         looped = GroundProgram(gp.clauses + (bad, Clause(target, (Literal(bad.head),))), gp.herbrand_base)
         with pytest.raises(CyclicityError):
             check_acyclic(looped)
-        del top
 
 
 def with_injected_cycle(rng: random.Random, gp: GroundProgram) -> GroundProgram:
@@ -371,7 +369,7 @@ def test_stable_model_matches_naive_oracle():
         n = rng.randrange(2, 13)
         gp = random_acyclic_program(rng, n)
         base = sorted(gp.herbrand_base)
-        facts = frozenset(a for a in base if rng.random() < 0.3 and a not in gp.heads())
+        facts = frozenset(a for a in base if rng.random() < 0.3 and a not in {cl.head for cl in gp.clauses})
         got = stable_model(gp, facts)
         want = naive_stable_model(gp, facts)
         assert got.true_atoms == want
@@ -393,7 +391,7 @@ def test_stable_model_supportedness():
     for _ in range(40):
         gp = random_acyclic_program(rng, rng.randrange(3, 10))
         facts = frozenset(
-            a for a in gp.herbrand_base if rng.random() < 0.25 and a not in gp.heads()
+            a for a in gp.herbrand_base if rng.random() < 0.25 and a not in {cl.head for cl in gp.clauses}
         )
         m = stable_model(gp, facts)
         for a in m.true_atoms:

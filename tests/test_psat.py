@@ -424,7 +424,7 @@ def test_bisect_urn_merged(data_dir):
     assert iv.lower <= F(1, 2) <= F(7, 10) <= iv.upper
     assert F(1, 2) - iv.lower <= eps
     assert iv.upper - F(7, 10) <= eps
-    assert state.calls <= 24
+    assert len(state.probes) <= 24
 
 
 def test_bisect_friends_merged(data_dir):
@@ -435,7 +435,7 @@ def test_bisect_friends_merged(data_dir):
     assert iv.lower <= F(1, 5) <= F(1, 2) <= iv.upper
     assert F(1, 5) - iv.lower <= eps
     assert iv.upper - F(1, 2) <= eps
-    assert state.calls <= 24
+    assert len(state.probes) <= 24
 
 
 def test_bisect_probe_log_is_consistent(data_dir):
@@ -534,14 +534,13 @@ def test_bisect_builds_one_world_space_and_never_decides(data_dir, monkeypatch):
     doc = load_ccl(data_dir / "friends-merged.ccl")
     state = BracketState()
     bisect_bounds(doc.theory, doc.queries[0], state=state)
-    assert state.calls > 2
+    assert len(state.probes) > 2
     assert calls == {"build_world_space": 1, "enumerate_models": 0, "psat_decide": 0}
 
 
 def reference_bracket(mid, lo, hi, epsilon, st):
     """The bisection of ``psat.bracket`` in ``Fraction`` arithmetic, recording into ``st``."""
     st.epsilon = epsilon
-    st.sat_low = st.sat_high = mid
 
     def probe(alpha):
         result = lo <= alpha <= hi
@@ -549,27 +548,25 @@ def reference_bracket(mid, lo, hi, epsilon, st):
         return result
 
     if probe(F(0)):
-        st.sat_low = lower = F(0)
+        lower = F(0)
     else:
-        st.unsat_low = F(0)
-        while st.sat_low - st.unsat_low > epsilon:
-            alpha = (st.sat_low + st.unsat_low) / 2
+        sat, lower = mid, F(0)
+        while sat - lower > epsilon:
+            alpha = (sat + lower) / 2
             if probe(alpha):
-                st.sat_low = alpha
+                sat = alpha
             else:
-                st.unsat_low = alpha
-        lower = st.unsat_low
+                lower = alpha
     if probe(F(1)):
-        st.sat_high = upper = F(1)
+        upper = F(1)
     else:
-        st.unsat_high = F(1)
-        while st.unsat_high - st.sat_high > epsilon:
-            alpha = (st.sat_high + st.unsat_high) / 2
+        sat, upper = mid, F(1)
+        while upper - sat > epsilon:
+            alpha = (sat + upper) / 2
             if probe(alpha):
-                st.sat_high = alpha
+                sat = alpha
             else:
-                st.unsat_high = alpha
-        upper = st.unsat_high
+                upper = alpha
     return IntervalResult(lower, upper, "psat_bisect", epsilon)
 
 

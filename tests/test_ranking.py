@@ -727,6 +727,13 @@ def test_synthetic_mixture_has_partial_determinacy():
 def test_parse_rankings_multiplicity_and_comments():
     d = parse_rankings("% data\na,b x2\nb,a\n")
     assert d.rankings == ((0, 1), (0, 1), (1, 0))
+    # a multiplicity follows the last name after a space; after a comma, ``xK`` is a name
+    d = parse_rankings("a, b, x3\nx3, b, a\n")
+    assert (d.objects, d.rankings) == (("a", "b", "x3"), ((0, 1, 2), (2, 1, 0)))
+    d = parse_rankings("a, x2\n")
+    assert (d.objects, d.rankings) == (("a", "x2"), ((0, 1),))
+    assert parse_rankings("a,b,c x3\n").rankings == ((0, 1, 2),) * 3
+    assert parse_rankings("a, b x2\n").rankings == ((0, 1),) * 2
 
 
 def test_parse_rankings_errors():

@@ -168,7 +168,7 @@ def pairwise_report(t: CCLTheory) -> ValidationReport:
         out += [Violation("choice-heads-clause", f"atomic choice {a} is the head of a clause")
                 for a in sp.atomic_choices if a in heads]
         for sj in range(si + 1, len(t.spaces)):
-            if shared := sp.atom_set & t.spaces[sj].atom_set:
+            if shared := set(sp.atomic_choices).intersection(t.spaces[sj].atomic_choices):
                 names = ", ".join(str(a) for a in sorted(shared))
                 out.append(Violation("overlapping-spaces", f"spaces {si} and {sj} share atomic choices: {names}"))
     return ValidationReport(tuple(out))
@@ -203,7 +203,7 @@ def test_validate_theory_matches_the_pairwise_overlap_rule():
         for code in {v.code for v in report.violations}:
             codes[code] = codes.get(code, 0) + 1
         three_way = any(v.code == "overlapping-spaces" for v in report.violations) and any(
-            sum(a in sp.atom_set for sp in t.spaces) >= 3 for a in t.mu)
+            sum(a in sp.atomic_choices for sp in t.spaces) >= 3 for a in t.mu)
         codes["three-way"] = codes.get("three-way", 0) + three_way
     assert len(codes) == 7 and min(codes.values()) >= 50, codes
 

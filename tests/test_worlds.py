@@ -28,6 +28,7 @@ from credalchoice.theory import (
     load_ccl,
     parse_ccl,
     query,
+    validate_theory,
 )
 from credalchoice.worlds import (
     build_world_space,
@@ -53,7 +54,7 @@ def brute_force_coherent(space: ChoiceSpace) -> list[tuple]:
     alts = space.alternatives
 
     def coherent(k: int, sel_k, i: int, sel_i) -> bool:
-        return sel_k == sel_i or (sel_k not in alts[i].atom_set and sel_i not in alts[k].atom_set)
+        return sel_k == sel_i or (sel_k not in alts[i].atoms and sel_i not in alts[k].atoms)
 
     kept = [()]
     for i, alt in enumerate(alts):
@@ -223,6 +224,7 @@ def test_world_space_checks_acyclicity_once(data_dir, monkeypatch):
 
     monkeypatch.setattr(logic, "check_acyclic", counting)
     t = load_ccl(data_dir / "friends.ccl").theory
+    assert validate_theory(t).ok  # the CLI's path: validate, then build
     first = build_world_space(t)
     second = build_world_space(t)
     assert len(first.worlds) == 8
